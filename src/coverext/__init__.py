@@ -48,7 +48,6 @@ from .extension import (
 )
 from .approx import (
     AlphaBounds,
-    BipartiteView,
     alpha_bounds,
     alpha_star_exact,
     ceil_two_thirds,
@@ -82,4 +81,20 @@ from .gadgets import (
     setcover_membership_gadget,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "CapExceededError", "CoverextError", "InstanceParseError", "MalformedProgramError",
+    "SeedExhaustedError", "EQUAL", "FEASIBLE", "GREATER_EQUAL", "INFEASIBLE",
+    "LESS_EQUAL", "UNBOUNDED", "LinearProgram", "LpOutcome", "solve", "verify_farkas",
+    "verify_solution", "DEFAULT_ENUMERATION_CAP", "CoverageCheck", "PartialFunction",
+    "TotalSetFunction", "WCoefficients", "eval_from_w", "is_coverage",
+    "w_roundtrip_check", "w_transform", "ExtensionVerdict", "decide_extension",
+    "extension_program", "verify_certificate", "verify_witness", "AlphaBounds",
+    "alpha_bounds", "alpha_star_exact", "ceil_two_thirds", "generate_tight_instance",
+    "harmonic", "replacement_ratio_exact", "replacement_ratio_greedy", "NormResult",
+    "norm_extension_approx", "norm_opt_exact", "verify_dual_feasible", "DeltaSpec",
+    "DensestCutReport", "FractionalColoring", "Graph", "MembershipCheck",
+    "MembershipInstance", "check_cut_membership", "check_span_membership",
+    "chromatic_gadget", "coverage_span_sums", "cut_to_span_gadget",
+    "densest_cut_gadget", "densest_cut_report", "equalize_coloring",
+    "fractional_chromatic", "setcover_membership_gadget",
+]

@@ -34,7 +34,7 @@ from typing import Optional, Union
 
 from .errors import CapExceededError, SeedExhaustedError
 from .lp import FEASIBLE, GREATER_EQUAL, INFEASIBLE, LESS_EQUAL, LinearProgram, solve
-from .setfun import DEFAULT_ENUMERATION_CAP, Mask, PartialFunction, require_enumerable
+from .setfun import DEFAULT_ENUMERATION_CAP, Mask, PartialFunction, require_enumerable, span_sums
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -44,36 +44,6 @@ DEFAULT_DEGREE_CAP = 6
 DEFAULT_SUBSET_CAP = 20
 
 Ratio = Union[Fraction, float]  # float only ever holds math.inf
-
-
-@dataclass(frozen=True)
-class BipartiteView:
-    """Points as weighted left vertices, ground elements as right vertices."""
-
-    m: int
-    left_sets: tuple[Mask, ...]
-    left_weights: tuple[Fraction, ...]
-
-    @classmethod
-    def from_partial(cls, pf: PartialFunction) -> "BipartiteView":
-        return cls(pf.m, pf.masks(), pf.values())
-
-    def neighbors_of_subset(self, subset: Mask) -> tuple[int, ...]:
-        """Left vertices whose set meets the given element subset."""
-        return tuple(i for i, t in enumerate(self.left_sets) if t & subset)
-
-    def covered_elements(self, left_indices) -> Mask:
-        mask = 0
-        for i in left_indices:
-            mask |= self.left_sets[i]
-        return mask
-
-    def degree(self, i: int) -> int:
-        return self.left_sets[i].bit_count()
-
-    @property
-    def max_degree(self) -> int:
-        return max(self.degree(i) for i in range(len(self.left_sets)))
 
 
 def harmonic(k: int) -> Fraction:
@@ -326,12 +296,9 @@ def generate_tight_instance(
 def _spans_dominated(pf: PartialFunction, num_blocks: int) -> bool:
     """Every nonempty subset meets at least as many transversals as blocks.
 
-    Blocks occupy the first num_blocks left vertices by construction.
+    Blocks occupy the first num_blocks points by construction; weighting
+    blocks +1 and transversals -1, no span sum may be positive.
     """
-    view = BipartiteView.from_partial(pf)
-    for s in range(1, 1 << pf.m):
-        hit = view.neighbors_of_subset(s)
-        hit_blocks = sum(1 for i in hit if i < num_blocks)
-        if len(hit) - hit_blocks < hit_blocks:
-            return False
-    return True
+    weights = [1] * num_blocks + [-1] * (pf.n - num_blocks)
+    sums, _ = span_sums(pf.m, pf.masks(), weights)
+    return max(sums) <= 0

@@ -28,6 +28,7 @@ from .setfun import (
     WCoefficients,
     eval_from_w,
     require_enumerable,
+    span_sums,
 )
 
 _ZERO = Fraction(0)
@@ -88,15 +89,6 @@ def verify_certificate(
     require_enumerable(pf.m, cap)
     if len(certificate) != pf.n:
         return False
-    cert = list(certificate)
-    masks = pf.masks()
-    if sum((v * l for (_, v), l in zip(pf.points, cert)), _ZERO) <= 0:
-        return False
-    for s in range(1, 1 << pf.m):
-        total = _ZERO
-        for mask_i, l in zip(masks, cert):
-            if mask_i & s:
-                total += l
-        if total > 0:
-            return False
-    return True
+    sums, _ = span_sums(pf.m, pf.masks(), certificate)  # sums[0] is 0, the empty S
+    objective = sum((v * l for (_, v), l in zip(pf.points, certificate)), _ZERO)
+    return max(sums) <= 0 and objective > 0

@@ -22,26 +22,24 @@ full subset enumeration.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .lp import EQUAL, FEASIBLE, GREATER_EQUAL, LinearProgram, solve
-from .setfun import DEFAULT_ENUMERATION_CAP, Mask, PartialFunction, require_enumerable
+from .setfun import (
+    DEFAULT_ENUMERATION_CAP,
+    ExactLike,
+    Mask,
+    PartialFunction,
+    _coerce_value,
+    require_enumerable,
+    span_sums,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-ExactLike = Union[int, Fraction]
-
-
-def _exact(v: ExactLike, what: str = "weight") -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int) and not isinstance(v, bool):
-        return Fraction(v)
-    raise ValueError(f"{what} must be an int or Fraction, got {type(v).__name__}")
-
 
 @dataclass(frozen=True)
 class Graph:
@@ -70,9 +68,8 @@ class Graph:
         if self.weights is not None:
             if len(self.weights) != len(self.edges):
                 raise ValueError("weights length does not match edges")
-            object.__setattr__(
-                self, "weights", tuple(_exact(w) for w in self.weights)
-            )
+            weights = tuple(_coerce_value(w, "weight") for w in self.weights)
+            object.__setattr__(self, "weights", weights)
 
     @property
     def num_edges(self) -> int:
@@ -190,7 +187,7 @@ def equalize_coloring(
     the all-singletons coloring, which works for any t between the
     fractional chromatic number and the vertex count.
     """
-    t = _exact(t, "target total")
+    t = _coerce_value(t, "target total")
     require_enumerable(graph.num_vertices, cap)
     sets = _independent_set_masks(graph)
     outcome = solve(_coloring_program(graph, sets, equality=True))
@@ -223,7 +220,7 @@ def chromatic_gadget(graph: Graph, k: ExactLike) -> PartialFunction:
     graph is a single edge the full set collides with that edge; the
     collision is merged if the values agree (k = 2) and rejected otherwise.
     """
-    k = _exact(k, "target k")
+    k = _coerce_value(k, "target k")
     n = graph.num_vertices
     if not (1 <= k <= n):
         raise ValueError(f"k = {k} outside [1, {n}]")
@@ -324,14 +321,8 @@ def coverage_span_sums(instance: MembershipInstance) -> dict[Mask, Fraction]:
     if instance.variant != "coverage":
         raise ValueError("expected a coverage membership instance")
     m = instance.family_m
-    out = {}
-    for s in range(1, 1 << m):
-        total = _ZERO
-        for mask, y in zip(instance.family_sets, instance.point):
-            if mask & s:
-                total += y
-        out[s] = total
-    return out
+    sums, scale = span_sums(m, instance.family_sets, instance.point)
+    return {s: Fraction(sums[s], scale) for s in range(1, 1 << m)}
 
 
 def cut_to_span_gadget(graph: Graph, enforce_box: bool = True) -> tuple[Graph, Fraction]:
@@ -375,7 +366,7 @@ def densest_cut_gadget(graph: Graph, density: ExactLike) -> Graph:
     L = 2 * max(M, |1-M|), so L * (gadget cut of S) counts |cut(S)| minus
     M times |S| * |V minus S|.
     """
-    m_val = _exact(density, "density threshold")
+    m_val = _coerce_value(density, "density threshold")
     if m_val <= 0:
         raise ValueError("density threshold must be positive")
     if graph.num_vertices < 2:
@@ -410,12 +401,9 @@ def densest_cut_report(
     """
     require_enumerable(graph.num_vertices, cap)
     gadget = densest_cut_gadget(graph, density)
-    top = (1 << graph.num_vertices) - 1
-    best = None
-    for s in range(1, top):  # proper nonempty subsets
-        val = gadget.cut_weight(s)
-        if best is None or val > best:
-            best = val
+    cuts, scale = _edge_sums(gadget, cut=True)
+    proper = itertools.islice(cuts, 1, (1 << graph.num_vertices) - 1)
+    best = Fraction(max(proper), scale)
     return DensestCutReport(gadget, best, best > 0, best == 0)
 
 
@@ -430,23 +418,36 @@ def check_cut_membership(
     graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> MembershipCheck:
     """Brute-force test against the cut polytope (all cut sums <= 0, unit box)."""
-    return _check_membership(graph, graph.cut_weight, cap)
+    return _check_membership(graph, cap, cut=True)
 
 
 def check_span_membership(
     graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> MembershipCheck:
     """Brute-force test against the span polytope (all span sums <= 0, unit box)."""
-    return _check_membership(graph, graph.span_weight, cap)
+    return _check_membership(graph, cap, cut=False)
 
 
-def _check_membership(graph: Graph, weigh, cap: int) -> MembershipCheck:
+def _edge_sums(graph: Graph, cut: bool):
+    """Scaled cut or span sums of all vertex subsets in mask order, and the scale.
+
+    An edge meets both S and its complement (the mirrored index) exactly
+    when it is cut, so cut(S) = span(S) + span(complement) - total weight.
+    """
+    masks = [(1 << (u - 1)) | (1 << (v - 1)) for u, v in graph.edges]
+    sums, scale = span_sums(graph.num_vertices, masks, graph.require_weights())
+    if not cut:
+        return sums, scale
+    total = sums[-1]
+    return (a + b - total for a, b in zip(sums, reversed(sums))), scale
+
+
+def _check_membership(graph: Graph, cap: int, cut: bool) -> MembershipCheck:
     require_enumerable(graph.num_vertices, cap)
     w = graph.require_weights()
     for i, wt in enumerate(w):
         if wt < -1 or wt > 1:
             return MembershipCheck(False, box_edge=i)
-    for s in range(1, 1 << graph.num_vertices):
-        if weigh(s) > 0:
-            return MembershipCheck(False, violated_set=s)
-    return MembershipCheck(True)
+    sums, _ = _edge_sums(graph, cut)
+    violated = next((s for s, value in enumerate(sums) if value > 0), None)
+    return MembershipCheck(violated is None, violated_set=violated)

@@ -27,6 +27,7 @@ from .setfun import (
     WCoefficients,
     eval_from_w,
     require_enumerable,
+    span_sums,
 )
 
 _ZERO = Fraction(0)
@@ -110,14 +111,5 @@ def verify_dual_feasible(
     require_enumerable(pf.m, cap)
     if len(y) != pf.n:
         return False
-    if any(v < -1 or v > 1 for v in y):
-        return False
-    masks = pf.masks()
-    for s in range(1, 1 << pf.m):
-        total = _ZERO
-        for mask_i, yi in zip(masks, y):
-            if mask_i & s:
-                total += yi
-        if total > 0:
-            return False
-    return True
+    sums, _ = span_sums(pf.m, pf.masks(), y)
+    return max(sums) <= 0 and all(-1 <= v <= 1 for v in y)

@@ -14,7 +14,7 @@ from typing import Any, Mapping
 from .approx import AlphaBounds
 from .errors import InstanceParseError
 from .extension import ExtensionVerdict
-from .gadgets import FractionalColoring, Graph, MembershipInstance
+from .gadgets import Graph, MembershipInstance
 from .norm import NormResult
 from .setfun import (
     PartialFunction,
@@ -257,11 +257,3 @@ def membership_to_json(inst: MembershipInstance) -> dict:
         out["sets"] = [mask_to_elements(mask) for mask in inst.family_sets]
     return out
 
-
-def coloring_to_json(chi: Fraction, coloring: FractionalColoring) -> dict:
-    return {
-        "chi": format_rational(chi),
-        "sets": [mask_to_elements(s) for s in coloring.independent_sets],
-        "weights": [format_rational(x) for x in coloring.weights],
-        "total": format_rational(coloring.total),
-    }

@@ -20,6 +20,7 @@ universe elements, so the support size is the universe size.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -212,6 +213,57 @@ class PartialFunction:
 # --- transforms --------------------------------------------------------------
 
 
+def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Numerators over the least common denominator, and that denominator."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def _subset_pass(table: list[int], m: int, sign: int) -> None:
+    """In place: table[S] becomes the sum of sign^|S - R| * table[R] over R subset of S.
+
+    sign +1 is the zeta (subset-sum) transform and -1 its Mobius inverse.
+    The masks holding bit b form b strided runs or 2^m / 2b contiguous
+    ones; taking the fewer keeps the slice count near 2^(m/2).
+    """
+    combine = operator.add if sign > 0 else operator.sub
+    size = 1 << m
+    for i in range(m):
+        bit = 1 << i
+        step = bit << 1
+        if bit * step <= size:
+            for hi in range(bit, step):
+                table[hi::step] = list(map(combine, table[hi::step], table[hi - bit::step]))
+        else:
+            for hi in range(bit, size, step):
+                table[hi:hi + bit] = map(combine, table[hi:hi + bit], table[hi - bit:hi])
+
+
+def span_sums(
+    m: int, sets: Sequence[Mask], weights: Sequence[ExactLike]
+) -> tuple[list[int], int]:
+    """Span sums of every subset of [m], as integers over a common scale.
+
+    sums[S] / scale is the total weight of the sets meeting S, for every
+    mask S (sums[0] is 0). Repeated sets add up. A set misses S exactly
+    when it lies inside the complement full ^ S, so span(S) is the total
+    minus sub(full ^ S), the weight of the sets inside it. One zeta pass
+    over the negated weights, with the total placed on the empty mask,
+    leaves total - sub(X) at every X; since full ^ S == full - S,
+    reversing the list in place moves span(S) to S.
+    """
+    if len(sets) != len(weights):
+        raise ValueError(f"{len(sets)} sets but {len(weights)} weights")
+    ints, scale = _scaled([_coerce_value(w, "weight") for w in weights])
+    table = [0] * (1 << m)
+    table[0] = sum(ints)
+    for mask, w in zip(sets, ints):
+        table[mask] -= w
+    _subset_pass(table, m, 1)
+    table.reverse()
+    return table, scale
+
+
 def _w_values(values: Sequence[Fraction], m: int) -> list[tuple[Mask, Fraction]]:
     """All nonzero W-coefficients of a full value table, exactly.
 
@@ -221,22 +273,10 @@ def _w_values(values: Sequence[Fraction], m: int) -> list[tuple[Mask, Fraction]]
     pass computes for all S in m * 2^m steps. Values are rescaled to
     integers first; Fraction arithmetic would dominate otherwise.
     """
-    size = 1 << m
-    full = size - 1
-    scale = 1
-    for v in values:
-        scale = scale * v.denominator // math.gcd(scale, v.denominator)
-    table = [(values[full ^ v] * scale).numerator for v in range(size)]
-    for i in range(m):
-        bit = 1 << i
-        for mask in range(size):
-            if mask & bit:
-                table[mask] -= table[mask ^ bit]
-    out = []
-    for mask in range(1, size):
-        if table[mask]:
-            out.append((mask, Fraction(-table[mask], scale)))
-    return out
+    table, scale = _scaled(values)
+    table.reverse()  # table[S] = values[full ^ S]
+    _subset_pass(table, m, -1)
+    return [(mask, Fraction(-table[mask], scale)) for mask in range(1, 1 << m) if table[mask]]
 
 
 def w_transform(f: TotalSetFunction, cap: int = DEFAULT_ENUMERATION_CAP) -> WCoefficients:
@@ -273,5 +313,5 @@ def is_coverage(f: TotalSetFunction, cap: int = DEFAULT_ENUMERATION_CAP) -> Cove
 def w_roundtrip_check(w: WCoefficients, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
     """True iff transforming the recovered table reproduces w exactly."""
     require_enumerable(w.m, cap)
-    values = [eval_from_w(w, mask) for mask in range(1 << w.m)]
-    return tuple(_w_values(values, w.m)) == w.support
+    sums, scale = span_sums(w.m, [mask for mask, _ in w.support], [x for _, x in w.support])
+    return tuple(_w_values([Fraction(v, scale) for v in sums], w.m)) == w.support

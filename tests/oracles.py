@@ -37,6 +37,15 @@ def eval_from_w_naive(support, subset):
     return sum((w for mask, w in support.items() if mask & subset), ZERO)
 
 
+def span_sum_naive(sets, weights, smask):
+    """Total weight on the listed sets (repeats included) that meet the subset."""
+    total = ZERO
+    for mask, w in zip(sets, weights):
+        if mask & smask:
+            total += w
+    return total
+
+
 # --- replacement ratio by full enumeration -----------------------------------
 
 def replacement_ratio_bruteforce(pf: PartialFunction):

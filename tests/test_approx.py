@@ -9,7 +9,6 @@ import pytest
 from coverext.errors import SeedExhaustedError
 from coverext.setfun import PartialFunction
 from coverext.approx import (
-    BipartiteView,
     alpha_bounds,
     alpha_star_exact,
     ceil_two_thirds,
@@ -174,14 +173,3 @@ def test_generator_is_deterministic_per_seed():
     a = generate_tight_instance(4, k=2, seed=42)
     b = generate_tight_instance(4, k=2, seed=42)
     assert a == b
-
-
-def test_bipartite_view_neighborhoods():
-    instance = pf(3, (0b011, 1), (0b100, 2), (0b110, 3))
-    view = BipartiteView.from_partial(instance)
-    assert view.neighbors_of_subset(0b001) == (0,)
-    assert view.neighbors_of_subset(0b010) == (0, 2)
-    assert view.neighbors_of_subset(0b111) == (0, 1, 2)
-    assert view.covered_elements([0, 1]) == 0b111
-    assert view.degree(2) == 2
-    assert view.max_degree == 2

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from coverext import cli
 from coverext.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -221,6 +222,44 @@ def test_directory_batch_with_jobs(tmp_path, capsys):
     statuses = {r["result"]["status"] for r in reports}
     assert statuses == {"extendible", "not_extendible"}
 
+
+
+def test_jobs_below_one_is_a_usage_error(tmp_path, capsys):
+    write(tmp_path, "a.json", ADDITIVE)
+    code, out, err = run_cli(["extend", "--input", str(tmp_path), "--jobs", "0"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "--jobs" in err
+
+
+def test_jobs_clamped_to_batch_and_cpus(tmp_path, capsys, monkeypatch):
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, size):
+            requested.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
+    for name in ("a.json", "b.json", "c.json"):
+        write(tmp_path, name, ADDITIVE)
+    for cpus, want in ((8, 3), (2, 2)):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        code, out, _ = run_cli(["extend", "--input", str(tmp_path), "--jobs", "5000"], capsys)
+        assert code == 0
+        assert len(json.loads(out)) == 3
+        assert requested[-1] == want
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    run_cli(["extend", "--input", str(tmp_path), "--jobs", "5000"], capsys)
+    assert len(requested) == 2  # one usable CPU: the batch runs in this process
 
 def test_stdin_pipeline_subprocess(tmp_path):
     # the real pipe: gadget chromatic --out - | extend --input -
