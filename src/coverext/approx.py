@@ -34,7 +34,14 @@ from typing import Optional, Union
 
 from .errors import CapExceededError, SeedExhaustedError
 from .lp import FEASIBLE, GREATER_EQUAL, INFEASIBLE, LESS_EQUAL, LinearProgram, solve
-from .setfun import DEFAULT_ENUMERATION_CAP, Mask, PartialFunction, require_enumerable, span_sums
+from .setfun import (
+    DEFAULT_ENUMERATION_CAP,
+    Mask,
+    PartialFunction,
+    require_enumerable,
+    span_row,
+    span_sums,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -147,20 +154,22 @@ def replacement_ratio_greedy(pf: PartialFunction) -> Ratio:
 
 
 def alpha_star_program(pf: PartialFunction) -> LinearProgram:
-    """min alpha with f_i <= (weight on sets meeting T_i) <= alpha * f_i."""
-    size = 1 << pf.m
-    nw = size - 1
-    alpha = nw  # last variable
-    objective = [0] * nw + [1]
+    """min alpha with f_i <= (weight on sets meeting T_i) <= alpha * f_i.
+
+    The last variable is beta = alpha - 1 >= 0, so the program is in
+    standard form and its optimum is alpha* - 1.
+    """
+    columns = range(1, 1 << pf.m)
+    beta = len(columns)  # last variable
+    objective = [0] * beta + [1]
     rows = []
     for mask_i, value in pf.points:
-        span = {s - 1: 1 for s in range(1, size) if s & mask_i}
+        span = span_row(columns, mask_i)
         rows.append((span, GREATER_EQUAL, value))
         upper = dict(span)
-        upper[alpha] = -value
-        rows.append((upper, LESS_EQUAL, 0))
-    bounds = [(0, None)] * nw + [(1, None)]
-    return LinearProgram(nw + 1, objective=objective, rows=rows, var_bounds=bounds)
+        upper[beta] = -value
+        rows.append((upper, LESS_EQUAL, value))
+    return LinearProgram(beta + 1, objective=objective, rows=rows)
 
 
 def alpha_star_exact(pf: PartialFunction, cap: int = DEFAULT_ENUMERATION_CAP) -> Ratio:
@@ -175,7 +184,7 @@ def alpha_star_exact(pf: PartialFunction, cap: int = DEFAULT_ENUMERATION_CAP) ->
         return math.inf
     if outcome.status != FEASIBLE:
         raise AssertionError("stretch program is bounded below by 1, cannot be unbounded")
-    return outcome.objective_value
+    return _ONE + outcome.objective_value
 
 
 @dataclass(frozen=True)

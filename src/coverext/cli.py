@@ -79,8 +79,8 @@ def _read_json(path: str):
         raise InstanceParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
-def _report(command, argv, digest, payload, started, extra=None):
-    report = {
+def _report(command, argv, digest, payload, started):
+    return {
         "command": command,
         "argv": list(argv),
         "input_digest": digest,
@@ -88,9 +88,6 @@ def _report(command, argv, digest, payload, started, extra=None):
         "wall_time_ms": int((time.monotonic() - started) * 1000),
         "solver": lp.stats_snapshot(),
     }
-    if extra:
-        report.update(extra)
-    return report
 
 
 def _emit(report, artifact, out):
@@ -353,7 +350,6 @@ def _build_parser() -> _Parser:
                                          "point with a +/- 1/(2L) margin")
     g.add_argument("--input", required=True)
     g.add_argument("--out", help="write the membership instance here; - for stdout")
-    add_cap(g)
 
     g = gsub.add_parser("cut2span", help="cut membership as span membership via a hub "
                                          "vertex; span sums track half the cut sums")
@@ -361,7 +357,6 @@ def _build_parser() -> _Parser:
     g.add_argument("--allow-wide-weights", action="store_true",
                    help="skip the unit-box precondition on input weights")
     g.add_argument("--out", help="write the gadget graph here; - for stdout")
-    add_cap(g)
 
     g = gsub.add_parser("densest", help="cut-density threshold as a complete reweighted "
                                         "graph whose cut signs answer the comparison")
@@ -406,16 +401,10 @@ def main(argv=None) -> int:
         if args.command == "check":
             return _cmd_check(args, argv)
         raise _UsageError(f"unknown command {args.command!r}")
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except SeedExhaustedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (InstanceParseError, ValueError) as exc:
+    except (_UsageError, SeedExhaustedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -6,7 +6,7 @@ class CoverextError(Exception):
 
 
 class MalformedProgramError(CoverextError, ValueError):
-    """A linear program violates its structural invariants (dimensions, bounds, relations)."""
+    """A linear program violates its structural invariants (dimensions, relations, exactness)."""
 
 
 class CapExceededError(CoverextError):

@@ -28,6 +28,7 @@ from .setfun import (
     WCoefficients,
     eval_from_w,
     require_enumerable,
+    span_row,
     span_sums,
 )
 
@@ -47,12 +48,9 @@ def extension_program(pf: PartialFunction) -> LinearProgram:
     Variable index mask-1 carries w(mask); every point contributes the
     equality row: total weight on sets meeting T_i equals f_i.
     """
-    size = 1 << pf.m
-    rows = []
-    for mask_i, value in pf.points:
-        coeffs = {s - 1: 1 for s in range(1, size) if s & mask_i}
-        rows.append((coeffs, EQUAL, value))
-    return LinearProgram(size - 1, rows=rows)
+    columns = range(1, 1 << pf.m)
+    rows = [(span_row(columns, mask_i), EQUAL, value) for mask_i, value in pf.points]
+    return LinearProgram(len(columns), rows=rows)
 
 
 def decide_extension(pf: PartialFunction, cap: int = DEFAULT_ENUMERATION_CAP) -> ExtensionVerdict:

@@ -246,9 +246,6 @@ class DeltaSpec:
     coefficient: Fraction
     radicand: int
 
-    def squared(self) -> Fraction:
-        return self.coefficient * self.coefficient / self.radicand
-
 
 @dataclass(frozen=True)
 class MembershipInstance:
@@ -260,6 +257,22 @@ class MembershipInstance:
     graph: Optional[Graph] = None
     family_m: Optional[int] = None
     family_sets: Optional[tuple[Mask, ...]] = None
+
+    def __post_init__(self):
+        if self.family_sets is None:
+            return
+        m = self.family_m
+        if not isinstance(m, int) or m < 1:
+            raise ValueError(f"family_m must be a positive int, got {m!r}")
+        if len(self.point) != len(self.family_sets):
+            raise ValueError(
+                f"{len(self.point)} point entries but {len(self.family_sets)} family sets"
+            )
+        for mask in self.family_sets:
+            if not isinstance(mask, int) or not (0 <= mask < 1 << m):
+                raise ValueError(f"family set mask {mask} not a subset of [{m}]")
+        point = tuple(_coerce_value(v, "point entry") for v in self.point)
+        object.__setattr__(self, "point", point)
 
 
 def setcover_membership_gadget(

@@ -8,12 +8,12 @@ ray over the input rows, checkable by direct aggregation (verify_farkas).
 Bland's smallest-index rule drives both the entering and leaving choices,
 so the solver cannot cycle and is bit-for-bit deterministic.
 
-Programs are minimization problems with sparse rows (<=, =, >=) and
-per-variable bounds; the default bound is [0, +inf). Internally the
-program is rewritten with shifted/flipped/split variables, slacks, and
-artificials so that the initial basis is the identity; that identity is
-also what lets us read dual multipliers and Farkas rays straight off the
-final reduced-cost row.
+Programs are in standard form: minimize c'x over sparse rows (<=, =, >=)
+with every variable x_j >= 0 and no other per-variable bound; any other
+limit on a variable is written as a row. Internally each row gets a slack
+or an artificial so that the initial basis is the identity; that identity
+is also what lets us read dual multipliers and Farkas rays straight off
+the final reduced-cost row.
 """
 
 from __future__ import annotations
@@ -56,22 +56,20 @@ class Row:
 
 
 class LinearProgram:
-    """Immutable minimization program: objective, sparse rows, variable bounds.
+    """Immutable standard-form program: min objective'x, sparse rows, x >= 0.
 
     rows are given as (coeffs, relation, rhs) where coeffs is a mapping or
-    an iterable of (index, value) pairs. var_bounds entries are
-    (lower, upper) with None meaning unbounded on that side; the default
-    bound for every variable is (0, None).
+    an iterable of (index, value) pairs. Every variable is nonnegative and
+    has no other bound; write any other limit as a row.
     """
 
-    __slots__ = ("num_vars", "objective", "rows", "var_bounds")
+    __slots__ = ("num_vars", "objective", "rows")
 
     def __init__(
         self,
         num_vars: int,
         objective: Optional[Sequence[ExactLike]] = None,
         rows: Iterable[tuple] = (),
-        var_bounds: Optional[Sequence[tuple]] = None,
     ):
         if not isinstance(num_vars, int) or num_vars < 1:
             raise MalformedProgramError(f"num_vars must be a positive int, got {num_vars!r}")
@@ -112,21 +110,6 @@ class LinearProgram:
             )
         self.rows = tuple(norm_rows)
 
-        if var_bounds is None:
-            bounds = ((_ZERO, None),) * num_vars
-        else:
-            if len(var_bounds) != num_vars:
-                raise MalformedProgramError("var_bounds length does not match num_vars")
-            out = []
-            for j, (lo, hi) in enumerate(var_bounds):
-                lo = None if lo is None else _exact(lo, f"lower bound of x{j}")
-                hi = None if hi is None else _exact(hi, f"upper bound of x{j}")
-                if lo is not None and hi is not None and lo > hi:
-                    raise MalformedProgramError(f"variable x{j}: lower bound exceeds upper bound")
-                out.append((lo, hi))
-            bounds = tuple(out)
-        self.var_bounds = bounds
-
     @property
     def num_rows(self) -> int:
         return len(self.rows)
@@ -140,10 +123,6 @@ class LinearProgram:
         for row in self.rows:
             lhs = " + ".join(term(c, j) for j, c in row.coeffs) or "0"
             lines.append(f"{lhs} {row.relation} {row.rhs}")
-        for j, (lo, hi) in enumerate(self.var_bounds):
-            left = "-inf" if lo is None else str(lo)
-            right = "+inf" if hi is None else str(hi)
-            lines.append(f"{left} <= x{j} <= {right}")
         return "\n".join(lines)
 
 
@@ -166,15 +145,12 @@ class LpOutcome:
 
 
 def verify_solution(lp: LinearProgram, solution: Sequence[ExactLike]) -> bool:
-    """True iff every row and every bound holds exactly."""
+    """True iff x >= 0 and every row holds exactly."""
     if len(solution) != lp.num_vars:
         raise MalformedProgramError("solution length does not match num_vars")
     x = [_exact(v, "solution entry") for v in solution]
-    for j, (lo, hi) in enumerate(lp.var_bounds):
-        if lo is not None and x[j] < lo:
-            return False
-        if hi is not None and x[j] > hi:
-            return False
+    if any(v < 0 for v in x):
+        return False
     for row in lp.rows:
         lhs = sum((c * x[j] for j, c in row.coeffs), _ZERO)
         if row.relation == LESS_EQUAL and lhs > row.rhs:
@@ -191,8 +167,8 @@ def verify_farkas(lp: LinearProgram, ray: Sequence[ExactLike]) -> bool:
 
     The ray must have nonnegative multipliers on <= rows and nonpositive
     multipliers on >= rows. Aggregating the rows with these multipliers
-    gives g'x <= beta, valid for every feasible x; the certificate is good
-    iff the minimum of g'x over the variable box strictly exceeds beta.
+    gives g'x <= beta, valid for every feasible x; since x >= 0, the
+    certificate is good iff g >= 0 and beta < 0.
     """
     if len(ray) != lp.num_rows:
         return False
@@ -208,25 +184,10 @@ def verify_farkas(lp: LinearProgram, ray: Sequence[ExactLike]) -> bool:
             for j, c in row.coeffs:
                 g[j] += mult * c
             beta += mult * row.rhs
-    lo_val = _ZERO
-    for j, gj in enumerate(g):
-        lo, hi = lp.var_bounds[j]
-        if gj > 0:
-            if lo is None:
-                return False  # aggregate unbounded below: certifies nothing
-            lo_val += gj * lo
-        elif gj < 0:
-            if hi is None:
-                return False
-            lo_val += gj * hi
-    return lo_val > beta
+    return all(gj >= 0 for gj in g) and beta < 0
 
 
 # --- internals -------------------------------------------------------------
-
-_SHIFT = 0  # x_j = shift + x'_col
-_FLIP = 1   # x_j = shift - x'_col
-_SPLIT = 2  # x_j = x'_colp - x'_colm
 
 
 class _Simplex:
@@ -345,68 +306,37 @@ def solve(lp: LinearProgram) -> LpOutcome:
 def _solve(lp: LinearProgram) -> LpOutcome:
     nv = lp.num_vars
 
-    # Variable rewrite plan: every structural column is nonnegative.
-    plan = []                  # per original variable
-    pending_bound_rows = []    # (column, upper - lower)
-    ncols_struct = 0
-    for j in range(nv):
-        lo, hi = lp.var_bounds[j]
-        if lo is not None:
-            plan.append((_SHIFT, ncols_struct, lo))
-            if hi is not None:
-                pending_bound_rows.append((ncols_struct, hi - lo))
-            ncols_struct += 1
-        elif hi is not None:
-            plan.append((_FLIP, ncols_struct, hi))
-            ncols_struct += 1
-        else:
-            plan.append((_SPLIT, ncols_struct, ncols_struct + 1))
-            ncols_struct += 2
-
-    def expand(coeffs):
-        """Sparse original-variable coeffs -> dense structural row and rhs shift."""
-        dense = [_ZERO] * ncols_struct
-        shift_term = _ZERO
-        for j, c in coeffs:
-            kind = plan[j]
-            if kind[0] == _SHIFT:
-                dense[kind[1]] += c
-                if kind[2]:
-                    shift_term += c * kind[2]
-            elif kind[0] == _FLIP:
-                dense[kind[1]] -= c
-                shift_term += c * kind[2]
-            else:
-                dense[kind[1]] += c
-                dense[kind[2]] -= c
-        return dense, shift_term
-
-    # Assemble standardized rows. Trivially satisfied all-zero rows are the
-    # only presolve: they are skipped and get multiplier zero on the way out.
-    std = []  # (dense, rhs, relation, kind, orig_index)
+    # Assemble dense rows. Trivially satisfied all-zero rows are the only
+    # presolve: they are skipped and get multiplier zero on the way out.
+    std = []  # (dense, rhs, relation, orig_index)
     for i, row in enumerate(lp.rows):
-        dense, shift_term = expand(row.coeffs)
-        rhs = row.rhs - shift_term
+        dense = [_ZERO] * nv
+        for j, c in row.coeffs:
+            dense[j] = c
         if not any(dense):
             sat = (
-                (row.relation == LESS_EQUAL and rhs >= 0)
-                or (row.relation == GREATER_EQUAL and rhs <= 0)
-                or (row.relation == EQUAL and rhs == 0)
+                (row.relation == LESS_EQUAL and row.rhs >= 0)
+                or (row.relation == GREATER_EQUAL and row.rhs <= 0)
+                or (row.relation == EQUAL and row.rhs == 0)
             )
             if sat:
                 continue
-        std.append([dense, rhs, row.relation, "orig", i])
-    for col, width in pending_bound_rows:
-        dense = [_ZERO] * ncols_struct
-        dense[col] = _ONE
-        std.append([dense, width, LESS_EQUAL, "bound", -1])
+        std.append((dense, row.rhs, row.relation, i))
+
+    if not std:
+        # No constraints: the origin is optimal unless some objective
+        # coefficient is negative, which makes that direction unbounded.
+        if any(c < 0 for c in lp.objective):
+            return LpOutcome(status=UNBOUNDED)
+        return LpOutcome(FEASIBLE, (_ZERO,) * nv, _ZERO, None, (_ZERO,) * lp.num_rows, 0)
 
     nrows = len(std)
     n_slack = sum(1 for s in std if s[2] != EQUAL)
 
     # Tableau layout: structural | slacks | artificials.
-    slack_base = ncols_struct
-    art_base = ncols_struct + n_slack
+    slack_base = nv
+    art_base = nv + n_slack
+    orig = [s[3] for s in std]   # input row index of each tableau row
     sigma = [1] * nrows          # -1 where the row was negated to make rhs >= 0
     init_col = [0] * nrows       # identity column of each row (slack or artificial)
     is_art_seed = [False] * nrows
@@ -414,8 +344,8 @@ def _solve(lp: LinearProgram) -> LpOutcome:
     tab = []
     rhs_col = []
     slack_idx = 0
-    for p, (dense, rhs, rel, kind, oi) in enumerate(std):
-        srow = list(dense) + [_ZERO] * n_slack
+    for p, (dense, rhs, rel, _) in enumerate(std):
+        srow = dense + [_ZERO] * n_slack
         scol = -1
         if rel != EQUAL:
             scol = slack_base + slack_idx
@@ -443,21 +373,8 @@ def _solve(lp: LinearProgram) -> LpOutcome:
             k += 1
         tab[p] = tab[p] + pad
 
-    ncols = ncols_struct + n_slack + n_art
+    ncols = nv + n_slack + n_art
     basis = [init_col[p] for p in range(nrows)]
-    meta = [(s[3], s[4]) for s in std]  # (kind, original row index)
-
-    if nrows == 0:
-        # No constraints: the lower-bound corner is optimal unless some
-        # objective direction is free to decrease.
-        x = _recover(lp, plan, [_ZERO] * ncols_struct)
-        for j in range(nv):
-            c = lp.objective[j]
-            lo, hi = lp.var_bounds[j]
-            if (c > 0 and lo is None) or (c < 0 and hi is None):
-                return LpOutcome(status=UNBOUNDED)
-        obj = sum((lp.objective[j] * x[j] for j in range(nv)), _ZERO)
-        return LpOutcome(FEASIBLE, tuple(x), obj, None, (_ZERO,) * lp.num_rows, 0)
 
     sx = _Simplex(tab, rhs_col, basis)
     artificial = frozenset(range(art_base, ncols))
@@ -474,12 +391,9 @@ def _solve(lp: LinearProgram) -> LpOutcome:
         if sx.zval > 0:
             ray = [_ZERO] * lp.num_rows
             for p in range(nrows):
-                kind, oi = meta[p]
-                if kind != "orig":
-                    continue
                 ic = init_col[p]
                 y = costs1[ic] - sx.red[ic]
-                ray[oi] = -sigma[p] * y
+                ray[orig[p]] = -sigma[p] * y
             if not verify_farkas(lp, ray):
                 raise AssertionError("internal error: extracted Farkas ray failed verification")
             return LpOutcome(INFEASIBLE, None, None, tuple(ray), None, sx.pivots)
@@ -501,56 +415,26 @@ def _solve(lp: LinearProgram) -> LpOutcome:
             else:
                 drop.append(p)
         for p in reversed(drop):
-            del sx.tab[p], sx.rhs[p], sx.basis[p], meta[p], sigma[p], init_col[p]
+            del sx.tab[p], sx.rhs[p], sx.basis[p], orig[p], sigma[p], init_col[p]
 
-    # Phase 2: original objective on structural columns.
-    costs2 = [_ZERO] * ncols
-    for j in range(nv):
-        kind = plan[j]
-        c = lp.objective[j]
-        if not c:
-            continue
-        if kind[0] == _SHIFT:
-            costs2[kind[1]] += c
-        elif kind[0] == _FLIP:
-            costs2[kind[1]] -= c
-        else:
-            costs2[kind[1]] += c
-            costs2[kind[2]] -= c
-    sx.set_costs(costs2)
+    # Phase 2: the objective on the structural columns, zero elsewhere.
+    sx.set_costs(list(lp.objective) + [_ZERO] * (ncols - nv))
     status = sx.run(barred=artificial)
     if status == "unbounded":
         return LpOutcome(status=UNBOUNDED, pivots=sx.pivots)
 
-    xs = [_ZERO] * ncols_struct
+    x = [_ZERO] * nv
     for p, b in enumerate(sx.basis):
-        if b < ncols_struct:
-            xs[b] = sx.rhs[p]
-    x = _recover(lp, plan, xs)
+        if b < nv:
+            x[b] = sx.rhs[p]
     obj = sum((lp.objective[j] * x[j] for j in range(nv)), _ZERO)
 
     duals = [_ZERO] * lp.num_rows
     for p in range(len(sx.tab)):
-        kind, oi = meta[p]
-        if kind != "orig":
-            continue
         y = -sx.red[init_col[p]]  # phase-2 cost of every identity column is zero
-        duals[oi] = sigma[p] * y
+        duals[orig[p]] = sigma[p] * y
 
     out = LpOutcome(FEASIBLE, tuple(x), obj, None, tuple(duals), sx.pivots)
     if not verify_solution(lp, out.solution):
         raise AssertionError("internal error: simplex solution failed verification")
     return out
-
-
-def _recover(lp: LinearProgram, plan, xs):
-    x = []
-    for j in range(lp.num_vars):
-        kind = plan[j]
-        if kind[0] == _SHIFT:
-            x.append(kind[2] + xs[kind[1]])
-        elif kind[0] == _FLIP:
-            x.append(kind[2] - xs[kind[1]])
-        else:
-            x.append(xs[kind[1]] - xs[kind[2]])
-    return x

@@ -27,6 +27,7 @@ from .setfun import (
     WCoefficients,
     eval_from_w,
     require_enumerable,
+    span_row,
     span_sums,
 )
 
@@ -50,13 +51,13 @@ def _norm_program(pf: PartialFunction, singleton_only: bool) -> LinearProgram:
     if singleton_only:
         coeff_masks = [1 << j for j in range(pf.m)]
     else:
-        coeff_masks = list(range(1, 1 << pf.m))
+        coeff_masks = range(1, 1 << pf.m)
     nw = len(coeff_masks)
     nv = nw + 2 * pf.n
     objective = [0] * nw + [1] * (2 * pf.n)
     rows = []
     for i, (mask_i, value) in enumerate(pf.points):
-        coeffs = {c: 1 for c, s in enumerate(coeff_masks) if s & mask_i}
+        coeffs = span_row(coeff_masks, mask_i)
         coeffs[nw + 2 * i] = -1      # eps+_i
         coeffs[nw + 2 * i + 1] = 1   # eps-_i
         rows.append((coeffs, EQUAL, value))

@@ -103,15 +103,6 @@ class TotalSetFunction:
             if v < 0:
                 raise ValueError(f"negative value at mask {mask}")
 
-    @classmethod
-    def from_mapping(cls, m: int, mapping: Mapping[Mask, ExactLike]) -> "TotalSetFunction":
-        values = []
-        for mask in range(1 << m):
-            if mask not in mapping:
-                raise ValueError(f"missing value for mask {mask}")
-            values.append(mapping[mask])
-        return cls(m, tuple(values))
-
     def value(self, mask: Mask) -> Fraction:
         return self.values[mask]
 
@@ -262,6 +253,15 @@ def span_sums(
     _subset_pass(table, m, 1)
     table.reverse()
     return table, scale
+
+
+def span_row(columns: Sequence[Mask], point: Mask) -> dict[int, int]:
+    """LP row over set columns: coefficient 1 on every column whose set meets point.
+
+    The extension, stretch and norm programs all price a defined set T_i
+    this way; columns[c] is the set carried by variable c.
+    """
+    return {c: 1 for c, s in enumerate(columns) if s & point}
 
 
 def _w_values(values: Sequence[Fraction], m: int) -> list[tuple[Mask, Fraction]]:

@@ -123,6 +123,65 @@ def setcover_has_cover(universe_size, family, k):
     return False
 
 
+# --- tiny LPs by vertex enumeration --------------------------------------------
+
+def _solve_square(matrix, rhs):
+    """Unique solution of a square system by Gauss elimination, or None if singular."""
+    n = len(matrix)
+    a = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            return None
+        a[col], a[pivot] = a[pivot], a[col]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col] / a[col][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [a[r][n] / a[r][r] for r in range(n)]
+
+
+def lp_vertex_optimum(lp):
+    """Least objective over the vertices of a tiny standard-form program.
+
+    For at most 3 variables, each boxed by a row x_j <= u so the feasible
+    set is bounded: try every choice of num_vars constraints among the rows
+    and x_j >= 0, make them tight, solve the square system exactly, keep
+    the points satisfying everything. None when no vertex is feasible.
+    """
+    nv = lp.num_vars
+    assert nv <= 3
+    constraints = []  # (dense coefficients, rhs)
+    for row in lp.rows:
+        dense = [ZERO] * nv
+        for j, c in row.coeffs:
+            dense[j] = c
+        constraints.append((dense, row.rhs))
+    for j in range(nv):
+        constraints.append(([Fraction(int(i == j)) for i in range(nv)], ZERO))
+
+    def feasible(x):
+        if any(v < 0 for v in x):
+            return False
+        for row in lp.rows:
+            lhs = sum((c * x[j] for j, c in row.coeffs), ZERO)
+            if (row.relation == "<=" and lhs > row.rhs) or (
+                row.relation == ">=" and lhs < row.rhs
+            ) or (row.relation == "=" and lhs != row.rhs):
+                return False
+        return True
+
+    best = None
+    for chosen in itertools.combinations(constraints, nv):
+        x = _solve_square([c for c, _ in chosen], [b for _, b in chosen])
+        if x is None or not feasible(x):
+            continue
+        value = sum((c * v for c, v in zip(lp.objective, x)), ZERO)
+        if best is None or value < best:
+            best = value
+    return best
+
+
 # --- random generators --------------------------------------------------------
 
 def random_fraction(rng, max_num=12, max_den=4, allow_zero=True):

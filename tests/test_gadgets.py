@@ -8,6 +8,7 @@ import pytest
 from coverext.extension import decide_extension
 from coverext.gadgets import (
     Graph,
+    MembershipInstance,
     check_cut_membership,
     check_span_membership,
     chromatic_gadget,
@@ -225,6 +226,20 @@ def test_setcover_gadget_frozen_no_instance():
     inst = setcover_membership_gadget(2, [[1], [2]], 1)
     sums = coverage_span_sums(inst)
     assert max(sums.values()) == F(-1)  # every span sum <= -1/(2L) = -1
+
+
+def test_membership_instance_validated_at_construction():
+    # mask 0 is legal: the set-cover gadget emits it for an element no member holds
+    inst = MembershipInstance("coverage", (1, F(-1, 2)), family_m=2, family_sets=(0, 3))
+    assert inst.point == (F(1), F(-1, 2))
+    with pytest.raises(ValueError, match="point entries"):
+        MembershipInstance("coverage", (F(1),), family_m=2, family_sets=(1, 2))
+    with pytest.raises(ValueError, match="not a subset"):
+        MembershipInstance("coverage", (F(1), F(1)), family_m=2, family_sets=(1, 4))
+    with pytest.raises(ValueError, match="family_m"):
+        MembershipInstance("coverage", (F(1),), family_m=0, family_sets=(0,))
+    with pytest.raises(ValueError, match="point entry"):
+        MembershipInstance("coverage", (0.5,), family_m=1, family_sets=(1,))
 
 
 def test_setcover_gadget_margins_random():

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coverext.errors import MalformedProgramError
 from coverext.lp import (
@@ -18,6 +19,8 @@ from coverext.lp import (
     verify_farkas,
     verify_solution,
 )
+
+import oracles
 
 F = Fraction
 
@@ -77,33 +80,21 @@ def test_equality_rows_and_duals():
     assert F(2) - (y[0] - y[1]) >= 0
 
 
-def test_bounds_participate_in_infeasibility():
-    # x >= 1 contradicts the box [0, 1/2]; the ray only carries the row,
-    # verification folds the bound in.
-    lp = LinearProgram(1, rows=[({0: 1}, GREATER_EQUAL, 1)], var_bounds=[(0, F(1, 2))])
-    out = solve(lp)
-    assert out.status == INFEASIBLE
-    assert verify_farkas(lp, out.farkas_ray)
+def test_rowless_program_is_origin_or_unbounded():
+    out = solve(LinearProgram(2, objective=[1, 0]))
+    assert out.status == FEASIBLE and out.solution == (F(0), F(0))
+    assert out.objective_value == 0
+    assert solve(LinearProgram(2, objective=[1, -1])).status == UNBOUNDED
 
 
-def test_free_and_flipped_variables():
-    # x free, y <= 3 (no lower bound): min x + y with x >= -5, x + y >= -1
-    lp = LinearProgram(
-        2,
-        objective=[1, 1],
-        rows=[({0: 1}, GREATER_EQUAL, -5), ({0: 1, 1: 1}, GREATER_EQUAL, -1)],
-        var_bounds=[(None, None), (None, 3)],
-    )
-    out = solve(lp)
-    assert out.status == FEASIBLE
-    assert out.objective_value == F(-1)
-
-
-def test_fixed_variable_bound():
-    lp = LinearProgram(2, objective=[0, 1], rows=[({0: 1, 1: 1}, GREATER_EQUAL, 5)],
-                       var_bounds=[(2, 2), (0, None)])
-    out = solve(lp)
-    assert out.solution == (F(2), F(3))
+def test_verify_farkas_needs_nonnegative_aggregate():
+    # x0 - x1 >= 1 aggregates (ray -1) to -x0 + x1 <= -1: g has a negative
+    # entry, so x >= 0 alone does not refute it (x0 = 1 is feasible).
+    lp = LinearProgram(2, rows=[({0: 1, 1: -1}, GREATER_EQUAL, 1)])
+    assert not verify_farkas(lp, [F(-1)])
+    lp = LinearProgram(2, rows=[({0: 1, 1: 1}, LESS_EQUAL, -1)])
+    assert verify_farkas(lp, [F(1)])
+    assert not verify_farkas(lp, [F(-1)])  # wrong sign on a <= row
 
 
 def test_verify_solution_examples():
@@ -123,8 +114,6 @@ def test_malformed_programs_rejected():
         LinearProgram(1, rows=[({0: 1}, "<", 0)])
     with pytest.raises(MalformedProgramError):
         LinearProgram(1, rows=[({0: 0.5}, EQUAL, 0)])
-    with pytest.raises(MalformedProgramError):
-        LinearProgram(1, var_bounds=[(1, 0)])
 
 
 def test_trivial_zero_rows_are_skipped_or_refuted():
@@ -154,23 +143,18 @@ def _random_lp(rng):
         coeffs = {j: Fraction(rng.randint(-4, 4)) for j in rng.sample(range(nv), rng.randint(1, nv))}
         rel = rng.choice([LESS_EQUAL, EQUAL, GREATER_EQUAL])
         rows.append((coeffs, rel, Fraction(rng.randint(-6, 6), rng.randint(1, 3))))
-    bounds = []
-    for _ in range(nv):
-        kind = rng.random()
-        if kind < 0.6:
-            bounds.append((0, None))
-        elif kind < 0.8:
-            bounds.append((0, rng.randint(1, 6)))
-        else:
-            bounds.append((Fraction(rng.randint(-3, 0)), rng.randint(1, 5)))
+    for j in range(nv):
+        if rng.random() < 0.4:
+            rows.append(({j: 1}, LESS_EQUAL, rng.randint(1, 6)))  # box x_j <= u
     obj = [Fraction(rng.randint(-3, 3)) for _ in range(nv)]
-    return LinearProgram(nv, objective=obj, rows=rows, var_bounds=bounds)
+    return LinearProgram(nv, objective=obj, rows=rows)
 
 
 def test_random_programs_yield_verified_certificates():
     # Certificates are self-proving: a solution that checks out proves
-    # feasibility, a ray that checks out proves infeasibility. Boxed
-    # variables keep every program bounded, so unbounded must not appear.
+    # feasibility, a ray that checks out proves infeasibility. Box rows
+    # x_j <= 4 keep every program bounded, so unbounded must not appear;
+    # rays may lean on them, so infeasibility can come from the boxes.
     rng = random.Random(7171)
     feasible = infeasible = 0
     for _ in range(250):
@@ -180,11 +164,11 @@ def test_random_programs_yield_verified_certificates():
             coeffs = {j: Fraction(rng.randint(-3, 3)) for j in range(nv)}
             rel = rng.choice([LESS_EQUAL, EQUAL, GREATER_EQUAL])
             rows.append((coeffs, rel, Fraction(rng.randint(-4, 4), rng.randint(1, 2))))
+        rows += [({j: 1}, LESS_EQUAL, 4) for j in range(nv)]
         lp = LinearProgram(
             nv,
             objective=[Fraction(rng.randint(-2, 2)) for _ in range(nv)],
             rows=rows,
-            var_bounds=[(0, 4)] * nv,
         )
         out = solve(lp)
         assert out.status in (FEASIBLE, INFEASIBLE)
@@ -233,3 +217,31 @@ def test_dump_is_readable():
     text = lp.dump()
     assert "min 1 x0 + 1/2 x1" in text
     assert "2 x0 + -1 x1 >= 5/2" in text
+
+
+@st.composite
+def boxed_programs(draw):
+    """Up to 3 variables, a few random rows, and a box row x_j <= 4 on each."""
+    nv = draw(st.integers(1, 3))
+    small = st.integers(-3, 3)
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        coeffs = dict(enumerate(draw(st.lists(small, min_size=nv, max_size=nv))))
+        relation = draw(st.sampled_from([LESS_EQUAL, EQUAL, GREATER_EQUAL]))
+        rhs = F(draw(st.integers(-6, 6)), draw(st.integers(1, 3)))
+        rows.append((coeffs, relation, rhs))
+    rows += [({j: 1}, LESS_EQUAL, 4) for j in range(nv)]
+    objective = draw(st.lists(small, min_size=nv, max_size=nv))
+    return LinearProgram(nv, objective=objective, rows=rows)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(boxed_programs())
+def test_simplex_matches_vertex_enumeration(lp):
+    out = solve(lp)
+    best = oracles.lp_vertex_optimum(lp)
+    assert out.status == (FEASIBLE if best is not None else INFEASIBLE)
+    if best is not None:
+        assert out.objective_value == best
+    else:
+        assert verify_farkas(lp, out.farkas_ray)
