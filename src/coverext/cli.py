@@ -79,17 +79,6 @@ def _read_json(path: str):
         raise InstanceParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
-def _report(command, argv, digest, payload, started):
-    return {
-        "command": command,
-        "argv": list(argv),
-        "input_digest": digest,
-        "result": payload,
-        "wall_time_ms": int((time.monotonic() - started) * 1000),
-        "solver": lp.stats_snapshot(),
-    }
-
-
 def _emit(report, artifact, out):
     """Route report/artifact between stdout, stderr, and files."""
     text = json.dumps(report, indent=2)
@@ -104,106 +93,38 @@ def _emit(report, artifact, out):
         print(text)
 
 
-# --- instance commands (extend / approx / norm) --------------------------------
+# --- command bodies: (args, parsed input) -> (payload, artifact, exit code) --------
+#
+# Library functions are looked up as module globals when a body runs, so a
+# caller may wrap them (the benchmark's probes do) without touching this table.
 
 
-def _instance_paths(path: str):
-    p = Path(path)
-    if path != "-" and p.is_dir():
-        return sorted(str(f) for f in p.glob("*.json"))
-    return None
-
-
-def _cmd_extend_single(path, opts, argv):
-    started = time.monotonic()
-    lp.stats_reset()
-    data, digest = _read_json(path)
-    instance = serialize.partial_function_from_json(data)
-    verdict = decide_extension(instance, cap=opts["cap"])
+def _extend(args, data):
+    verdict = decide_extension(serialize.partial_function_from_json(data), cap=args.cap)
     payload = serialize.verdict_to_json(verdict)
-    if opts["certify"]:  # decide_extension returns only what it has verified
+    if args.certify:  # decide_extension returns only what it has verified
         payload["verified"] = True
-    code = EXIT_OK if verdict.extendible else EXIT_NEGATIVE
-    return _report("extend", argv, digest, payload, started), code
+    return payload, None, EXIT_OK if verdict.extendible else EXIT_NEGATIVE
 
 
-def _cmd_approx_single(path, opts, argv):
-    started = time.monotonic()
-    lp.stats_reset()
-    data, digest = _read_json(path)
+def _approx(args, data):
     instance = serialize.partial_function_from_json(data)
     bounds = alpha_bounds(
-        instance,
-        mode=opts["mode"],
-        include_alpha_star=opts["alpha_star"],
-        cap=opts["cap"],
+        instance, mode=args.mode, include_alpha_star=args.alpha_star, cap=args.cap
     )
     payload = serialize.alpha_bounds_to_json(bounds)
     payload["n"] = instance.n
     payload["d"] = instance.d
-    return _report("approx", argv, digest, payload, started), EXIT_OK
+    return payload, None, EXIT_OK
 
 
-def _cmd_norm_single(path, opts, argv):
-    started = time.monotonic()
-    lp.stats_reset()
-    data, digest = _read_json(path)
+def _norm(args, data):
     instance = serialize.partial_function_from_json(data)
-    result = norm_extension_approx(instance, with_exact=opts["exact"], cap=opts["cap"])
-    payload = serialize.norm_result_to_json(result)
-    return _report("norm", argv, digest, payload, started), EXIT_OK
+    result = norm_extension_approx(instance, with_exact=args.exact, cap=args.cap)
+    return serialize.norm_result_to_json(result), None, EXIT_OK
 
 
-_SINGLE_RUNNERS = {
-    "extend": _cmd_extend_single,
-    "approx": _cmd_approx_single,
-    "norm": _cmd_norm_single,
-}
-
-
-def _pool_worker(job):
-    name, path, opts, argv = job
-    try:
-        return _SINGLE_RUNNERS[name](path, opts, argv)
-    except CapExceededError as exc:
-        return {"command": name, "input": path, "error": str(exc)}, EXIT_CAP
-    except (InstanceParseError, ValueError) as exc:
-        return {"command": name, "input": path, "error": str(exc)}, EXIT_USAGE
-
-
-def _run_instance_command(name, args, argv):
-    opts = {
-        "cap": args.cap,
-        "certify": getattr(args, "certify", False),
-        "mode": getattr(args, "mode", "exact"),
-        "alpha_star": getattr(args, "alpha_star", False),
-        "exact": getattr(args, "exact", False),
-    }
-    if args.jobs < 1:
-        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
-    batch = _instance_paths(args.input)
-    if batch is None:
-        report, code = _SINGLE_RUNNERS[name](args.input, opts, argv)
-        print(json.dumps(report, indent=2))
-        return code
-    jobs = [(name, path, opts, argv) for path in batch]
-    workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
-    if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_pool_worker, jobs)
-    else:
-        results = [_pool_worker(job) for job in jobs]
-    print(json.dumps([r for r, _ in results], indent=2))
-    return max((code for _, code in results), default=EXIT_OK)
-
-
-# --- remaining commands ---------------------------------------------------------
-
-
-def _cmd_wtransform(args, argv):
-    started = time.monotonic()
-    lp.stats_reset()
-    data, digest = _read_json(args.input)
+def _wtransform(args, data):
     total = serialize.total_function_from_json(data)
     coeffs = w_transform(total, cap=args.cap)
     check = is_coverage(total, cap=args.cap)
@@ -215,38 +136,27 @@ def _cmd_wtransform(args, argv):
     if not check.is_coverage:
         payload["violating_set"] = mask_to_elements(check.violating_set)
         payload["coefficient"] = serialize.format_rational(check.coefficient)
-    print(json.dumps(_report("wtransform", argv, digest, payload, started), indent=2))
-    return EXIT_OK if check.is_coverage else EXIT_NEGATIVE
+    return payload, None, EXIT_OK if check.is_coverage else EXIT_NEGATIVE
 
 
-def _cmd_gadget(args, argv):
-    started = time.monotonic()
-    lp.stats_reset()
+def _gadget(args, data):
     kind = args.kind
+    if kind == "setcover":
+        universe, family, k = serialize.setcover_from_json(data)
+        artifact = serialize.membership_to_json(setcover_membership_gadget(universe, family, k))
+        return {"kind": kind, "instance": artifact}, artifact, EXIT_OK
+    graph = serialize.graph_from_json(data)
     if kind == "chromatic":
-        data, digest = _read_json(args.graph)
-        graph = serialize.graph_from_json(data)
-        instance = chromatic_gadget(graph, args.k)
-        artifact = serialize.partial_function_to_json(instance)
+        artifact = serialize.partial_function_to_json(chromatic_gadget(graph, args.k))
         payload = {"kind": kind, "k": serialize.format_rational(args.k), "instance": artifact}
         if args.chi:
             chi, _ = fractional_chromatic(graph, cap=args.cap)
             payload["chi"] = serialize.format_rational(chi)
-    elif kind == "setcover":
-        data, digest = _read_json(args.input)
-        universe, family, k = serialize.setcover_from_json(data)
-        inst = setcover_membership_gadget(universe, family, k)
-        artifact = serialize.membership_to_json(inst)
-        payload = {"kind": kind, "instance": artifact}
     elif kind == "cut2span":
-        data, digest = _read_json(args.graph)
-        graph = serialize.graph_from_json(data)
         gadget, scale = cut_to_span_gadget(graph, enforce_box=not args.allow_wide_weights)
         artifact = serialize.graph_to_json(gadget)
         payload = {"kind": kind, "scale": serialize.format_rational(scale), "graph": artifact}
-    elif kind == "densest":
-        data, digest = _read_json(args.graph)
-        graph = serialize.graph_from_json(data)
+    else:  # densest
         report = densest_cut_report(graph, args.density, cap=args.cap)
         artifact = serialize.graph_to_json(report.gadget)
         payload = {
@@ -257,27 +167,17 @@ def _cmd_gadget(args, argv):
             "exceeds_density": report.exceeds_density,
             "boundary": report.boundary,
         }
-    else:  # pragma: no cover - argparse restricts choices
-        raise _UsageError(f"unknown gadget {kind!r}")
-    _emit(_report("gadget", argv, digest, payload, started), artifact, args.out)
-    return EXIT_OK
+    return payload, artifact, EXIT_OK
 
 
-def _cmd_gen(args, argv):
-    started = time.monotonic()
-    lp.stats_reset()
+def _gen(args, data):
     instance = generate_tight_instance(args.m, k=args.k, seed=args.seed, cap=args.cap)
     artifact = serialize.partial_function_to_json(instance)
     payload = {"kind": "tight", "m": args.m, "k": args.k, "seed": args.seed, "instance": artifact}
-    digest = hashlib.sha256(json.dumps(payload["instance"]).encode()).hexdigest()
-    _emit(_report("gen", argv, digest, payload, started), artifact, args.out)
-    return EXIT_OK
+    return payload, artifact, EXIT_OK
 
 
-def _cmd_check(args, argv):
-    started = time.monotonic()
-    lp.stats_reset()
-    data, digest = _read_json(args.graph)
+def _check(args, data):
     graph = serialize.graph_from_json(data)
     if graph.weights is None:
         raise InstanceParseError("membership checks need an edge-weighted graph")
@@ -288,8 +188,94 @@ def _cmd_check(args, argv):
         payload["violated_set"] = mask_to_elements(result.violated_set)
     if result.box_edge is not None:
         payload["box_edge"] = list(graph.edges[result.box_edge])
-    print(json.dumps(_report("check", argv, digest, payload, started), indent=2))
-    return EXIT_OK if result.inside else EXIT_NEGATIVE
+    return payload, None, EXIT_OK if result.inside else EXIT_NEGATIVE
+
+
+_COMMANDS = {
+    "extend": _extend,
+    "approx": _approx,
+    "norm": _norm,
+    "wtransform": _wtransform,
+    "gadget": _gadget,
+    "gen": _gen,
+    "check": _check,
+}
+
+# Errors that end a run with an exit code and a message instead of a traceback;
+# main and the batch workers share this map.
+_EXIT_CODES = {
+    CapExceededError: EXIT_CAP,
+    _UsageError: EXIT_USAGE,
+    SeedExhaustedError: EXIT_USAGE,
+    ValueError: EXIT_USAGE,  # includes InstanceParseError
+}
+_EXPECTED = tuple(_EXIT_CODES)
+
+
+def _exit_code(exc: BaseException) -> int:
+    return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+
+
+def _run(args, argv, path):
+    """Run one command on one input; returns (run report, artifact, exit code).
+
+    path is None for commands that read nothing (gen); their input digest is
+    that of the emitted artifact.
+    """
+    started = time.monotonic()
+    lp.stats_reset()
+    data, digest = (None, None) if path is None else _read_json(path)
+    payload, artifact, code = _COMMANDS[args.command](args, data)
+    if path is None:
+        digest = hashlib.sha256(json.dumps(artifact).encode()).hexdigest()
+    report = {
+        "command": args.command,
+        "argv": list(argv),
+        "input_digest": digest,
+        "result": payload,
+        "wall_time_ms": int((time.monotonic() - started) * 1000),
+        "solver": lp.stats_snapshot(),
+    }
+    return report, artifact, code
+
+
+# --- directory batches (extend / approx / norm) ------------------------------------
+
+
+def _batch_paths(args):
+    """The *.json files when an instance command is given a directory, else None."""
+    if not hasattr(args, "jobs"):
+        return None
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.input == "-" or not Path(args.input).is_dir():
+        return None
+    paths = sorted(str(f) for f in Path(args.input).glob("*.json"))
+    if not paths:
+        raise _UsageError(f"no *.json instances found in {args.input}")
+    return paths
+
+
+def _pool_worker(job):
+    """One batch entry: its run report, or an error record, and its exit code."""
+    args, argv, path = job
+    try:
+        report, _, code = _run(args, argv, path)
+        return report, code
+    except _EXPECTED as exc:
+        return {"command": args.command, "input": path, "error": str(exc)}, _exit_code(exc)
+
+
+def _run_batch(args, argv, paths):
+    jobs = [(args, argv, path) for path in paths]
+    workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
+            results = pool.map(_pool_worker, jobs)
+    else:
+        results = [_pool_worker(job) for job in jobs]
+    _emit([report for report, _ in results], None, None)
+    return max(code for _, code in results)  # the worst outcome in the batch
 
 
 # --- parser -----------------------------------------------------------------------
@@ -304,30 +290,32 @@ def _build_parser() -> _Parser:
         p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
                        help="exhaustive-enumeration cap on the ground set size")
 
-    p = sub.add_parser("extend", help="decide coverage extendibility; emit a witness "
-                                      "(weighted universe) or a refuting certificate")
-    p.add_argument("--input", required=True, help="instance file, directory, or - for stdin")
+    def add_graph(p):  # read through args.input, like every other input file
+        p.add_argument("--graph", required=True, dest="input", metavar="GRAPH")
+
+    def instance_command(name, blurb):
+        p = sub.add_parser(name, help=blurb)
+        p.add_argument("--input", required=True, help="instance file, directory, or - for stdin")
+        instance_parsers.append(p)
+        return p
+
+    instance_parsers = []
+    p = instance_command("extend", "decide coverage extendibility; emit a witness "
+                                   "(weighted universe) or a refuting certificate")
     p.add_argument("--certify", action="store_true",
                    help="report that the witness/certificate passed verification")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for a directory input")
-    add_cap(p)
-
-    p = sub.add_parser("approx", help="bracket the least multiplicative stretch alpha* "
-                                      "via the replacement ratio")
-    p.add_argument("--input", required=True)
+    p = instance_command("approx", "bracket the least multiplicative stretch alpha* "
+                                   "via the replacement ratio")
     p.add_argument("--mode", choices=["exact", "greedy"], default="exact")
     p.add_argument("--alpha-star", action="store_true", dest="alpha_star",
                    help="also solve the exact stretch optimum (enumerates 2^m)")
-    p.add_argument("--jobs", type=int, default=1)
-    add_cap(p)
-
-    p = sub.add_parser("norm", help="minimize total absolute error with singleton "
-                                    "universe elements; certified additive guarantee")
-    p.add_argument("--input", required=True)
+    p = instance_command("norm", "minimize total absolute error with singleton "
+                                 "universe elements; certified additive guarantee")
     p.add_argument("--exact", action="store_true",
                    help="also solve the unrestricted optimum (enumerates 2^m)")
-    p.add_argument("--jobs", type=int, default=1)
-    add_cap(p)
+    for p in instance_parsers:  # after each command's own flags, the order --help shows
+        p.add_argument("--jobs", type=int, default=1, help="parallel workers for a directory input")
+        add_cap(p)
 
     p = sub.add_parser("wtransform", help="transform a full value table to universe "
                                           "weights and test coverage validity")
@@ -339,7 +327,7 @@ def _build_parser() -> _Parser:
 
     g = gsub.add_parser("chromatic", help="graph coloring threshold as an extension "
                                           "instance (1 on vertices, 2 on edges, k overall)")
-    g.add_argument("--graph", required=True)
+    add_graph(g)
     g.add_argument("--k", type=_rational_arg, required=True)
     g.add_argument("--chi", action="store_true",
                    help="also compute the fractional chromatic number")
@@ -353,14 +341,14 @@ def _build_parser() -> _Parser:
 
     g = gsub.add_parser("cut2span", help="cut membership as span membership via a hub "
                                          "vertex; span sums track half the cut sums")
-    g.add_argument("--graph", required=True)
+    add_graph(g)
     g.add_argument("--allow-wide-weights", action="store_true",
                    help="skip the unit-box precondition on input weights")
     g.add_argument("--out", help="write the gadget graph here; - for stdout")
 
     g = gsub.add_parser("densest", help="cut-density threshold as a complete reweighted "
                                         "graph whose cut signs answer the comparison")
-    g.add_argument("--graph", required=True)
+    add_graph(g)
     g.add_argument("--density", type=_rational_arg, required=True)
     g.add_argument("--out", help="write the gadget graph here; - for stdout")
     add_cap(g)
@@ -379,7 +367,7 @@ def _build_parser() -> _Parser:
     csub = p.add_subparsers(dest="kind", required=True)
     for kind, blurb in (("cut", "all cut sums <= 0"), ("span", "all span sums <= 0")):
         c = csub.add_parser(kind, help=f"{blurb}, plus the unit box")
-        c.add_argument("--graph", required=True)
+        add_graph(c)
         add_cap(c)
 
     return parser
@@ -387,26 +375,17 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command in _SINGLE_RUNNERS:
-            return _run_instance_command(args.command, args, argv)
-        if args.command == "wtransform":
-            return _cmd_wtransform(args, argv)
-        if args.command == "gadget":
-            return _cmd_gadget(args, argv)
-        if args.command == "gen":
-            return _cmd_gen(args, argv)
-        if args.command == "check":
-            return _cmd_check(args, argv)
-        raise _UsageError(f"unknown command {args.command!r}")
-    except CapExceededError as exc:
+        args = _build_parser().parse_args(argv)
+        paths = _batch_paths(args)
+        if paths is not None:
+            return _run_batch(args, argv, paths)
+        report, artifact, code = _run(args, argv, getattr(args, "input", None))
+        _emit(report, artifact, getattr(args, "out", None))
+        return code
+    except _EXPECTED as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except (_UsageError, SeedExhaustedError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

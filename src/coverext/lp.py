@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import MalformedProgramError
+from .setfun import ExactLike, _coerce_value
 
 LESS_EQUAL = "<="
 EQUAL = "="
@@ -35,18 +36,6 @@ UNBOUNDED = "unbounded"
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-ExactLike = Union[int, Fraction]
-
-
-def _exact(value: ExactLike, what: str = "coefficient") -> Fraction:
-    """Coerce to Fraction; floats are rejected, exactness is the contract."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    raise MalformedProgramError(f"{what} must be an int or Fraction, got {type(value).__name__}")
-
 
 @dataclass(frozen=True)
 class Row:
@@ -82,7 +71,8 @@ class LinearProgram:
                 raise MalformedProgramError(
                     f"objective has {len(objective)} entries for {num_vars} variables"
                 )
-            obj = tuple(_exact(c, "objective coefficient") for c in objective)
+            what = "objective coefficient"
+            obj = tuple(_coerce_value(c, what, MalformedProgramError) for c in objective)
         self.objective = obj
 
         norm_rows = []
@@ -104,10 +94,9 @@ class LinearProgram:
                     raise MalformedProgramError(f"row {k}: variable index {idx!r} out of range")
                 if idx in seen:
                     raise MalformedProgramError(f"row {k}: duplicate index {idx}")
-                seen[idx] = _exact(val, f"row {k} coefficient")
-            norm_rows.append(
-                Row(tuple(sorted(seen.items())), relation, _exact(rhs, f"row {k} rhs"))
-            )
+                seen[idx] = _coerce_value(val, f"row {k} coefficient", MalformedProgramError)
+            rhs = _coerce_value(rhs, f"row {k} rhs", MalformedProgramError)
+            norm_rows.append(Row(tuple(sorted(seen.items())), relation, rhs))
         self.rows = tuple(norm_rows)
 
     @property
@@ -148,7 +137,7 @@ def verify_solution(lp: LinearProgram, solution: Sequence[ExactLike]) -> bool:
     """True iff x >= 0 and every row holds exactly."""
     if len(solution) != lp.num_vars:
         raise MalformedProgramError("solution length does not match num_vars")
-    x = [_exact(v, "solution entry") for v in solution]
+    x = [_coerce_value(v, "solution entry", MalformedProgramError) for v in solution]
     if any(v < 0 for v in x):
         return False
     for row in lp.rows:
@@ -172,7 +161,7 @@ def verify_farkas(lp: LinearProgram, ray: Sequence[ExactLike]) -> bool:
     """
     if len(ray) != lp.num_rows:
         return False
-    r = [_exact(v, "ray entry") for v in ray]
+    r = [_coerce_value(v, "ray entry", MalformedProgramError) for v in ray]
     g = [_ZERO] * lp.num_vars
     beta = _ZERO
     for mult, row in zip(r, lp.rows):

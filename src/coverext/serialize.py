@@ -20,6 +20,7 @@ from .setfun import (
     PartialFunction,
     TotalSetFunction,
     WCoefficients,
+    _is_int,
     mask_from_elements,
     mask_to_elements,
 )
@@ -44,6 +45,13 @@ def parse_rational(text, where: str = "value") -> Fraction:
             raise InstanceParseError(f"{where}: zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
+
+
+def _positive_int(data: Mapping, field: str) -> int:
+    value = data.get(field)
+    if not _is_int(value) or value < 1:
+        raise InstanceParseError(f"field {field!r} must be a positive integer")
+    return value
 
 
 def _parse_set(entry, m: int, where: str) -> int:
@@ -71,9 +79,7 @@ def partial_function_to_json(pf: PartialFunction) -> dict:
 def partial_function_from_json(data: Any) -> PartialFunction:
     if not isinstance(data, Mapping):
         raise InstanceParseError("instance file must be a JSON object")
-    m = data.get("m")
-    if not isinstance(m, int) or m < 1:
-        raise InstanceParseError("field 'm' must be a positive integer")
+    m = _positive_int(data, "m")
     points = data.get("points")
     if not isinstance(points, list) or not points:
         raise InstanceParseError("field 'points' must be a nonempty list")
@@ -101,9 +107,7 @@ def partial_function_from_json(data: Any) -> PartialFunction:
 def total_function_from_json(data: Any) -> TotalSetFunction:
     if not isinstance(data, Mapping):
         raise InstanceParseError("total function file must be a JSON object")
-    m = data.get("m")
-    if not isinstance(m, int) or m < 1:
-        raise InstanceParseError("field 'm' must be a positive integer")
+    m = _positive_int(data, "m")
     entries = data.get("values")
     if not isinstance(entries, list):
         raise InstanceParseError("field 'values' must be a list")
@@ -142,7 +146,13 @@ def wcoeffs_from_json(m: int, data: Any) -> WCoefficients:
     support = {}
     for i, entry in enumerate(data):
         where = f"coefficients[{i}]"
+        if not isinstance(entry, Mapping) or "set" not in entry or "weight" not in entry:
+            raise InstanceParseError(f"{where}: need 'set' and 'weight'")
         mask = _parse_set(entry["set"], m, where)
+        if mask == 0:
+            raise InstanceParseError(f"{where}: coefficient set must be nonempty")
+        if mask in support:
+            raise InstanceParseError(f"{where}: duplicate set")
         support[mask] = parse_rational(entry["weight"], f"{where}.weight")
     return WCoefficients.from_dict(m, support)
 
@@ -199,9 +209,7 @@ def graph_to_json(graph: Graph) -> dict:
 def graph_from_json(data: Any) -> Graph:
     if not isinstance(data, Mapping):
         raise InstanceParseError("graph file must be a JSON object")
-    n = data.get("vertices")
-    if not isinstance(n, int) or n < 1:
-        raise InstanceParseError("field 'vertices' must be a positive integer")
+    n = _positive_int(data, "vertices")
     edges_raw = data.get("edges")
     if not isinstance(edges_raw, list):
         raise InstanceParseError("field 'edges' must be a list of pairs")
@@ -210,7 +218,7 @@ def graph_from_json(data: Any) -> Graph:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise InstanceParseError(f"edges[{i}]: expected a pair [u, v]")
         u, v = pair
-        if not (isinstance(u, int) and isinstance(v, int)):
+        if not (_is_int(u) and _is_int(v)):
             raise InstanceParseError(f"edges[{i}]: endpoints must be integers")
         edges.append((u, v))
     weights = None
@@ -228,19 +236,14 @@ def graph_from_json(data: Any) -> Graph:
 def setcover_from_json(data: Any) -> tuple[int, list[list[int]], int]:
     if not isinstance(data, Mapping):
         raise InstanceParseError("set-cover file must be a JSON object")
-    universe = data.get("universe")
-    if not isinstance(universe, int) or universe < 1:
-        raise InstanceParseError("field 'universe' must be a positive integer")
+    universe = _positive_int(data, "universe")
     family = data.get("family")
     if not isinstance(family, list) or not family:
         raise InstanceParseError("field 'family' must be a nonempty list of element lists")
     for i, s in enumerate(family):
-        if not isinstance(s, list) or not all(isinstance(e, int) for e in s):
+        if not isinstance(s, list) or not all(_is_int(e) for e in s):
             raise InstanceParseError(f"family[{i}]: expected a list of integers")
-    k = data.get("k")
-    if not isinstance(k, int) or k < 1:
-        raise InstanceParseError("field 'k' must be a positive integer")
-    return universe, family, k
+    return universe, family, _positive_int(data, "k")
 
 
 def membership_to_json(inst: MembershipInstance) -> dict:

@@ -45,11 +45,16 @@ def full_mask(m: int) -> Mask:
     return (1 << m) - 1
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool: JSON true/false parse to bools, which are ints too."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def mask_from_elements(elements: Iterable[int], m: int) -> Mask:
     """Bitmask of distinct 1-based element labels."""
     mask = 0
     for e in elements:
-        if not isinstance(e, int) or not (1 <= e <= m):
+        if not _is_int(e) or not (1 <= e <= m):
             raise ValueError(f"element {e!r} outside 1..{m}")
         bit = 1 << (e - 1)
         if mask & bit:
@@ -70,12 +75,13 @@ def mask_to_elements(mask: Mask) -> list[int]:
     return out
 
 
-def _coerce_value(v: ExactLike, what: str) -> Fraction:
+def _coerce_value(v: ExactLike, what: str, error: type[ValueError] = ValueError) -> Fraction:
+    """Coerce to Fraction; floats and bools are rejected, exactness is the contract."""
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, int) and not isinstance(v, bool):
+    if _is_int(v):
         return Fraction(v)
-    raise ValueError(f"{what} must be an int or Fraction, got {type(v).__name__}")
+    raise error(f"{what} must be an int or Fraction, got {type(v).__name__}")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 """CLI dispatch, exit codes, file round-trips, and pipelines."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from coverext import cli
 from coverext.cli import main
@@ -277,3 +280,102 @@ def test_stdin_pipeline_subprocess(tmp_path):
     assert extend.returncode == 0
     report = json.loads(extend.stdout)
     assert report["result"]["status"] == "extendible"
+
+
+REPORT_KEYS = ["command", "argv", "input_digest", "result", "wall_time_ms", "solver"]
+RUNNER_FILES = {
+    "add.json": ADDITIVE,
+    "sup.json": SUPERADDITIVE,
+    "total.json": {"m": 2, "values": [{"set": s, "value": v} for s, v in
+                                      (([], "0"), ([1], "1"), ([2], "1"), ([1, 2], "3"))]},
+    "k3.json": K3_GRAPH,
+    "out.json": {"vertices": 2, "edges": [[1, 2]], "weights": ["1/2"]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code, routed",
+    [
+        (["extend", "--input", "sup.json"], 2, False),
+        (["approx", "--input", "add.json", "--mode", "greedy"], 0, False),
+        (["norm", "--input", "sup.json"], 0, False),
+        (["wtransform", "--input", "total.json"], 2, False),
+        (["gadget", "chromatic", "--graph", "k3.json", "--k", "3", "--out", "-"], 0, True),
+        (["gen", "tight", "--m", "4", "--seed", "7"], 0, False),
+        (["gen", "tight", "--m", "4", "--seed", "7", "--out", "-"], 0, True),
+        (["check", "cut", "--graph", "out.json"], 2, False),
+    ],
+)
+def test_every_command_reports_through_one_runner(tmp_path, capsys, monkeypatch, argv, code,
+                                                  routed):
+    monkeypatch.chdir(tmp_path)
+    for name, payload in RUNNER_FILES.items():
+        write(tmp_path, name, payload)
+    got, out, err = run_cli(argv, capsys)
+    assert got == code
+    report = json.loads(err if routed else out)
+    assert list(report) == REPORT_KEYS
+    assert report["command"] == argv[0]
+    assert report["argv"] == argv
+    if argv[0] == "gen":  # reads nothing: the digest is that of the emitted instance
+        emitted = json.dumps(report["result"]["instance"]).encode()
+    else:
+        emitted = (tmp_path / argv[argv.index("--graph" if "--graph" in argv else "--input")
+                            + 1]).read_bytes()
+    assert report["input_digest"] == hashlib.sha256(emitted).hexdigest()
+    if routed:  # --out -: the artifact alone on stdout, the report on stderr
+        assert json.loads(out) == report["result"]["instance"]
+    else:
+        assert err == ""
+
+
+def test_batch_records_errors_and_exits_with_the_worst_code(tmp_path, capsys):
+    good = write(tmp_path, "a.json", ADDITIVE)
+    bad = write(tmp_path, "b.json", {"m": 2, "points": [{"set": [1], "value": "1/0"}]})
+    wide = write(tmp_path, "c.json", {"m": 30, "points": [{"set": [1], "value": "1"}]})
+    code, out, err = run_cli(["extend", "--input", str(tmp_path)], capsys)
+    assert (code, err) == (3, "")
+    first, parse_error, cap_error = json.loads(out)
+    assert list(first) == REPORT_KEYS
+    assert first["input_digest"] == hashlib.sha256(Path(good).read_bytes()).hexdigest()
+    assert first["result"]["status"] == "extendible"
+    assert parse_error == {"command": "extend", "input": bad,
+                           "error": "points[0].value: zero denominator in '1/0'"}
+    assert cap_error == {"command": "extend", "input": wide,
+                         "error": "ground set size 30 exceeds enumeration cap 24"}
+
+
+def test_empty_batch_directory_is_a_usage_error(tmp_path, capsys):
+    write(tmp_path, "notes.txt", {})
+    code, out, err = run_cli(["extend", "--input", str(tmp_path)], capsys)
+    assert (code, out) == (1, "")
+    assert "no *.json instances found" in err
+
+
+@pytest.mark.parametrize(
+    "argv, payload, where",
+    [
+        (["extend", "--input"], {"m": True, "points": [{"set": [1], "value": "1"}]},
+         "field 'm'"),
+        (["wtransform", "--input"],
+         {"m": True, "values": [{"set": [], "value": "0"}, {"set": [1], "value": "1"}]},
+         "field 'm'"),
+        (["extend", "--input"], {"m": 2, "points": [{"set": [True], "value": "1"}]},
+         "points[0]: element True"),
+        (["check", "cut", "--graph"], {"vertices": True, "edges": [], "weights": []},
+         "field 'vertices'"),
+        (["check", "cut", "--graph"],
+         {"vertices": 2, "edges": [[True, 2]], "weights": ["-1/2"]}, "edges[0]"),
+        (["gadget", "setcover", "--input"], {"universe": True, "family": [[1]], "k": 1},
+         "field 'universe'"),
+        (["gadget", "setcover", "--input"], {"universe": 2, "family": [[1, 2]], "k": True},
+         "field 'k'"),
+        (["gadget", "setcover", "--input"], {"universe": 2, "family": [[True, 2]], "k": 1},
+         "family[0]"),
+    ],
+)
+def test_json_booleans_are_not_integers(tmp_path, capsys, argv, payload, where):
+    path = write(tmp_path, "bool.json", payload)
+    code, out, err = run_cli([*argv, path], capsys)
+    assert (code, out) == (1, "")
+    assert where in err

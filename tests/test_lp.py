@@ -114,6 +114,8 @@ def test_malformed_programs_rejected():
         LinearProgram(1, rows=[({0: 1}, "<", 0)])
     with pytest.raises(MalformedProgramError):
         LinearProgram(1, rows=[({0: 0.5}, EQUAL, 0)])
+    with pytest.raises(MalformedProgramError, match="row 0 coefficient .* got bool"):
+        LinearProgram(1, rows=[({0: True}, EQUAL, 0)])
 
 
 def test_trivial_zero_rows_are_skipped_or_refuted():

@@ -76,6 +76,22 @@ def test_wcoeffs_roundtrip():
     assert wcoeffs_from_json(2, data) == w
 
 
+@pytest.mark.parametrize(
+    "data, where",
+    [
+        ([[1]], r"coefficients\[0\]: need 'set' and 'weight'"),
+        ([{"set": [1]}], r"coefficients\[0\]: need 'set' and 'weight'"),
+        ([{"set": [], "weight": "1"}], r"coefficients\[0\]: .*nonempty"),
+        ([{"set": [1], "weight": "1"}, {"set": [1], "weight": "2"}],
+         r"coefficients\[1\]: duplicate"),
+        ([{"set": [2], "weight": "0.5"}], r"coefficients\[0\]\.weight"),
+    ],
+)
+def test_wcoeffs_errors_carry_location(data, where):
+    with pytest.raises(InstanceParseError, match=where):
+        wcoeffs_from_json(2, data)
+
+
 def test_graph_roundtrip():
     g = Graph(3, ((1, 2), (2, 3)), (F(1, 2), F(-1)))
     data = graph_to_json(g)
