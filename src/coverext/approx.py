@@ -2,7 +2,8 @@
 
 The stretch optimum alpha* is the least alpha >= 1 admitting a coverage
 function with f_i <= f(T_i) <= alpha * f_i at every point. At desk scale
-it is an exact LP over all subset coefficients plus the stretch variable.
+it is an exact LP with one variable per distinct hit pattern, represented
+by its smallest set, plus the stretch variable.
 
 The bound machinery views the instance as a bipartite graph (points on
 the left, ground elements on the right). A replacement for a left vertex
@@ -39,6 +40,7 @@ from .setfun import (
     Mask,
     PartialFunction,
     require_enumerable,
+    span_columns,
     span_row,
     span_sums,
 )
@@ -159,7 +161,7 @@ def alpha_star_program(pf: PartialFunction) -> LinearProgram:
     The last variable is beta = alpha - 1 >= 0, so the program is in
     standard form and its optimum is alpha* - 1.
     """
-    columns = range(1, 1 << pf.m)
+    columns = span_columns(pf.m, pf.masks())
     beta = len(columns)  # last variable
     objective = [0] * beta + [1]
     rows = []

@@ -1,11 +1,13 @@
 """Deciding whether a partial function extends to a coverage function.
 
 The decision is a feasibility question for an exact linear program with
-one nonnegative variable per nonempty subset of [m] (its W-coefficient)
-and one equality row per defined point. A feasible basic solution is a
-witness whose support size cannot exceed the number of points, because at
-a vertex the nonzero variables are limited by the row count. An
-infeasible program yields multipliers l_1..l_n over the points with
+one equality row per defined point and one nonnegative variable (a
+W-coefficient) per distinct hit pattern, represented by its smallest
+set: sets meeting the same defined sets are interchangeable there. A
+feasible basic solution is a witness whose support size cannot exceed
+the number of points, because at a vertex the nonzero variables are
+limited by the row count. An infeasible program yields multipliers
+l_1..l_n over the points with
 
     sum of l_i over points meeting S  <=  0   for every nonempty S, and
     sum of f_i * l_i                  >   0,
@@ -28,6 +30,7 @@ from .setfun import (
     WCoefficients,
     eval_from_w,
     require_enumerable,
+    span_columns,
     span_row,
     span_sums,
 )
@@ -43,12 +46,12 @@ class ExtensionVerdict:
 
 
 def extension_program(pf: PartialFunction) -> LinearProgram:
-    """Feasibility program over all nonempty-subset coefficients.
+    """Feasibility program over one coefficient per distinct hit pattern.
 
-    Variable index mask-1 carries w(mask); every point contributes the
-    equality row: total weight on sets meeting T_i equals f_i.
+    Variable c carries w(span_columns(pf.m, pf.masks())[c]); every point
+    contributes the equality row: total weight on sets meeting T_i equals f_i.
     """
-    columns = range(1, 1 << pf.m)
+    columns = span_columns(pf.m, pf.masks())
     rows = [(span_row(columns, mask_i), EQUAL, value) for mask_i, value in pf.points]
     return LinearProgram(len(columns), rows=rows)
 
@@ -58,7 +61,8 @@ def decide_extension(pf: PartialFunction, cap: int = DEFAULT_ENUMERATION_CAP) ->
     require_enumerable(pf.m, cap)
     outcome = solve(extension_program(pf))
     if outcome.status == FEASIBLE:
-        support = {s + 1: v for s, v in enumerate(outcome.solution) if v}
+        columns = span_columns(pf.m, pf.masks())
+        support = {columns[c]: v for c, v in enumerate(outcome.solution) if v}
         witness = WCoefficients.from_dict(pf.m, support)
         if witness.support_size > pf.n:
             raise AssertionError("basic solution exceeded the support bound")

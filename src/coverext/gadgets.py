@@ -34,6 +34,7 @@ from .setfun import (
     Mask,
     PartialFunction,
     _coerce_value,
+    mask_from_elements,
     require_enumerable,
     span_sums,
 )
@@ -300,12 +301,10 @@ def setcover_membership_gadget(
     m = len(family)
     fam_masks = []
     for idx, s in enumerate(family):
-        mask = 0
-        for e in s:
-            if not (1 <= e <= universe_size):
-                raise ValueError(f"family[{idx}]: element {e} outside 1..{universe_size}")
-            mask |= 1 << (e - 1)
-        fam_masks.append(mask)
+        try:
+            fam_masks.append(mask_from_elements(s, universe_size))
+        except ValueError as exc:
+            raise ValueError(f"family[{idx}]: {exc}") from exc
 
     sets: list[Mask] = []
     point: list[Fraction] = []

@@ -1,9 +1,10 @@
 """L1 norm extension: restricted polynomial-size approximation and exact oracle.
 
 The full problem minimizes the total absolute error sum |f(T_i) - f_i|
-over coverage functions f, written as an LP over all subset coefficients
-with split error variables. Restricting the coefficients to singletons
-gives a polynomial-size program whose optimum OPT_R satisfies
+over coverage functions f, written as an LP with split error variables
+and one coefficient variable per distinct hit pattern, represented by
+its smallest set. Restricting the coefficients to singletons gives a
+polynomial-size program whose optimum OPT_R satisfies
 
     OPT  <=  OPT_R  <=  OPT + (1 - 1/d) * F,
 
@@ -27,6 +28,7 @@ from .setfun import (
     WCoefficients,
     eval_from_w,
     require_enumerable,
+    span_columns,
     span_row,
     span_sums,
 )
@@ -51,7 +53,7 @@ def _norm_program(pf: PartialFunction, singleton_only: bool) -> LinearProgram:
     if singleton_only:
         coeff_masks = [1 << j for j in range(pf.m)]
     else:
-        coeff_masks = range(1, 1 << pf.m)
+        coeff_masks = span_columns(pf.m, pf.masks())
     nw = len(coeff_masks)
     nv = nw + 2 * pf.n
     objective = [0] * nw + [1] * (2 * pf.n)
@@ -97,7 +99,7 @@ def norm_extension_approx(
 
 
 def norm_opt_exact(pf: PartialFunction, cap: int = DEFAULT_ENUMERATION_CAP) -> Fraction:
-    """Exact optimum over all 2^m - 1 coefficients."""
+    """Exact optimum over all coverage functions (one column per hit pattern)."""
     require_enumerable(pf.m, cap)
     outcome = solve(_norm_program(pf, singleton_only=False))
     if outcome.status != FEASIBLE:

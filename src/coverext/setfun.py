@@ -261,6 +261,37 @@ def span_sums(
     return table, scale
 
 
+def span_columns(m: int, points: Sequence[Mask]) -> list[Mask]:
+    """One LP column per distinct hit pattern: the smallest set of each, ascending.
+
+    A set S enters the extension, stretch and norm programs only through
+    the points it meets, so sets with the same pattern are the same
+    column. With hit[j] the points holding element j, the pattern of S is
+    that of S without its lowest element plus hit[lowest], one integer
+    pass over 2^m masks. A set meeting no point is an all-zero column and
+    is left out.
+
+    Keeping only the smallest copy changes no simplex outcome: copies keep
+    equal reduced costs and tableau entries under every pivot, so Bland's
+    rule would only ever pick the smallest, and a zero column never enters.
+    """
+    hit = [0] * m
+    for i, point in enumerate(points):
+        for j in range(m):
+            if point >> j & 1:
+                hit[j] |= 1 << i
+    pat = [0] * (1 << m)
+    seen = {0}
+    columns = []
+    for s in range(1, 1 << m):
+        low = s & -s
+        p = pat[s] = pat[s ^ low] | hit[low.bit_length() - 1]
+        if p not in seen:
+            seen.add(p)
+            columns.append(s)
+    return columns
+
+
 def span_row(columns: Sequence[Mask], point: Mask) -> dict[int, int]:
     """LP row over set columns: coefficient 1 on every column whose set meets point.
 

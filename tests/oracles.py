@@ -10,7 +10,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from coverext.setfun import PartialFunction, WCoefficients, full_mask
+from coverext.lp import EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearProgram
+from coverext.setfun import PartialFunction, WCoefficients, full_mask, span_row
 
 ZERO = Fraction(0)
 
@@ -44,6 +45,50 @@ def span_sum_naive(sets, weights, smask):
         if mask & smask:
             total += w
     return total
+
+
+# --- coverage programs with one column per nonempty subset -------------------
+
+def span_columns_naive(m, points):
+    """Smallest set of each nonempty hit pattern, grouping every S by the points it meets."""
+    smallest = {}
+    for s in range(1, 1 << m):
+        pattern = frozenset(i for i, t in enumerate(points) if s & t)
+        if pattern:
+            smallest.setdefault(pattern, s)
+    return sorted(smallest.values())
+
+
+def full_extension_program(pf):
+    """Feasibility rows over all 2^m - 1 subsets; variable S - 1 carries w(S)."""
+    columns = range(1, 1 << pf.m)
+    rows = [(span_row(columns, mask), EQUAL, value) for mask, value in pf.points]
+    return LinearProgram(len(columns), rows=rows)
+
+
+def full_alpha_star_program(pf):
+    """Stretch program over all subsets; the last variable is beta = alpha - 1."""
+    columns = range(1, 1 << pf.m)
+    beta = len(columns)
+    rows = []
+    for mask, value in pf.points:
+        span = span_row(columns, mask)
+        rows.append((span, GREATER_EQUAL, value))
+        rows.append(({**span, beta: -value}, LESS_EQUAL, value))
+    return LinearProgram(beta + 1, objective=[0] * beta + [1], rows=rows)
+
+
+def full_norm_program(pf):
+    """L1 error program over all subsets, then eps+_i, eps-_i for each point."""
+    columns = range(1, 1 << pf.m)
+    nw = len(columns)
+    rows = []
+    for i, (mask, value) in enumerate(pf.points):
+        coeffs = span_row(columns, mask)
+        coeffs[nw + 2 * i] = -1
+        coeffs[nw + 2 * i + 1] = 1
+        rows.append((coeffs, EQUAL, value))
+    return LinearProgram(nw + 2 * pf.n, objective=[0] * nw + [1] * (2 * pf.n), rows=rows)
 
 
 # --- replacement ratio by full enumeration -----------------------------------

@@ -379,3 +379,17 @@ def test_json_booleans_are_not_integers(tmp_path, capsys, argv, payload, where):
     code, out, err = run_cli([*argv, path], capsys)
     assert (code, out) == (1, "")
     assert where in err
+
+
+@pytest.mark.parametrize(
+    "family, where",
+    [
+        ([[1, 1]], "family[0]: duplicate element 1"),
+        ([[1, 2], [3]], "family[1]: element 3 outside 1..2"),
+    ],
+)
+def test_setcover_family_entries_are_sets(tmp_path, capsys, family, where):
+    path = write(tmp_path, "sc.json", {"universe": 2, "family": family, "k": 1})
+    code, out, err = run_cli(["gadget", "setcover", "--input", path], capsys)
+    assert (code, out) == (1, "")
+    assert where in err

@@ -53,9 +53,13 @@ def test_program_solution_verifies_directly():
     # the one-point instance's program is satisfied by weight 1 on {1} alone
     program = extension_program(pf(1, (0b1, 1)))
     assert verify_solution(program, [F(1)])
+    # at m = 2, {1, 2} meets {1} just as {1} does and {2} meets nothing,
+    # so the only column is {1}
     program = extension_program(pf(2, (0b01, 1)))
-    assert verify_solution(program, [F(1), F(0), F(0)])
-    assert not verify_solution(program, [F(0), F(1), F(0)])
+    assert program.num_vars == 1
+    assert verify_solution(program, [F(1)])
+    assert not verify_solution(program, [F(0)])
+    assert not verify_solution(program, [F(2)])
 
 
 def test_verify_witness_examples():

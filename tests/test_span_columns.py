@@ -1,0 +1,88 @@
+"""One LP column per distinct hit pattern, against the all-subset programs.
+
+The extension, stretch and norm programs keep only the smallest set of
+each hit pattern. The full programs below carry every nonempty subset as
+its own column; both must solve to the same pivots, rays and duals, and
+the full solution must be the deduplicated one placed at S - 1.
+"""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from coverext.approx import alpha_star_program
+from coverext.extension import extension_program
+from coverext.lp import solve
+from coverext.norm import _norm_program
+from coverext.setfun import PartialFunction, WCoefficients, eval_from_w, span_columns
+
+import oracles
+
+F = Fraction
+PROPERTY = settings(max_examples=40, deadline=None, database=None)
+
+
+def test_span_columns_examples():
+    assert span_columns(1, [0b1]) == [0b1]
+    # {2} meets nothing; {1, 2} meets {1} just as {1} does
+    assert span_columns(2, [0b01]) == [0b01]
+    # {1} meets T_0 only, {3} T_1 only, {2} both; every larger set meets both
+    assert span_columns(3, [0b011, 0b110]) == [0b001, 0b010, 0b100]
+    # disjoint points: one column per nonempty union of them
+    assert span_columns(3, [0b001, 0b110]) == [0b001, 0b010, 0b011]
+
+
+def test_span_columns_match_bruteforce_grouping():
+    rng = random.Random(5)
+    for _ in range(200):
+        m = rng.randint(1, 7)
+        n = rng.randint(1, min(8, (1 << m) - 1))
+        points = rng.sample(range(1, 1 << m), n)
+        columns = span_columns(m, points)
+        assert columns == oracles.span_columns_naive(m, points)
+        assert columns == sorted(set(columns))
+        assert all(any(s & t for t in points) for s in columns)
+
+
+@st.composite
+def partial_functions(draw):
+    """m <= 6, up to 8 distinct points; values random or read off random W-coefficients."""
+    m = draw(st.integers(1, 6))
+    masks = draw(st.lists(st.integers(1, (1 << m) - 1), min_size=1, max_size=8, unique=True))
+    if draw(st.booleans()):
+        support = draw(st.dictionaries(st.integers(1, (1 << m) - 1),
+                                       st.builds(F, st.integers(1, 9), st.integers(1, 3)),
+                                       min_size=1, max_size=6))
+        w = WCoefficients.from_dict(m, support)
+        values = [eval_from_w(w, mask) for mask in masks]
+    else:
+        values = draw(st.lists(st.builds(F, st.integers(0, 9), st.integers(1, 3)),
+                               min_size=len(masks), max_size=len(masks)))
+    return PartialFunction(m, tuple(zip(masks, values)))
+
+
+def _expand(columns, solution, m):
+    """A deduplicated solution in the full layout: column c goes to columns[c] - 1."""
+    full = [F(0)] * ((1 << m) - 1)
+    for s, v in zip(columns, solution):
+        full[s - 1] = v
+    return tuple(full) + tuple(solution[len(columns):])
+
+
+@PROPERTY
+@given(partial_functions())
+def test_deduplicated_programs_solve_like_full_ones(pf):
+    columns = span_columns(pf.m, pf.masks())
+    pairs = [
+        (extension_program(pf), oracles.full_extension_program(pf)),
+        (alpha_star_program(pf), oracles.full_alpha_star_program(pf)),
+        (_norm_program(pf, singleton_only=False), oracles.full_norm_program(pf)),
+    ]
+    for dedup, full in pairs:
+        assert dedup.num_vars - len(columns) == full.num_vars - ((1 << pf.m) - 1)
+        got, want = solve(dedup), solve(full)
+        assert (got.status, got.pivots, got.objective_value, got.farkas_ray, got.row_duals) == (
+            want.status, want.pivots, want.objective_value, want.farkas_ray, want.row_duals)
+        if got.solution is not None:
+            assert _expand(columns, got.solution, pf.m) == want.solution
