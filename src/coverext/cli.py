@@ -11,6 +11,7 @@ Exit codes are a stable contract for scripting:
   1  usage or parse error
   2  mathematical negative (not extendible / outside the polytope / not coverage)
   3  enumeration cap exceeded
+  4  internal error in one instance of a directory batch (the batch goes on)
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NEGATIVE = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 class _UsageError(Exception):
@@ -257,13 +259,24 @@ def _batch_paths(args):
 
 
 def _pool_worker(job):
-    """One batch entry: its run report, or an error record, and its exit code."""
+    """One batch entry: its run report, or an error record, and its exit code.
+
+    An unexpected exception (say, a failed internal verification) becomes an
+    error record with EXIT_INTERNAL, so one instance cannot abort the batch;
+    its traceback goes to stderr.
+    """
     args, argv, path = job
     try:
         report, _, code = _run(args, argv, path)
         return report, code
     except _EXPECTED as exc:
-        return {"command": args.command, "input": path, "error": str(exc)}, _exit_code(exc)
+        error, code = str(exc), _exit_code(exc)
+    except Exception as exc:
+        import traceback  # here, not at the top: every command would pay for the import
+
+        traceback.print_exc()
+        error, code = f"{type(exc).__name__}: {exc}", EXIT_INTERNAL
+    return {"command": args.command, "input": path, "error": error}, code
 
 
 def _run_batch(args, argv, paths):

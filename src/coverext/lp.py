@@ -1,12 +1,15 @@
 """Exact linear programming over the rationals.
 
-Two-phase primal simplex on a dense tableau. Every number is a
-fractions.Fraction; there is no floating point and no tolerance anywhere
-in this module. Feasible programs yield a basic (vertex) solution,
-optimal when an objective is present. Infeasible programs yield a Farkas
-ray over the input rows, checkable by direct aggregation (verify_farkas).
-Bland's smallest-index rule drives both the entering and leaving choices,
-so the solver cannot cycle and is bit-for-bit deterministic.
+Two-phase primal simplex on a dense fraction-free (Bareiss) tableau:
+integer entries over one common denominator, the determinant of the
+current basis, so no entry needs a gcd and every division is exact.
+Programs, solutions and certificates are fractions.Fraction; there is no
+floating point and no tolerance anywhere in this module. Feasible
+programs yield a basic (vertex) solution, optimal when an objective is
+present. Infeasible programs yield a Farkas ray over the input rows,
+checkable by direct aggregation (verify_farkas). Bland's smallest-index
+rule drives both the entering and leaving choices, so the solver cannot
+cycle and is bit-for-bit deterministic.
 
 Programs are in standard form: minimize c'x over sparse rows (<=, =, >=)
 with every variable x_j >= 0 and no other per-variable bound; any other
@@ -18,6 +21,7 @@ the final reduced-cost row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -35,7 +39,6 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class Row:
@@ -180,88 +183,74 @@ def verify_farkas(lp: LinearProgram, ray: Sequence[ExactLike]) -> bool:
 
 
 class _Simplex:
-    """Dense simplex tableau with Bland pivoting."""
+    """Fraction-free (Bareiss) simplex tableau with Bland pivoting.
 
-    def __init__(self, tab, rhs, basis):
-        self.tab = tab            # list of rows, each a list[Fraction]
-        self.rhs = rhs            # list[Fraction], kept >= 0
+    Every entry is an int over one common denominator d > 0, the
+    determinant of the current basis: the exact tableau entry is
+    tab[p][j] / d. Each row ends in its rhs, and the last row is the cost
+    row [d * reduced costs | -d * objective]. A pivot on (r, c) with
+    pv = tab[r][c] > 0 replaces every other row, cost row included, by
+    (row * pv - row[c] * tab[r]) // d, which divides exactly (Sylvester's
+    identity), and then sets d = pv. Since d stays positive, every sign
+    and every ratio comparison reads as it would on the exact tableau.
+    """
+
+    def __init__(self, rows, basis):
+        self.tab = rows + [[0] * len(rows[0])]
         self.basis = basis        # basis[p] = column index basic in row p
-        self.ncols = len(tab[0]) if tab else 0
-        self.red = [_ZERO] * self.ncols
-        self.zval = _ZERO
+        self.d = 1
         self.pivots = 0
 
     def set_costs(self, costs):
-        red = list(costs)
-        zval = _ZERO
-        for p, b in enumerate(self.basis):
+        """Rebuild the cost row for integer column costs under the current basis."""
+        cost = [self.d * c for c in costs] + [0]
+        for row, b in zip(self.tab, self.basis):
             cb = costs[b]
             if cb:
-                row = self.tab[p]
-                for j in range(self.ncols):
-                    if row[j]:
-                        red[j] -= cb * row[j]
-                zval += cb * self.rhs[p]
-        self.red = red
-        self.zval = zval
+                cost = [v - cb * a for v, a in zip(cost, row)]
+        self.tab[-1] = cost
 
     def pivot(self, pr: int, pc: int):
-        tab, rhs = self.tab, self.rhs
+        tab, d = self.tab, self.d
         prow = tab[pr]
         pv = prow[pc]
-        if pv != 1:
-            inv = _ONE / pv
-            prow = [v * inv if v else _ZERO for v in prow]
-            tab[pr] = prow
-            rhs[pr] *= inv
-        nz = [(j, v) for j, v in enumerate(prow) if v]
-        bp = rhs[pr]
-        for r, row in enumerate(tab):
-            if r == pr:
+        for i, row in enumerate(tab):
+            if i == pr:
                 continue
             f = row[pc]
             if f:
-                for j, v in nz:
-                    row[j] -= f * v
-                if bp:
-                    rhs[r] -= f * bp
-        f = self.red[pc]
-        if f:
-            red = self.red
-            for j, v in nz:
-                red[j] -= f * v
-            if bp:
-                # the tableau z-row stores [reduced costs | -objective], so the
-                # objective moves by red[pc] * theta on each pivot
-                self.zval += f * bp
+                tab[i] = [(a * pv - f * b) // d for a, b in zip(row, prow)]
+            elif pv != d:
+                tab[i] = [a * pv // d for a in row]
+        self.d = pv
         self.basis[pr] = pc
         self.pivots += 1
 
-    def run(self, barred=frozenset()) -> str:
-        """Minimize until optimal or unbounded. Bland's rule throughout."""
-        tab, rhs, red = self.tab, self.rhs, self.red
-        nrows = len(tab)
+    def run(self, ncand: int) -> str:
+        """Minimize until optimal or unbounded, entering only columns below ncand.
+
+        Bland's rule throughout: the first column with a negative reduced cost
+        enters; the least ratio rhs/t leaves, ties going to the smaller basic
+        column. Ratios are compared by cross-multiplying, all over the same d.
+        """
+        tab, basis = self.tab, self.basis
+        nrows = len(tab) - 1
         while True:
-            pc = -1
-            for j in range(self.ncols):
-                if red[j] < 0 and j not in barred:
-                    pc = j
-                    break
+            cost = tab[-1]
+            pc = next((j for j in range(ncand) if cost[j] < 0), -1)
             if pc < 0:
                 return "optimal"
             pr = -1
-            best_ratio = None
-            best_basis = -1
             for r in range(nrows):
-                t = tab[r][pc]
+                row = tab[r]
+                t = row[pc]
                 if t > 0:
-                    ratio = rhs[r] / t
-                    if (
-                        pr < 0
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and self.basis[r] < best_basis)
-                    ):
-                        pr, best_ratio, best_basis = r, ratio, self.basis[r]
+                    if pr < 0:
+                        pr, best_t, best_rhs = r, t, row[-1]
+                        continue
+                    lhs, rhs = row[-1] * best_t, best_rhs * t
+                    if lhs < rhs or (lhs == rhs and basis[r] < basis[pr]):
+                        pr, best_t, best_rhs = r, t, row[-1]
             if pr < 0:
                 return "unbounded"
             self.pivot(pr, pc)
@@ -292,17 +281,19 @@ def solve(lp: LinearProgram) -> LpOutcome:
     return outcome
 
 
+def _scaled(v: Fraction, scale: int) -> int:
+    """v * scale, for a scale that v's denominator divides."""
+    return v.numerator * (scale // v.denominator)
+
+
 def _solve(lp: LinearProgram) -> LpOutcome:
     nv = lp.num_vars
 
-    # Assemble dense rows. Trivially satisfied all-zero rows are the only
-    # presolve: they are skipped and get multiplier zero on the way out.
-    std = []  # (dense, rhs, relation, orig_index)
+    # Trivially satisfied all-zero rows are the only presolve: they are
+    # skipped and get multiplier zero on the way out.
+    kept = []  # input row indices that enter the tableau
     for i, row in enumerate(lp.rows):
-        dense = [_ZERO] * nv
-        for j, c in row.coeffs:
-            dense[j] = c
-        if not any(dense):
+        if not any(c for _, c in row.coeffs):
             sat = (
                 (row.relation == LESS_EQUAL and row.rhs >= 0)
                 or (row.relation == GREATER_EQUAL and row.rhs <= 0)
@@ -310,22 +301,33 @@ def _solve(lp: LinearProgram) -> LpOutcome:
             )
             if sat:
                 continue
-        std.append((dense, row.rhs, row.relation, i))
+        kept.append(i)
 
-    if not std:
+    if not kept:
         # No constraints: the origin is optimal unless some objective
         # coefficient is negative, which makes that direction unbounded.
         if any(c < 0 for c in lp.objective):
             return LpOutcome(status=UNBOUNDED)
         return LpOutcome(FEASIBLE, (_ZERO,) * nv, _ZERO, None, (_ZERO,) * lp.num_rows, 0)
 
-    nrows = len(std)
-    n_slack = sum(1 for s in std if s[2] != EQUAL)
+    # One scale S for every row (coefficients and rhs) and one scale L for
+    # the objective make the program integer. The slack and artificial
+    # columns stay unit, which rescales those variables by S; a common
+    # positive factor per column keeps every sign, ratio order and Bland
+    # choice of the unscaled program, and with it the pivot path.
+    scale = math.lcm(
+        *(lp.rows[i].rhs.denominator for i in kept),
+        *(c.denominator for i in kept for _, c in lp.rows[i].coeffs),
+    )
+    obj_scale = math.lcm(*(c.denominator for c in lp.objective))
 
-    # Tableau layout: structural | slacks | artificials.
+    nrows = len(kept)
+    n_slack = sum(1 for i in kept if lp.rows[i].relation != EQUAL)
+
+    # Tableau layout: structural | slacks | artificials | rhs.
     slack_base = nv
     art_base = nv + n_slack
-    orig = [s[3] for s in std]   # input row index of each tableau row
+    orig = list(kept)            # input row index of each tableau row
     sigma = [1] * nrows          # -1 where the row was negated to make rhs >= 0
     init_col = [0] * nrows       # identity column of each row (slack or artificial)
     is_art_seed = [False] * nrows
@@ -333,19 +335,22 @@ def _solve(lp: LinearProgram) -> LpOutcome:
     tab = []
     rhs_col = []
     slack_idx = 0
-    for p, (dense, rhs, rel, _) in enumerate(std):
-        srow = dense + [_ZERO] * n_slack
+    for p, i in enumerate(kept):
+        row = lp.rows[i]
+        srow = [0] * art_base
+        for j, c in row.coeffs:
+            srow[j] = _scaled(c, scale)
+        rhs = _scaled(row.rhs, scale)
         scol = -1
-        if rel != EQUAL:
+        if row.relation != EQUAL:
             scol = slack_base + slack_idx
-            srow[scol] = _ONE if rel == LESS_EQUAL else -_ONE
+            srow[scol] = 1 if row.relation == LESS_EQUAL else -1
             slack_idx += 1
         if rhs < 0:
             sigma[p] = -1
-            srow = [-v if v else _ZERO for v in srow]
+            srow = [-v for v in srow]
             rhs = -rhs
-        seeded = scol >= 0 and srow[scol] == 1
-        if seeded:
+        if scol >= 0 and srow[scol] == 1:
             init_col[p] = scol
         else:
             is_art_seed[p] = True
@@ -355,73 +360,72 @@ def _solve(lp: LinearProgram) -> LpOutcome:
     n_art = sum(is_art_seed)
     k = 0
     for p in range(nrows):
-        pad = [_ZERO] * n_art
+        pad = [0] * n_art
         if is_art_seed[p]:
-            pad[k] = _ONE
+            pad[k] = 1
             init_col[p] = art_base + k
             k += 1
-        tab[p] = tab[p] + pad
+        tab[p] += pad
+        tab[p].append(rhs_col[p])
 
     ncols = nv + n_slack + n_art
-    basis = [init_col[p] for p in range(nrows)]
-
-    sx = _Simplex(tab, rhs_col, basis)
-    artificial = frozenset(range(art_base, ncols))
+    sx = _Simplex(tab, list(init_col))
 
     # Phase 1: minimize the artificial total.
     if n_art:
-        costs1 = [_ZERO] * ncols
-        for c in range(art_base, ncols):
-            costs1[c] = _ONE
-        sx.set_costs(costs1)
-        status = sx.run()
+        sx.set_costs([0] * art_base + [1] * n_art)
+        status = sx.run(ncols)
         if status != "optimal":
             raise AssertionError("phase 1 cannot be unbounded")
-        if sx.zval > 0:
+        d, cost = sx.d, sx.tab[-1]
+        if cost[-1] < 0:  # the artificial total is -cost[-1] / d > 0
             ray = [_ZERO] * lp.num_rows
             for p in range(nrows):
                 ic = init_col[p]
-                y = costs1[ic] - sx.red[ic]
-                ray[orig[p]] = -sigma[p] * y
+                y = (d if ic >= art_base else 0) - cost[ic]  # d * (phase-1 cost - reduced cost)
+                ray[orig[p]] = Fraction(-sigma[p] * y, d)
             if not verify_farkas(lp, ray):
                 raise AssertionError("internal error: extracted Farkas ray failed verification")
             return LpOutcome(INFEASIBLE, None, None, tuple(ray), None, sx.pivots)
         # Drive basic artificials out; delete rows that turned out redundant.
         drop = []
         for p in range(nrows):
-            b = sx.basis[p]
-            if b < art_base:
+            if sx.basis[p] < art_base:
                 continue
-            if sx.rhs[p] != 0:
+            row = sx.tab[p]
+            if row[-1] != 0:
                 raise AssertionError("basic artificial with nonzero value at phase-1 optimum")
-            pc = -1
-            for j in range(art_base):
-                if sx.tab[p][j]:
-                    pc = j
-                    break
-            if pc >= 0:
-                sx.pivot(p, pc)
-            else:
+            pc = next((j for j in range(art_base) if row[j]), -1)
+            if pc < 0:
                 drop.append(p)
+                continue
+            if row[pc] < 0:
+                # The rhs is zero, so negating the row keeps it valid; the
+                # pivot entry turns positive and d stays positive.
+                sx.tab[p] = [-v for v in row]
+            sx.pivot(p, pc)
         for p in reversed(drop):
-            del sx.tab[p], sx.rhs[p], sx.basis[p], orig[p], sigma[p], init_col[p]
+            del sx.tab[p], sx.basis[p], orig[p], sigma[p], init_col[p]
 
     # Phase 2: the objective on the structural columns, zero elsewhere.
-    sx.set_costs(list(lp.objective) + [_ZERO] * (ncols - nv))
-    status = sx.run(barred=artificial)
+    costs = [_scaled(c, obj_scale) for c in lp.objective]
+    sx.set_costs(costs + [0] * (ncols - nv))
+    status = sx.run(art_base)
     if status == "unbounded":
         return LpOutcome(status=UNBOUNDED, pivots=sx.pivots)
 
+    d, cost = sx.d, sx.tab[-1]
     x = [_ZERO] * nv
-    for p, b in enumerate(sx.basis):
+    for row, b in zip(sx.tab, sx.basis):
         if b < nv:
-            x[b] = sx.rhs[p]
+            x[b] = Fraction(row[-1], d)
     obj = sum((lp.objective[j] * x[j] for j in range(nv)), _ZERO)
 
+    # The identity columns carry zero phase-2 cost and were scaled by S, and
+    # the costs by L, so each dual is -reduced cost * S / L.
     duals = [_ZERO] * lp.num_rows
-    for p in range(len(sx.tab)):
-        y = -sx.red[init_col[p]]  # phase-2 cost of every identity column is zero
-        duals[orig[p]] = sigma[p] * y
+    for p, ic in enumerate(init_col):
+        duals[orig[p]] = Fraction(-sigma[p] * cost[ic] * scale, d * obj_scale)
 
     out = LpOutcome(FEASIBLE, tuple(x), obj, None, tuple(duals), sx.pivots)
     if not verify_solution(lp, out.solution):

@@ -10,8 +10,21 @@ import itertools
 import math
 from fractions import Fraction
 
-from coverext.lp import EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearProgram
-from coverext.setfun import PartialFunction, WCoefficients, full_mask, span_row
+from hypothesis import strategies as st
+
+from coverext.lp import (
+    EQUAL,
+    FEASIBLE,
+    GREATER_EQUAL,
+    INFEASIBLE,
+    LESS_EQUAL,
+    UNBOUNDED,
+    LinearProgram,
+    LpOutcome,
+    verify_farkas,
+    verify_solution,
+)
+from coverext.setfun import PartialFunction, WCoefficients, eval_from_w, full_mask, span_row
 
 ZERO = Fraction(0)
 
@@ -227,6 +240,241 @@ def lp_vertex_optimum(lp):
     return best
 
 
+# --- reference simplex over Fraction ----------------------------------------
+#
+# The solver's earlier tableau, kept as the reference that lp.solve must match
+# exactly: status, solution, objective, Farkas ray, duals and pivot count.
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+class _FractionSimplex:
+    """Dense simplex tableau with Bland pivoting, every entry a Fraction."""
+
+    def __init__(self, tab, rhs, basis):
+        self.tab = tab            # list of rows, each a list[Fraction]
+        self.rhs = rhs            # list[Fraction], kept >= 0
+        self.basis = basis        # basis[p] = column index basic in row p
+        self.ncols = len(tab[0]) if tab else 0
+        self.red = [_ZERO] * self.ncols
+        self.zval = _ZERO
+        self.pivots = 0
+
+    def set_costs(self, costs):
+        red = list(costs)
+        zval = _ZERO
+        for p, b in enumerate(self.basis):
+            cb = costs[b]
+            if cb:
+                row = self.tab[p]
+                for j in range(self.ncols):
+                    if row[j]:
+                        red[j] -= cb * row[j]
+                zval += cb * self.rhs[p]
+        self.red = red
+        self.zval = zval
+
+    def pivot(self, pr: int, pc: int):
+        tab, rhs = self.tab, self.rhs
+        prow = tab[pr]
+        pv = prow[pc]
+        if pv != 1:
+            inv = _ONE / pv
+            prow = [v * inv if v else _ZERO for v in prow]
+            tab[pr] = prow
+            rhs[pr] *= inv
+        nz = [(j, v) for j, v in enumerate(prow) if v]
+        bp = rhs[pr]
+        for r, row in enumerate(tab):
+            if r == pr:
+                continue
+            f = row[pc]
+            if f:
+                for j, v in nz:
+                    row[j] -= f * v
+                if bp:
+                    rhs[r] -= f * bp
+        f = self.red[pc]
+        if f:
+            red = self.red
+            for j, v in nz:
+                red[j] -= f * v
+            if bp:
+                # the tableau z-row stores [reduced costs | -objective], so the
+                # objective moves by red[pc] * theta on each pivot
+                self.zval += f * bp
+        self.basis[pr] = pc
+        self.pivots += 1
+
+    def run(self, barred=frozenset()) -> str:
+        """Minimize until optimal or unbounded. Bland's rule throughout."""
+        tab, rhs, red = self.tab, self.rhs, self.red
+        nrows = len(tab)
+        while True:
+            pc = -1
+            for j in range(self.ncols):
+                if red[j] < 0 and j not in barred:
+                    pc = j
+                    break
+            if pc < 0:
+                return "optimal"
+            pr = -1
+            best_ratio = None
+            best_basis = -1
+            for r in range(nrows):
+                t = tab[r][pc]
+                if t > 0:
+                    ratio = rhs[r] / t
+                    if (
+                        pr < 0
+                        or ratio < best_ratio
+                        or (ratio == best_ratio and self.basis[r] < best_basis)
+                    ):
+                        pr, best_ratio, best_basis = r, ratio, self.basis[r]
+            if pr < 0:
+                return "unbounded"
+            self.pivot(pr, pc)
+
+
+def fraction_simplex_solve(lp: LinearProgram) -> LpOutcome:
+    """Reference solve: the same two phases and Bland pivots on a Fraction tableau."""
+    nv = lp.num_vars
+
+    # Assemble dense rows. Trivially satisfied all-zero rows are the only
+    # presolve: they are skipped and get multiplier zero on the way out.
+    std = []  # (dense, rhs, relation, orig_index)
+    for i, row in enumerate(lp.rows):
+        dense = [_ZERO] * nv
+        for j, c in row.coeffs:
+            dense[j] = c
+        if not any(dense):
+            sat = (
+                (row.relation == LESS_EQUAL and row.rhs >= 0)
+                or (row.relation == GREATER_EQUAL and row.rhs <= 0)
+                or (row.relation == EQUAL and row.rhs == 0)
+            )
+            if sat:
+                continue
+        std.append((dense, row.rhs, row.relation, i))
+
+    if not std:
+        # No constraints: the origin is optimal unless some objective
+        # coefficient is negative, which makes that direction unbounded.
+        if any(c < 0 for c in lp.objective):
+            return LpOutcome(status=UNBOUNDED)
+        return LpOutcome(FEASIBLE, (_ZERO,) * nv, _ZERO, None, (_ZERO,) * lp.num_rows, 0)
+
+    nrows = len(std)
+    n_slack = sum(1 for s in std if s[2] != EQUAL)
+
+    # Tableau layout: structural | slacks | artificials.
+    slack_base = nv
+    art_base = nv + n_slack
+    orig = [s[3] for s in std]   # input row index of each tableau row
+    sigma = [1] * nrows          # -1 where the row was negated to make rhs >= 0
+    init_col = [0] * nrows       # identity column of each row (slack or artificial)
+    is_art_seed = [False] * nrows
+
+    tab = []
+    rhs_col = []
+    slack_idx = 0
+    for p, (dense, rhs, rel, _) in enumerate(std):
+        srow = dense + [_ZERO] * n_slack
+        scol = -1
+        if rel != EQUAL:
+            scol = slack_base + slack_idx
+            srow[scol] = _ONE if rel == LESS_EQUAL else -_ONE
+            slack_idx += 1
+        if rhs < 0:
+            sigma[p] = -1
+            srow = [-v if v else _ZERO for v in srow]
+            rhs = -rhs
+        seeded = scol >= 0 and srow[scol] == 1
+        if seeded:
+            init_col[p] = scol
+        else:
+            is_art_seed[p] = True
+        tab.append(srow)
+        rhs_col.append(rhs)
+
+    n_art = sum(is_art_seed)
+    k = 0
+    for p in range(nrows):
+        pad = [_ZERO] * n_art
+        if is_art_seed[p]:
+            pad[k] = _ONE
+            init_col[p] = art_base + k
+            k += 1
+        tab[p] = tab[p] + pad
+
+    ncols = nv + n_slack + n_art
+    basis = [init_col[p] for p in range(nrows)]
+
+    sx = _FractionSimplex(tab, rhs_col, basis)
+    artificial = frozenset(range(art_base, ncols))
+
+    # Phase 1: minimize the artificial total.
+    if n_art:
+        costs1 = [_ZERO] * ncols
+        for c in range(art_base, ncols):
+            costs1[c] = _ONE
+        sx.set_costs(costs1)
+        status = sx.run()
+        if status != "optimal":
+            raise AssertionError("phase 1 cannot be unbounded")
+        if sx.zval > 0:
+            ray = [_ZERO] * lp.num_rows
+            for p in range(nrows):
+                ic = init_col[p]
+                y = costs1[ic] - sx.red[ic]
+                ray[orig[p]] = -sigma[p] * y
+            if not verify_farkas(lp, ray):
+                raise AssertionError("internal error: extracted Farkas ray failed verification")
+            return LpOutcome(INFEASIBLE, None, None, tuple(ray), None, sx.pivots)
+        # Drive basic artificials out; delete rows that turned out redundant.
+        drop = []
+        for p in range(nrows):
+            b = sx.basis[p]
+            if b < art_base:
+                continue
+            if sx.rhs[p] != 0:
+                raise AssertionError("basic artificial with nonzero value at phase-1 optimum")
+            pc = -1
+            for j in range(art_base):
+                if sx.tab[p][j]:
+                    pc = j
+                    break
+            if pc >= 0:
+                sx.pivot(p, pc)
+            else:
+                drop.append(p)
+        for p in reversed(drop):
+            del sx.tab[p], sx.rhs[p], sx.basis[p], orig[p], sigma[p], init_col[p]
+
+    # Phase 2: the objective on the structural columns, zero elsewhere.
+    sx.set_costs(list(lp.objective) + [_ZERO] * (ncols - nv))
+    status = sx.run(barred=artificial)
+    if status == "unbounded":
+        return LpOutcome(status=UNBOUNDED, pivots=sx.pivots)
+
+    x = [_ZERO] * nv
+    for p, b in enumerate(sx.basis):
+        if b < nv:
+            x[b] = sx.rhs[p]
+    obj = sum((lp.objective[j] * x[j] for j in range(nv)), _ZERO)
+
+    duals = [_ZERO] * lp.num_rows
+    for p in range(len(sx.tab)):
+        y = -sx.red[init_col[p]]  # phase-2 cost of every identity column is zero
+        duals[orig[p]] = sigma[p] * y
+
+    out = LpOutcome(FEASIBLE, tuple(x), obj, None, tuple(duals), sx.pivots)
+    if not verify_solution(lp, out.solution):
+        raise AssertionError("internal error: simplex solution failed verification")
+    return out
+
+
 # --- random generators --------------------------------------------------------
 
 def random_fraction(rng, max_num=12, max_den=4, allow_zero=True):
@@ -258,8 +506,6 @@ def random_partial_function(rng, max_m=7, max_n=8, positive=False, force_d1=Fals
 
 def random_extendible_instance(rng, max_m=7, max_n=8, max_support=6):
     """Sample coefficients first, then read values off the recovered function."""
-    from coverext.setfun import eval_from_w
-
     w = random_wcoeffs(rng, max_m=max_m, max_support=max_support)
     capacity = (1 << w.m) - 1
     size = rng.randint(1, min(max_n, capacity))
@@ -283,3 +529,20 @@ def random_weighted_graph(rng, max_vertices=6, density=0.6):
         edges.append((1, 2))
         weights.append(Fraction(rng.randint(-8, 8), 8))
     return n, edges, weights
+
+
+@st.composite
+def partial_functions(draw):
+    """m <= 6, up to 8 distinct points; values random or read off random W-coefficients."""
+    m = draw(st.integers(1, 6))
+    masks = draw(st.lists(st.integers(1, (1 << m) - 1), min_size=1, max_size=8, unique=True))
+    if draw(st.booleans()):
+        support = draw(st.dictionaries(st.integers(1, (1 << m) - 1),
+                                       st.builds(Fraction, st.integers(1, 9), st.integers(1, 3)),
+                                       min_size=1, max_size=6))
+        w = WCoefficients.from_dict(m, support)
+        values = [eval_from_w(w, mask) for mask in masks]
+    else:
+        values = draw(st.lists(st.builds(Fraction, st.integers(0, 9), st.integers(1, 3)),
+                               min_size=len(masks), max_size=len(masks)))
+    return PartialFunction(m, tuple(zip(masks, values)))

@@ -345,6 +345,32 @@ def test_batch_records_errors_and_exits_with_the_worst_code(tmp_path, capsys):
                          "error": "ground set size 30 exceeds enumeration cap 24"}
 
 
+def test_internal_error_in_one_file_does_not_abort_the_batch(tmp_path, capsys, monkeypatch):
+    real = cli.decide_extension
+
+    def failing_on_m3(pf, cap):
+        if pf.m == 3:
+            raise AssertionError("internal error: simplex solution failed verification")
+        return real(pf, cap=cap)
+
+    monkeypatch.setattr(cli, "decide_extension", failing_on_m3)
+    write(tmp_path, "a.json", ADDITIVE)
+    wide = write(tmp_path, "b.json", {"m": 30, "points": [{"set": [1], "value": "1"}]})
+    broken = write(tmp_path, "c.json", {"m": 3, "points": [{"set": [1, 3], "value": "2"}]})
+    code, out, err = run_cli(["extend", "--input", str(tmp_path)], capsys)
+    assert code == 4  # an internal error outranks a cap error, 3
+    assert "Traceback" in err and err.endswith(
+        "AssertionError: internal error: simplex solution failed verification\n")
+    first, cap_error, internal = json.loads(out)
+    assert first["result"]["status"] == "extendible"
+    assert cap_error["input"] == wide
+    assert internal == {
+        "command": "extend",
+        "input": broken,
+        "error": "AssertionError: internal error: simplex solution failed verification",
+    }
+
+
 def test_empty_batch_directory_is_a_usage_error(tmp_path, capsys):
     write(tmp_path, "notes.txt", {})
     code, out, err = run_cli(["extend", "--input", str(tmp_path)], capsys)

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coverext.approx import alpha_star_program
 from coverext.errors import MalformedProgramError
+from coverext.extension import extension_program
 from coverext.lp import (
     EQUAL,
     FEASIBLE,
@@ -15,10 +17,12 @@ from coverext.lp import (
     LESS_EQUAL,
     UNBOUNDED,
     LinearProgram,
+    LpOutcome,
     solve,
     verify_farkas,
     verify_solution,
 )
+from coverext.norm import _norm_program
 
 import oracles
 
@@ -247,3 +251,86 @@ def test_simplex_matches_vertex_enumeration(lp):
         assert out.objective_value == best
     else:
         assert verify_farkas(lp, out.farkas_ray)
+
+
+# --- the integer tableau against the Fraction reference -----------------------
+
+
+def _outcome(out):
+    return (out.status, out.solution, out.objective_value, out.farkas_ray, out.row_duals,
+            out.pivots)
+
+
+def assert_matches_reference(lp):
+    # repr, not ==: an int where the reference has a Fraction would show
+    got, want = solve(lp), oracles.fraction_simplex_solve(lp)
+    assert repr(_outcome(got)) == repr(_outcome(want))
+
+
+@st.composite
+def mixed_programs(draw):
+    """Mixed denominators in coefficients and rhs, negative rhs, every relation,
+    explicit zero coefficients, and redundant equality rows."""
+    nv = draw(st.integers(1, 5))
+    value = st.builds(F, st.integers(-5, 5), st.sampled_from([1, 2, 3, 4, 6]))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        support = draw(st.lists(st.integers(0, nv - 1), max_size=nv, unique=True))
+        coeffs = {j: draw(value) for j in support}  # a drawn 0 stays as an explicit zero
+        relation = draw(st.sampled_from([LESS_EQUAL, EQUAL, GREATER_EQUAL]))
+        rows.append((coeffs, relation, draw(value)))
+    for _ in range(draw(st.integers(0, 2))):
+        # a combination of equality rows is implied by them: phase 1 leaves
+        # its artificial basic at zero, to be driven out or dropped
+        if not any(rel == EQUAL for _, rel, _ in rows):
+            coeffs, _, rhs = rows[0]
+            rows[0] = (coeffs, EQUAL, rhs)
+        equalities = [row for row in rows if row[1] == EQUAL]
+        a, b = draw(st.sampled_from(equalities)), draw(st.sampled_from(equalities))
+        ka, kb = draw(value.filter(bool)), draw(value)
+        coeffs = {j: ka * a[0].get(j, 0) + kb * b[0].get(j, 0) for j in set(a[0]) | set(b[0])}
+        rows.append((coeffs, EQUAL, ka * a[2] + kb * b[2]))
+    objective = draw(st.lists(value, min_size=nv, max_size=nv))
+    return LinearProgram(nv, objective=objective, rows=rows)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(mixed_programs())
+def test_solve_matches_fraction_reference(lp):
+    assert_matches_reference(lp)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(oracles.partial_functions())
+def test_coverage_programs_match_fraction_reference(pf):
+    assert_matches_reference(extension_program(pf))
+    assert_matches_reference(alpha_star_program(pf))
+    assert_matches_reference(_norm_program(pf, singleton_only=False))
+
+
+def test_driving_out_through_a_negative_entry_drops_the_redundant_row():
+    # The last row is three times the one before it. Phase 1 needs no pivot:
+    # both equality rows keep their artificials basic at zero. The first of
+    # them meets x1 through a negative entry, so the row is negated before x1
+    # enters and the common denominator stays positive; the second then has
+    # only zeros outside the artificials and is dropped. Phase 2 still has a
+    # choice to make, which a wrong sign of the denominator would turn around.
+    lp = LinearProgram(
+        2,
+        objective=[-1, 2],
+        rows=[
+            ({0: 1}, LESS_EQUAL, 2),
+            ({0: -2, 1: -1}, GREATER_EQUAL, -1),
+            ({1: F(-3, 2)}, EQUAL, 0),
+            ({1: F(-9, 2)}, EQUAL, 0),
+        ],
+    )
+    out = solve(lp)
+    assert out == oracles.fraction_simplex_solve(lp)
+    assert out == LpOutcome(
+        FEASIBLE,
+        solution=(F(1, 2), F(0)),
+        objective_value=F(-1, 2),
+        row_duals=(F(0), F(1, 2), F(-5, 3), F(0)),
+        pivots=2,
+    )

@@ -9,13 +9,13 @@ the full solution must be the deduplicated one placed at S - 1.
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from coverext.approx import alpha_star_program
 from coverext.extension import extension_program
 from coverext.lp import solve
 from coverext.norm import _norm_program
-from coverext.setfun import PartialFunction, WCoefficients, eval_from_w, span_columns
+from coverext.setfun import span_columns
 
 import oracles
 
@@ -45,23 +45,6 @@ def test_span_columns_match_bruteforce_grouping():
         assert all(any(s & t for t in points) for s in columns)
 
 
-@st.composite
-def partial_functions(draw):
-    """m <= 6, up to 8 distinct points; values random or read off random W-coefficients."""
-    m = draw(st.integers(1, 6))
-    masks = draw(st.lists(st.integers(1, (1 << m) - 1), min_size=1, max_size=8, unique=True))
-    if draw(st.booleans()):
-        support = draw(st.dictionaries(st.integers(1, (1 << m) - 1),
-                                       st.builds(F, st.integers(1, 9), st.integers(1, 3)),
-                                       min_size=1, max_size=6))
-        w = WCoefficients.from_dict(m, support)
-        values = [eval_from_w(w, mask) for mask in masks]
-    else:
-        values = draw(st.lists(st.builds(F, st.integers(0, 9), st.integers(1, 3)),
-                               min_size=len(masks), max_size=len(masks)))
-    return PartialFunction(m, tuple(zip(masks, values)))
-
-
 def _expand(columns, solution, m):
     """A deduplicated solution in the full layout: column c goes to columns[c] - 1."""
     full = [F(0)] * ((1 << m) - 1)
@@ -71,7 +54,7 @@ def _expand(columns, solution, m):
 
 
 @PROPERTY
-@given(partial_functions())
+@given(oracles.partial_functions())
 def test_deduplicated_programs_solve_like_full_ones(pf):
     columns = span_columns(pf.m, pf.masks())
     pairs = [
