@@ -13,10 +13,13 @@ f_v over all v. Then
 
     1 / kappa  <=  alpha*  <=  min(d, ceil(m^(2/3))) / kappa,
 
-where d is the maximum defined-set size. kappa is computed exactly by
-bounded-subset enumeration (a minimum-weight cover has an irredundant
-optimum of at most d members), or approximately by weighted greedy cover,
-which is within the harmonic factor H_d of exact.
+where d is the maximum defined-set size. kappa is computed exactly by a
+0/1 cover DP per point v over the unions of the other points' sets, each
+projected onto T_v. Such a union is a subset of T_v built from at most
+n - 1 sets, so at most 2^min(d, n-1) unions arise per point, and the
+enumeration cap gates that exponent; for fixed d, the paper's
+bounded-degree regime, the DP takes O(n^2 * 2^d) steps. Weighted greedy
+cover approximates kappa within the harmonic factor H_d instead.
 
 generate_tight_instance builds the family showing the lower bound is
 real: sqrt(m) consecutive blocks of weight sqrt(m) against random unit
@@ -26,18 +29,16 @@ meets at least as many transversals as blocks.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import CapExceededError, SeedExhaustedError
+from .errors import SeedExhaustedError
 from .lp import FEASIBLE, GREATER_EQUAL, INFEASIBLE, LESS_EQUAL, LinearProgram, solve
 from .setfun import (
     DEFAULT_ENUMERATION_CAP,
-    Mask,
     PartialFunction,
     require_enumerable,
     span_columns,
@@ -47,10 +48,6 @@ from .setfun import (
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-#: exact replacement-ratio enumeration is gated on these
-DEFAULT_DEGREE_CAP = 6
-DEFAULT_SUBSET_CAP = 20
 
 Ratio = Union[Fraction, float]  # float only ever holds math.inf
 
@@ -68,53 +65,35 @@ def ceil_two_thirds(m: int) -> int:
     return t
 
 
-def _cheapest_cover_exact(target: Mask, candidates, max_size: int) -> Optional[Fraction]:
-    """Minimum total weight of at most max_size candidates covering target.
+def replacement_ratio_exact(pf: PartialFunction, cap: int = DEFAULT_ENUMERATION_CAP) -> Ratio:
+    """kappa by an exact cover DP per point; math.inf when nothing is replaceable.
 
-    candidates are (set_mask, weight) pairs already intersected with the
-    target's relevance; an irredundant optimal cover never needs more
-    members than target has elements.
-    """
-    best = None
-    k = min(max_size, len(candidates))
-    for size in range(1, k + 1):
-        for combo in itertools.combinations(candidates, size):
-            covered = 0
-            weight = _ZERO
-            for mask, w in combo:
-                covered |= mask
-                weight += w
-            if covered & target == target and (best is None or weight < best):
-                best = weight
-    return best
-
-
-def replacement_ratio_exact(
-    pf: PartialFunction,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
-    subset_cap: int = DEFAULT_SUBSET_CAP,
-) -> Ratio:
-    """kappa by exhaustive enumeration; math.inf when nothing is replaceable.
-
+    For each point v the other points meeting T_v join one at a time, and
+    every union of joined sets (projected onto T_v) keeps the least weight
+    reaching it, so the weight kept at T_v is the cheapest cover. Points
+    missing T_v could only add weight, since weights are nonnegative.
     Zero-weight vertices never enter the minimization (their ratio is
     undefined) but may serve inside replacements for free.
     """
-    if pf.d > degree_cap and pf.n > subset_cap:
-        raise CapExceededError(
-            f"exact replacement ratio needs d <= {degree_cap} or n <= {subset_cap}"
-        )
-    use_bounded = pf.d <= degree_cap
+    require_enumerable(min(pf.d, pf.n - 1), cap, "kappa cover DP bound min(d, n-1) =")
     best: Optional[Fraction] = None
     pts = pf.points
     for v, (target, weight_v) in enumerate(pts):
         if weight_v == 0:
             continue
-        candidates = [(t, w) for i, (t, w) in enumerate(pts) if i != v and t & target]
-        limit = target.bit_count() if use_bounded else len(candidates)
-        cover = _cheapest_cover_exact(target, candidates, limit)
-        if cover is None:
+        cheapest = {0: _ZERO}  # union within target -> least weight reaching it
+        for i, (mask, weight) in enumerate(pts):
+            part = mask & target
+            if i == v or not part:
+                continue
+            for union, cost in list(cheapest.items()):
+                grown, total = union | part, cost + weight
+                known = cheapest.get(grown)
+                if known is None or total < known:
+                    cheapest[grown] = total
+        if target not in cheapest:
             continue
-        ratio = cover / weight_v
+        ratio = cheapest[target] / weight_v
         if best is None or ratio < best:
             best = ratio
     return best if best is not None else math.inf
@@ -206,8 +185,6 @@ def alpha_bounds(
     mode: str = "exact",
     include_alpha_star: bool = False,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
-    subset_cap: int = DEFAULT_SUBSET_CAP,
 ) -> AlphaBounds:
     """Bracket alpha* using the replacement ratio.
 
@@ -219,9 +196,12 @@ def alpha_bounds(
     whenever the raw ratio bound dips below 1 (kappa exceeds the factor),
     the same replacement argument shows the instance is plainly extendible,
     so alpha* = 1 and the clamp is exact, not a relaxation.
+
+    cap gates the exact kappa (on min(d, n-1)) and alpha* (on m); greedy
+    kappa is polynomial and ignores it.
     """
     if mode == "exact":
-        kappa = replacement_ratio_exact(pf, degree_cap=degree_cap, subset_cap=subset_cap)
+        kappa = replacement_ratio_exact(pf, cap=cap)
     elif mode == "greedy":
         kappa = replacement_ratio_greedy(pf)
     else:

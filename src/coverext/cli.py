@@ -11,7 +11,7 @@ Exit codes are a stable contract for scripting:
   1  usage or parse error
   2  mathematical negative (not extendible / outside the polytope / not coverage)
   3  enumeration cap exceeded
-  4  internal error in one instance of a directory batch (the batch goes on)
+  4  internal error, with its traceback on stderr (a directory batch goes on past it)
 """
 
 from __future__ import annotations
@@ -91,7 +91,10 @@ def _emit(report, artifact, out):
         sys.stdout.write("\n")
         print(text, file=sys.stderr)
     else:
-        Path(out).write_text(json.dumps(artifact, indent=2) + "\n")
+        try:
+            Path(out).write_text(json.dumps(artifact, indent=2) + "\n")
+        except OSError as exc:
+            raise _UsageError(f"cannot write {out}: {exc}") from exc
         print(text)
 
 
@@ -203,19 +206,28 @@ _COMMANDS = {
     "check": _check,
 }
 
-# Errors that end a run with an exit code and a message instead of a traceback;
-# main and the batch workers share this map.
+# Errors that end a run with an exit code and a message instead of a traceback.
 _EXIT_CODES = {
     CapExceededError: EXIT_CAP,
     _UsageError: EXIT_USAGE,
     SeedExhaustedError: EXIT_USAGE,
     ValueError: EXIT_USAGE,  # includes InstanceParseError
 }
-_EXPECTED = tuple(_EXIT_CODES)
 
 
-def _exit_code(exc: BaseException) -> int:
-    return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+def _failure(exc: Exception) -> tuple[str, int]:
+    """Message and exit code of an exception that ends a run (main or one batch entry).
+
+    Anything outside _EXIT_CODES, say a failed internal verification, is an
+    internal error: EXIT_INTERNAL, with its traceback on stderr.
+    """
+    for kind, code in _EXIT_CODES.items():
+        if isinstance(exc, kind):
+            return str(exc), code
+    import traceback  # here, not at the top: every command would pay for the import
+
+    traceback.print_exception(exc)
+    return f"{type(exc).__name__}: {exc}", EXIT_INTERNAL
 
 
 def _run(args, argv, path):
@@ -261,21 +273,15 @@ def _batch_paths(args):
 def _pool_worker(job):
     """One batch entry: its run report, or an error record, and its exit code.
 
-    An unexpected exception (say, a failed internal verification) becomes an
-    error record with EXIT_INTERNAL, so one instance cannot abort the batch;
-    its traceback goes to stderr.
+    Every exception becomes an error record, so one instance cannot abort
+    the batch.
     """
     args, argv, path = job
     try:
         report, _, code = _run(args, argv, path)
         return report, code
-    except _EXPECTED as exc:
-        error, code = str(exc), _exit_code(exc)
     except Exception as exc:
-        import traceback  # here, not at the top: every command would pay for the import
-
-        traceback.print_exc()
-        error, code = f"{type(exc).__name__}: {exc}", EXIT_INTERNAL
+        error, code = _failure(exc)
     return {"command": args.command, "input": path, "error": error}, code
 
 
@@ -319,7 +325,9 @@ def _build_parser() -> _Parser:
                    help="report that the witness/certificate passed verification")
     p = instance_command("approx", "bracket the least multiplicative stretch alpha* "
                                    "via the replacement ratio")
-    p.add_argument("--mode", choices=["exact", "greedy"], default="exact")
+    p.add_argument("--mode", choices=["exact", "greedy"], default="exact",
+                   help="exact kappa reaches up to 2^min(d, n-1) unions per point, "
+                        "so --cap also bounds min(d, n-1)")
     p.add_argument("--alpha-star", action="store_true", dest="alpha_star",
                    help="also solve the exact stretch optimum (enumerates 2^m)")
     p = instance_command("norm", "minimize total absolute error with singleton "
@@ -396,9 +404,10 @@ def main(argv=None) -> int:
         report, artifact, code = _run(args, argv, getattr(args, "input", None))
         _emit(report, artifact, getattr(args, "out", None))
         return code
-    except _EXPECTED as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _exit_code(exc)
+    except Exception as exc:
+        error, code = _failure(exc)
+        print(f"error: {error}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

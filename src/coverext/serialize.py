@@ -25,7 +25,7 @@ from .setfun import (
     mask_to_elements,
 )
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # ASCII digits; \d takes any Unicode digit
 
 
 def format_rational(x) -> str:
@@ -37,7 +37,7 @@ def format_rational(x) -> str:
 
 
 def parse_rational(text, where: str = "value") -> Fraction:
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise InstanceParseError(f"{where}: expected an integer or p/q string, got {text!r}")
     if "/" in text:
         num, den = text.split("/")

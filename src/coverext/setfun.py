@@ -36,9 +36,12 @@ ExactLike = Union[int, Fraction]
 _ZERO = Fraction(0)
 
 
-def require_enumerable(m: int, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
-    if m > cap:
-        raise CapExceededError(f"ground set size {m} exceeds enumeration cap {cap}")
+def require_enumerable(
+    size: int, cap: int = DEFAULT_ENUMERATION_CAP, what: str = "ground set size"
+) -> None:
+    """Refuse an exhaustive pass over 2^size subsets when size exceeds cap."""
+    if size > cap:
+        raise CapExceededError(f"{what} {size} exceeds enumeration cap {cap}")
 
 
 def full_mask(m: int) -> Mask:

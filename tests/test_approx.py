@@ -5,8 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
-from coverext.errors import SeedExhaustedError
+from coverext.errors import CapExceededError, SeedExhaustedError
 from coverext.setfun import PartialFunction
 from coverext.approx import (
     alpha_bounds,
@@ -68,6 +69,45 @@ def test_greedy_within_harmonic_of_exact():
         assert exact <= greedy <= exact * harmonic(instance.d)
         compared += 1
     assert compared > 40
+
+
+@settings(deadline=None, database=None)
+@given(oracles.partial_functions())
+def test_cover_dp_matches_bruteforce(instance):
+    assert replacement_ratio_exact(instance) == oracles.replacement_ratio_bruteforce(instance)
+
+
+def test_kappa_beyond_the_old_degree_and_subset_gate():
+    # m = 7: the full set (value 9) plus the 7 singletons, 7 cyclic pairs and
+    # 7 cyclic triples (value 1 each), so d = 7 and n = 22. Sets of at most
+    # three elements need ceil(7/3) = 3 members to cover the full set, and
+    # three cyclic triples do it: ratio 3/9. Every other point has value 1
+    # and any cover of it weighs at least 1, so kappa = 1/3.
+    cyclic = [sum(1 << ((j + k) % 7) for k in range(size)) for size in (1, 2, 3)
+              for j in range(7)]
+    instance = pf(7, (0b1111111, 9), *((mask, 1) for mask in cyclic))
+    assert (instance.d, instance.n) == (7, 22)
+    assert replacement_ratio_exact(instance) == F(1, 3)
+
+
+def test_exact_kappa_gate_is_min_of_degree_and_other_points():
+    rng = random.Random(517)
+    for _ in range(40):
+        instance = oracles.random_partial_function(rng, max_m=6, max_n=8)
+        bound = min(instance.d, instance.n - 1)
+        with pytest.raises(CapExceededError, match=rf"min\(d, n-1\) = {bound} exceeds"):
+            replacement_ratio_exact(instance, cap=bound - 1)
+        kappa = replacement_ratio_exact(instance, cap=bound)
+        assert kappa == oracles.replacement_ratio_bruteforce(instance)
+
+
+def test_alpha_bounds_passes_its_cap_to_exact_kappa_only():
+    # m = 3, d = 3, n = 4: the exact kappa needs cap >= 3, greedy none
+    instance = pf(3, (0b111, 6), (0b001, 1), (0b010, 1), (0b100, 1))
+    with pytest.raises(CapExceededError):
+        alpha_bounds(instance, mode="exact", cap=2)
+    assert alpha_bounds(instance, mode="exact", cap=3).kappa_estimate == F(1, 2)
+    assert alpha_bounds(instance, mode="greedy", cap=0).kappa_estimate == F(1, 2)
 
 
 def test_alpha_star_examples():

@@ -419,3 +419,44 @@ def test_setcover_family_entries_are_sets(tmp_path, capsys, family, where):
     code, out, err = run_cli(["gadget", "setcover", "--input", path], capsys)
     assert (code, out) == (1, "")
     assert where in err
+
+
+@pytest.mark.parametrize("value", ["5\n", "1/2\n", "\u0661\u0662"])
+def test_rational_strings_are_strict(tmp_path, capsys, value):
+    path = write(tmp_path, "inst.json", {"m": 1, "points": [{"set": [1], "value": value}]})
+    code, out, err = run_cli(["extend", "--input", path], capsys)
+    assert (code, out) == (1, "")
+    assert "points[0].value: expected an integer or p/q string" in err
+
+
+def test_internal_error_in_a_single_file_run_exits_4(tmp_path, capsys, monkeypatch):
+    def failing(pf, cap):
+        raise AssertionError("internal error: simplex solution failed verification")
+
+    monkeypatch.setattr(cli, "decide_extension", failing)
+    path = write(tmp_path, "one.json", ADDITIVE)
+    code, out, err = run_cli(["extend", "--input", path], capsys)
+    assert (code, out) == (4, "")
+    assert err.startswith("Traceback") and err.endswith(
+        "AssertionError: internal error: simplex solution failed verification\n"
+        "error: AssertionError: internal error: simplex solution failed verification\n")
+
+
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing" / "tight.json")
+    code, out, err = run_cli(["gen", "tight", "--m", "4", "--out", missing], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {missing}: ")
+
+
+def test_exact_kappa_over_the_cap_exits_3(tmp_path, capsys):
+    # d = 3 and n - 1 = 3: the cover DP bound min(d, n-1) = 3 exceeds --cap 2
+    star = {"m": 3, "points": [{"set": [1, 2, 3], "value": "6"}]
+                              + [{"set": [j], "value": "1"} for j in (1, 2, 3)]}
+    path = write(tmp_path, "star.json", star)
+    code, out, err = run_cli(["approx", "--input", path, "--mode", "exact", "--cap", "2"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: kappa cover DP bound min(d, n-1) = 3 exceeds enumeration cap 2\n"
+    code, out, _ = run_cli(["approx", "--input", path, "--mode", "greedy", "--cap", "2"], capsys)
+    assert code == 0
+    assert json.loads(out)["result"]["kappa"] == "1/2"

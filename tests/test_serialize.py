@@ -29,7 +29,8 @@ def test_rational_strings():
     assert format_rational(math.inf) == "inf"
     assert parse_rational("7") == F(7)
     assert parse_rational("-3/9") == F(-1, 3)
-    for bad in ("1/0", "1.5", "inf", "", "a/b", "1/2/3"):
+    # a trailing newline and non-ASCII digits (Arabic-Indic 12) are not rationals
+    for bad in ("1/0", "1.5", "inf", "", "a/b", "1/2/3", "5\n", "1/2\n", "\u0661\u0662"):
         with pytest.raises(InstanceParseError):
             parse_rational(bad)
 
