@@ -58,11 +58,62 @@ def harmonic(k: int) -> Fraction:
 
 
 def ceil_two_thirds(m: int) -> int:
-    """Smallest integer t with t^3 >= m^2; rational stand-in for m^(2/3)."""
-    t = 1
-    while t ** 3 < m * m:
-        t += 1
-    return t
+    """Smallest integer t >= 1 with t^3 >= m^2, by bisection; rational stand-in for m^(2/3)."""
+    lo, hi = 1, max(1, abs(m))  # hi^3 >= m^2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid ** 3 < m * m:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def _least_ratio(pf: PartialFunction, cover) -> Ratio:
+    """Least cover(pts, v) / f_v over points v with f_v > 0; math.inf if no T_v is covered.
+
+    cover gives the weight of a cover of T_v by the other points, or None.
+    Zero-weight points never enter the minimization (their ratio is
+    undefined) but may serve inside covers for free.
+    """
+    best: Ratio = math.inf
+    pts = pf.points
+    for v, (_, weight_v) in enumerate(pts):
+        total = cover(pts, v) if weight_v else None
+        if total is not None:
+            best = min(best, total / weight_v)
+    return best
+
+
+def _cheapest_cover(pts, v) -> Optional[Fraction]:
+    """Exact 0/1 cover DP: every union of joined sets keeps its least weight."""
+    target = pts[v][0]
+    cheapest = {0: _ZERO}  # union within target -> least weight reaching it
+    for i, (mask, weight) in enumerate(pts):
+        part = mask & target
+        if i == v or not part:
+            continue
+        for union, cost in list(cheapest.items()):
+            grown, total = union | part, cost + weight
+            known = cheapest.get(grown)
+            if known is None or total < known:
+                cheapest[grown] = total
+    return cheapest.get(target)
+
+
+def _greedy_cover(pts, v) -> Optional[Fraction]:
+    """Weighted greedy cover: least weight per new element, then smallest index."""
+    uncovered, total = pts[v][0], _ZERO
+    while uncovered:
+        # (weight per newly covered element, index) of every other point meeting it
+        keys = [(w / (t & uncovered).bit_count(), i)
+                for i, (t, w) in enumerate(pts) if i != v and t & uncovered]
+        if not keys:
+            return None
+        _, pick = min(keys)
+        total += pts[pick][1]
+        uncovered &= ~pts[pick][0]
+    return total
 
 
 def replacement_ratio_exact(pf: PartialFunction, cap: int = DEFAULT_ENUMERATION_CAP) -> Ratio:
@@ -72,66 +123,14 @@ def replacement_ratio_exact(pf: PartialFunction, cap: int = DEFAULT_ENUMERATION_
     every union of joined sets (projected onto T_v) keeps the least weight
     reaching it, so the weight kept at T_v is the cheapest cover. Points
     missing T_v could only add weight, since weights are nonnegative.
-    Zero-weight vertices never enter the minimization (their ratio is
-    undefined) but may serve inside replacements for free.
     """
     require_enumerable(min(pf.d, pf.n - 1), cap, "kappa cover DP bound min(d, n-1) =")
-    best: Optional[Fraction] = None
-    pts = pf.points
-    for v, (target, weight_v) in enumerate(pts):
-        if weight_v == 0:
-            continue
-        cheapest = {0: _ZERO}  # union within target -> least weight reaching it
-        for i, (mask, weight) in enumerate(pts):
-            part = mask & target
-            if i == v or not part:
-                continue
-            for union, cost in list(cheapest.items()):
-                grown, total = union | part, cost + weight
-                known = cheapest.get(grown)
-                if known is None or total < known:
-                    cheapest[grown] = total
-        if target not in cheapest:
-            continue
-        ratio = cheapest[target] / weight_v
-        if best is None or ratio < best:
-            best = ratio
-    return best if best is not None else math.inf
+    return _least_ratio(pf, _cheapest_cover)
 
 
 def replacement_ratio_greedy(pf: PartialFunction) -> Ratio:
     """kappa' via weighted greedy cover per vertex; kappa <= kappa' <= kappa * H_d."""
-    best: Optional[Fraction] = None
-    pts = pf.points
-    for v, (target, weight_v) in enumerate(pts):
-        if weight_v == 0:
-            continue
-        uncovered = target
-        total = _ZERO
-        stuck = False
-        while uncovered:
-            pick = -1
-            pick_key = None
-            for i, (t, w) in enumerate(pts):
-                if i == v:
-                    continue
-                fresh = t & uncovered
-                if not fresh:
-                    continue
-                key = w / fresh.bit_count()  # weight per newly covered element
-                if pick < 0 or key < pick_key:
-                    pick, pick_key = i, key
-            if pick < 0:
-                stuck = True
-                break
-            total += pts[pick][1]
-            uncovered &= ~pts[pick][0]
-        if stuck:
-            continue
-        ratio = total / weight_v
-        if best is None or ratio < best:
-            best = ratio
-    return best if best is not None else math.inf
+    return _least_ratio(pf, _greedy_cover)
 
 
 def alpha_star_program(pf: PartialFunction) -> LinearProgram:

@@ -106,14 +106,6 @@ class Graph:
                 total += wt
         return total
 
-    def vertex_cut_weight(self, v: int) -> Fraction:
-        w = self.require_weights()
-        total = _ZERO
-        for (a, b), wt in zip(self.edges, w):
-            if a == v or b == v:
-                total += wt
-        return total
-
 
 # --- fractional chromatic number ---------------------------------------------
 
@@ -131,19 +123,19 @@ class FractionalColoring:
 
 
 def _independent_set_masks(graph: Graph) -> list[Mask]:
+    """Nonempty independent sets, ascending.
+
+    S is independent when S minus its lowest vertex v is and v has no neighbor in it.
+    """
     adj = graph.adjacency_masks()
+    independent = bytearray(1 << graph.num_vertices)
+    independent[0] = 1
     out = []
     for mask in range(1, 1 << graph.num_vertices):
-        ok = True
-        probe = mask
-        while probe:
-            low = probe & -probe
-            v = low.bit_length()
-            if adj[v] & mask:
-                ok = False
-                break
-            probe ^= low
-        if ok:
+        low = mask & -mask
+        rest = mask ^ low
+        if independent[rest] and not adj[low.bit_length()] & rest:
+            independent[mask] = 1
             out.append(mask)
     return out
 
@@ -255,7 +247,6 @@ class MembershipInstance:
     variant: str  # "cut" | "span" | "coverage"
     point: tuple[Fraction, ...]
     delta: Optional[DeltaSpec] = None
-    graph: Optional[Graph] = None
     family_m: Optional[int] = None
     family_sets: Optional[tuple[Mask, ...]] = None
 
@@ -270,7 +261,7 @@ class MembershipInstance:
                 f"{len(self.point)} point entries but {len(self.family_sets)} family sets"
             )
         for mask in self.family_sets:
-            if not isinstance(mask, int) or not (0 <= mask < 1 << m):
+            if not isinstance(mask, int) or not (mask >= 0 and mask.bit_length() <= m):
                 raise ValueError(f"family set mask {mask} not a subset of [{m}]")
         point = tuple(_coerce_value(v, "point entry") for v in self.point)
         object.__setattr__(self, "point", point)
@@ -361,11 +352,15 @@ def cut_to_span_gadget(graph: Graph, enforce_box: bool = True) -> tuple[Graph, F
 
     s_vertex = nv + 1
     t_vertex = nv + 2
+    vertex_cut = [_ZERO] * (nv + 1)  # total weight at each vertex
+    for (u, v), w in zip(graph.edges, y):
+        vertex_cut[u] += w
+        vertex_cut[v] += w
     edges = list(graph.edges)
     weights = [w / scale for w in y]
     for v in range(1, nv + 1):
         edges.append((v, s_vertex))
-        weights.append(-graph.vertex_cut_weight(v) / (2 * scale))
+        weights.append(-vertex_cut[v] / (2 * scale))
     edges.append((s_vertex, t_vertex))
     weights.append(Fraction(-1))
     return Graph(nv + 2, tuple(edges), tuple(weights)), scale

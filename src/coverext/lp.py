@@ -21,18 +21,19 @@ the final reduced-cost row.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import MalformedProgramError
-from .setfun import ExactLike, _coerce_value
+from .setfun import ExactLike, _coerce_value, _scaled
 
 LESS_EQUAL = "<="
 EQUAL = "="
 GREATER_EQUAL = ">="
 _RELATIONS = (LESS_EQUAL, EQUAL, GREATER_EQUAL)
+_SLACK_SIGN = {LESS_EQUAL: 1, EQUAL: 0, GREATER_EQUAL: -1}
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -281,17 +282,12 @@ def solve(lp: LinearProgram) -> LpOutcome:
     return outcome
 
 
-def _scaled(v: Fraction, scale: int) -> int:
-    """v * scale, for a scale that v's denominator divides."""
-    return v.numerator * (scale // v.denominator)
-
-
 def _solve(lp: LinearProgram) -> LpOutcome:
     nv = lp.num_vars
 
     # Trivially satisfied all-zero rows are the only presolve: they are
     # skipped and get multiplier zero on the way out.
-    kept = []  # input row indices that enter the tableau
+    orig = []  # input row index of each tableau row
     for i, row in enumerate(lp.rows):
         if not any(c for _, c in row.coeffs):
             sat = (
@@ -301,9 +297,9 @@ def _solve(lp: LinearProgram) -> LpOutcome:
             )
             if sat:
                 continue
-        kept.append(i)
+        orig.append(i)
 
-    if not kept:
+    if not orig:
         # No constraints: the origin is optimal unless some objective
         # coefficient is negative, which makes that direction unbounded.
         if any(c < 0 for c in lp.objective):
@@ -315,82 +311,56 @@ def _solve(lp: LinearProgram) -> LpOutcome:
     # columns stay unit, which rescales those variables by S; a common
     # positive factor per column keeps every sign, ratio order and Bland
     # choice of the unscaled program, and with it the pivot path.
-    scale = math.lcm(
-        *(lp.rows[i].rhs.denominator for i in kept),
-        *(c.denominator for i in kept for _, c in lp.rows[i].coeffs),
-    )
-    obj_scale = math.lcm(*(c.denominator for c in lp.objective))
+    rows = [lp.rows[i] for i in orig]
+    nums, scale = _scaled([v for row in rows for v in (row.rhs, *(c for _, c in row.coeffs))])
+    nums = iter(nums)  # each row's rhs, then its coefficients
+    costs, obj_scale = _scaled(lp.objective)
 
-    nrows = len(kept)
-    n_slack = sum(1 for i in kept if lp.rows[i].relation != EQUAL)
-
-    # Tableau layout: structural | slacks | artificials | rhs.
-    slack_base = nv
-    art_base = nv + n_slack
-    orig = list(kept)            # input row index of each tableau row
-    sigma = [1] * nrows          # -1 where the row was negated to make rhs >= 0
-    init_col = [0] * nrows       # identity column of each row (slack or artificial)
-    is_art_seed = [False] * nrows
-
+    # Tableau layout: structural | slacks | artificials | rhs. A row is
+    # negated when its rhs is negative (sigma = -1); its slack is its
+    # identity column when the slack then reads +1, and any other row
+    # gets an artificial.
+    sigma = [-1 if row.rhs < 0 else 1 for row in rows]
+    slack = [_SLACK_SIGN[row.relation] * s for row, s in zip(rows, sigma)]  # 0: no slack
+    art_base = nv + len(slack) - slack.count(0)
+    ncols = art_base + len(slack) - slack.count(1)
+    next_slack, next_art = itertools.count(nv), itertools.count(art_base)
     tab = []
-    rhs_col = []
-    slack_idx = 0
-    for p, i in enumerate(kept):
-        row = lp.rows[i]
-        srow = [0] * art_base
-        for j, c in row.coeffs:
-            srow[j] = _scaled(c, scale)
-        rhs = _scaled(row.rhs, scale)
-        scol = -1
-        if row.relation != EQUAL:
-            scol = slack_base + slack_idx
-            srow[scol] = 1 if row.relation == LESS_EQUAL else -1
-            slack_idx += 1
-        if rhs < 0:
-            sigma[p] = -1
-            srow = [-v for v in srow]
-            rhs = -rhs
-        if scol >= 0 and srow[scol] == 1:
-            init_col[p] = scol
-        else:
-            is_art_seed[p] = True
+    init_col = []  # identity column of each row (slack or artificial)
+    for row, s, t in zip(rows, sigma, slack):
+        srow = [0] * (ncols + 1)
+        srow[-1] = s * next(nums)
+        for j, _ in row.coeffs:
+            srow[j] = s * next(nums)
+        if t:
+            ic = next(next_slack)
+            srow[ic] = t
+        if t != 1:
+            ic = next(next_art)
+            srow[ic] = 1
+        init_col.append(ic)
         tab.append(srow)
-        rhs_col.append(rhs)
-
-    n_art = sum(is_art_seed)
-    k = 0
-    for p in range(nrows):
-        pad = [0] * n_art
-        if is_art_seed[p]:
-            pad[k] = 1
-            init_col[p] = art_base + k
-            k += 1
-        tab[p] += pad
-        tab[p].append(rhs_col[p])
-
-    ncols = nv + n_slack + n_art
     sx = _Simplex(tab, list(init_col))
 
     # Phase 1: minimize the artificial total.
-    if n_art:
-        sx.set_costs([0] * art_base + [1] * n_art)
+    if ncols > art_base:
+        sx.set_costs([0] * art_base + [1] * (ncols - art_base))
         status = sx.run(ncols)
         if status != "optimal":
             raise AssertionError("phase 1 cannot be unbounded")
         d, cost = sx.d, sx.tab[-1]
         if cost[-1] < 0:  # the artificial total is -cost[-1] / d > 0
             ray = [_ZERO] * lp.num_rows
-            for p in range(nrows):
-                ic = init_col[p]
+            for i, s, ic in zip(orig, sigma, init_col):
                 y = (d if ic >= art_base else 0) - cost[ic]  # d * (phase-1 cost - reduced cost)
-                ray[orig[p]] = Fraction(-sigma[p] * y, d)
+                ray[i] = Fraction(-s * y, d)
             if not verify_farkas(lp, ray):
                 raise AssertionError("internal error: extracted Farkas ray failed verification")
             return LpOutcome(INFEASIBLE, None, None, tuple(ray), None, sx.pivots)
         # Drive basic artificials out; delete rows that turned out redundant.
         drop = []
-        for p in range(nrows):
-            if sx.basis[p] < art_base:
+        for p, b in enumerate(sx.basis):
+            if b < art_base:
                 continue
             row = sx.tab[p]
             if row[-1] != 0:
@@ -408,7 +378,6 @@ def _solve(lp: LinearProgram) -> LpOutcome:
             del sx.tab[p], sx.basis[p], orig[p], sigma[p], init_col[p]
 
     # Phase 2: the objective on the structural columns, zero elsewhere.
-    costs = [_scaled(c, obj_scale) for c in lp.objective]
     sx.set_costs(costs + [0] * (ncols - nv))
     status = sx.run(art_base)
     if status == "unbounded":
@@ -424,8 +393,8 @@ def _solve(lp: LinearProgram) -> LpOutcome:
     # The identity columns carry zero phase-2 cost and were scaled by S, and
     # the costs by L, so each dual is -reduced cost * S / L.
     duals = [_ZERO] * lp.num_rows
-    for p, ic in enumerate(init_col):
-        duals[orig[p]] = Fraction(-sigma[p] * cost[ic] * scale, d * obj_scale)
+    for i, s, ic in zip(orig, sigma, init_col):
+        duals[i] = Fraction(-s * cost[ic] * scale, d * obj_scale)
 
     out = LpOutcome(FEASIBLE, tuple(x), obj, None, tuple(duals), sx.pivots)
     if not verify_solution(lp, out.solution):

@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 from .lp import EQUAL, FEASIBLE, LinearProgram, solve
 from .setfun import (
     DEFAULT_ENUMERATION_CAP,
+    Mask,
     PartialFunction,
     WCoefficients,
     eval_from_w,
@@ -48,10 +49,25 @@ class NormResult:
     opt_exact: Optional[Fraction] = None
 
 
+def _held_singletons(pf: PartialFunction) -> list[Mask]:
+    """The singleton of every element some point holds, ascending.
+
+    Any other singleton is an all-zero column, which never enters.
+    """
+    held = 0
+    for mask in pf.masks():
+        held |= mask
+    singletons = []
+    while held:
+        singletons.append(held & -held)
+        held &= held - 1
+    return singletons
+
+
 def _norm_program(pf: PartialFunction, singleton_only: bool) -> LinearProgram:
     """min sum(eps+ + eps-) with (span weight) - f_i = eps+_i - eps-_i."""
     if singleton_only:
-        coeff_masks = [1 << j for j in range(pf.m)]
+        coeff_masks = _held_singletons(pf)
     else:
         coeff_masks = span_columns(pf.m, pf.masks())
     nw = len(coeff_masks)
@@ -78,8 +94,8 @@ def norm_extension_approx(
     outcome = solve(_norm_program(pf, singleton_only=True))
     if outcome.status != FEASIBLE:
         raise AssertionError("restricted norm program is always feasible")
-    support = {1 << j: v for j, v in enumerate(outcome.solution[: pf.m]) if v}
-    witness = WCoefficients.from_dict(pf.m, support)
+    support = [(s, v) for s, v in zip(_held_singletons(pf), outcome.solution) if v]
+    witness = WCoefficients(pf.m, tuple(support))
     errors = tuple(eval_from_w(witness, mask) - value for mask, value in pf.points)
     opt_restricted = outcome.objective_value
     if sum(abs(e) for e in errors) != opt_restricted:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 from .approx import AlphaBounds
 from .errors import InstanceParseError
@@ -63,6 +63,28 @@ def _parse_set(entry, m: int, where: str) -> int:
         raise InstanceParseError(f"{where}: {exc}") from exc
 
 
+def _read_entries(entries: list, m: int, name: str, key: str, nonempty: str = "",
+                  cite_first: bool = False) -> Iterator[tuple[str, int, Fraction]]:
+    """(location, mask, value) of each {"set": [...], key: "p/q"} entry, in input order.
+
+    Locations read name[i]. A nonempty label ("defined", "coefficient")
+    refuses the empty set; cite_first names the first copy of a repeated set.
+    """
+    first: dict[int, int] = {}
+    for i, entry in enumerate(entries):
+        where = f"{name}[{i}]"
+        if not isinstance(entry, Mapping) or "set" not in entry or key not in entry:
+            raise InstanceParseError(f"{where}: need 'set' and '{key}'")
+        mask = _parse_set(entry["set"], m, where)
+        if mask == 0 and nonempty:
+            raise InstanceParseError(f"{where}: {nonempty} set must be nonempty")
+        if mask in first:
+            cited = f" {sorted(entry['set'])} (first at {name}[{first[mask]}])"
+            raise InstanceParseError(f"{where}: duplicate set{cited if cite_first else ''}")
+        first[mask] = i
+        yield where, mask, parse_rational(entry[key], f"{where}.{key}")
+
+
 # --- partial functions ---------------------------------------------------------
 
 
@@ -84,20 +106,8 @@ def partial_function_from_json(data: Any) -> PartialFunction:
     if not isinstance(points, list) or not points:
         raise InstanceParseError("field 'points' must be a nonempty list")
     parsed = []
-    seen = {}
-    for i, entry in enumerate(points):
-        where = f"points[{i}]"
-        if not isinstance(entry, Mapping) or "set" not in entry or "value" not in entry:
-            raise InstanceParseError(f"{where}: need 'set' and 'value'")
-        mask = _parse_set(entry["set"], m, where)
-        if mask == 0:
-            raise InstanceParseError(f"{where}: defined set must be nonempty")
-        if mask in seen:
-            raise InstanceParseError(
-                f"{where}: duplicate set {sorted(entry['set'])} (first at points[{seen[mask]}])"
-            )
-        seen[mask] = i
-        value = parse_rational(entry["value"], f"{where}.value")
+    entries = _read_entries(points, m, "points", "value", "defined", cite_first=True)
+    for where, mask, value in entries:
         if value < 0:
             raise InstanceParseError(f"{where}: value must be nonnegative")
         parsed.append((mask, value))
@@ -111,15 +121,7 @@ def total_function_from_json(data: Any) -> TotalSetFunction:
     entries = data.get("values")
     if not isinstance(entries, list):
         raise InstanceParseError("field 'values' must be a list")
-    table: dict[int, Fraction] = {}
-    for i, entry in enumerate(entries):
-        where = f"values[{i}]"
-        if not isinstance(entry, Mapping) or "set" not in entry or "value" not in entry:
-            raise InstanceParseError(f"{where}: need 'set' and 'value'")
-        mask = _parse_set(entry["set"], m, where)
-        if mask in table:
-            raise InstanceParseError(f"{where}: duplicate set")
-        table[mask] = parse_rational(entry["value"], f"{where}.value")
+    table = {mask: value for _, mask, value in _read_entries(entries, m, "values", "value")}
     if len(table) != (1 << m):
         raise InstanceParseError(
             f"total function on m={m} needs all {1 << m} subsets, got {len(table)}"
@@ -143,18 +145,8 @@ def wcoeffs_to_json(w: WCoefficients) -> list:
 def wcoeffs_from_json(m: int, data: Any) -> WCoefficients:
     if not isinstance(data, list):
         raise InstanceParseError("coefficients must be a list")
-    support = {}
-    for i, entry in enumerate(data):
-        where = f"coefficients[{i}]"
-        if not isinstance(entry, Mapping) or "set" not in entry or "weight" not in entry:
-            raise InstanceParseError(f"{where}: need 'set' and 'weight'")
-        mask = _parse_set(entry["set"], m, where)
-        if mask == 0:
-            raise InstanceParseError(f"{where}: coefficient set must be nonempty")
-        if mask in support:
-            raise InstanceParseError(f"{where}: duplicate set")
-        support[mask] = parse_rational(entry["weight"], f"{where}.weight")
-    return WCoefficients.from_dict(m, support)
+    entries = _read_entries(data, m, "coefficients", "weight", "coefficient")
+    return WCoefficients(m, tuple((mask, weight) for _, mask, weight in entries))
 
 
 def verdict_to_json(verdict: ExtensionVerdict) -> dict:
@@ -253,8 +245,6 @@ def membership_to_json(inst: MembershipInstance) -> dict:
             "coefficient": format_rational(inst.delta.coefficient),
             "radicand": inst.delta.radicand,
         }
-    if inst.graph is not None:
-        out["graph"] = graph_to_json(inst.graph)
     if inst.family_sets is not None:
         out["m"] = inst.family_m
         out["sets"] = [mask_to_elements(mask) for mask in inst.family_sets]

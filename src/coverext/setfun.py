@@ -44,10 +44,6 @@ def require_enumerable(
         raise CapExceededError(f"{what} {size} exceeds enumeration cap {cap}")
 
 
-def full_mask(m: int) -> Mask:
-    return (1 << m) - 1
-
-
 def _is_int(x) -> bool:
     """An int that is not a bool: JSON true/false parse to bools, which are ints too."""
     return isinstance(x, int) and not isinstance(x, bool)
@@ -131,11 +127,10 @@ class WCoefficients:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("ground set must have at least one element")
-        full = full_mask(self.m)
         items = []
         seen = set()
         for mask, weight in self.support:
-            if not (0 < mask <= full):
+            if not (mask > 0 and mask.bit_length() <= self.m):
                 raise ValueError(f"support mask {mask} not a nonempty subset of [{self.m}]")
             if mask in seen:
                 raise ValueError(f"duplicate support mask {mask}")
@@ -176,11 +171,10 @@ class PartialFunction:
             raise ValueError("ground set must have at least one element")
         if not self.points:
             raise ValueError("a partial function needs at least one point")
-        full = full_mask(self.m)
         seen = set()
         norm = []
         for mask, value in self.points:
-            if not (0 < mask <= full):
+            if not (mask > 0 and mask.bit_length() <= self.m):
                 raise ValueError(f"defined set mask {mask} not a nonempty subset of [{self.m}]")
             if mask in seen:
                 raise ValueError(f"duplicate defined set {mask_to_elements(mask)}")

@@ -24,7 +24,7 @@ from coverext.lp import (
     verify_farkas,
     verify_solution,
 )
-from coverext.setfun import PartialFunction, WCoefficients, eval_from_w, full_mask, span_row
+from coverext.setfun import PartialFunction, WCoefficients, eval_from_w, span_row
 
 ZERO = Fraction(0)
 
@@ -33,7 +33,7 @@ ZERO = Fraction(0)
 
 def w_coefficient_naive(values, m, smask):
     """w(S) by literally summing over all T with S u T = [m]."""
-    full = full_mask(m)
+    full = (1 << m) - 1
     total = ZERO
     for t in range(1 << m):
         if smask | t == full:
@@ -102,6 +102,17 @@ def full_norm_program(pf):
         coeffs[nw + 2 * i + 1] = 1
         rows.append((coeffs, EQUAL, value))
     return LinearProgram(nw + 2 * pf.n, objective=[0] * nw + [1] * (2 * pf.n), rows=rows)
+
+
+def all_singletons_norm_program(pf):
+    """Restricted L1 error program with one column per singleton {j}, j = 1..m."""
+    rows = []
+    for i, (mask, value) in enumerate(pf.points):
+        coeffs = {j: 1 for j in range(pf.m) if mask >> j & 1}
+        coeffs[pf.m + 2 * i] = -1
+        coeffs[pf.m + 2 * i + 1] = 1
+        rows.append((coeffs, EQUAL, value))
+    return LinearProgram(pf.m + 2 * pf.n, objective=[0] * pf.m + [1] * (2 * pf.n), rows=rows)
 
 
 # --- replacement ratio by full enumeration -----------------------------------

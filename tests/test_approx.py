@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -123,6 +124,34 @@ def test_ceil_two_thirds():
     assert ceil_two_thirds(4) == 3  # 4^(2/3) ~ 2.52
     assert ceil_two_thirds(8) == 4
     assert ceil_two_thirds(27) == 9
+    for m in [*range(1, 3001), 10**18]:
+        t = ceil_two_thirds(m)
+        assert t ** 3 >= m * m > (t - 1) ** 3
+    assert ceil_two_thirds(10**18) == 10**12
+
+
+def test_greedy_tie_goes_to_the_smaller_index():
+    # covering {1,2,3} (value 10): {1,2} at 2 and {1,2,3,4} at 3 both cost 1
+    # per new element; the smaller index {1,2} wins, and {3} at 2 then
+    # completes the cover at 4, where {1,2,3,4} alone would have cost 3.
+    # The other points cover at ratio 3/2 or not at all (element 4).
+    instance = pf(4, (0b0111, 10), (0b0011, 2), (0b1111, 3), (0b0100, 2))
+    assert replacement_ratio_greedy(instance) == F(2, 5)
+    assert replacement_ratio_exact(instance) == F(3, 10)
+
+
+def test_huge_ground_set_costs_no_memory():
+    # bounds on m = 10^8 over three small points: no 2^m-bit mask and no
+    # loop up to m^(2/3) on the way
+    tracemalloc.start()
+    try:
+        instance = pf(10**8, (0b011, 1), (0b110, 2), (0b101, 3))
+        bounds = alpha_bounds(instance, mode="greedy")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert bounds.kappa_estimate == F(1)  # {1,3} at 3 is covered by the other two at 3
 
 
 def test_alpha_bounds_on_tight_family():

@@ -1,10 +1,19 @@
 """Restricted L1 extension, exact oracle, dual rounding."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
+from coverext.lp import solve
 from coverext.setfun import PartialFunction, eval_from_w
-from coverext.norm import norm_extension_approx, norm_opt_exact, verify_dual_feasible
+from coverext.norm import (
+    _norm_program,
+    norm_extension_approx,
+    norm_opt_exact,
+    verify_dual_feasible,
+)
 
 import oracles
 
@@ -82,3 +91,34 @@ def test_witness_evaluates_consistently():
     result = norm_extension_approx(instance)
     for (mask, value), err in zip(instance.points, result.primal_errors):
         assert eval_from_w(result.witness, mask) - value == err
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(oracles.partial_functions(), st.integers(0, 3))
+def test_restricted_program_solves_like_all_singletons(instance, unheld):
+    # up to three more elements that no point holds
+    instance = PartialFunction(instance.m + unheld, instance.points)
+    got = solve(_norm_program(instance, singleton_only=True))
+    want = solve(oracles.all_singletons_norm_program(instance))
+    assert (got.status, got.objective_value, got.row_duals, got.pivots) == (
+        want.status, want.objective_value, want.row_duals, want.pivots)
+    # the held singletons, then the error variables, in the same order
+    held = [j for j in range(instance.m) if any(mask >> j & 1 for mask in instance.masks())]
+    assert got.solution == tuple(want.solution[j] for j in held) + want.solution[instance.m:]
+    assert all(want.solution[j] == 0 for j in range(instance.m) if j not in held)
+    witness = {1 << j: v for j, v in enumerate(want.solution[: instance.m]) if v}
+    assert norm_extension_approx(instance).witness.as_dict() == witness
+
+
+def test_restricted_program_memory_follows_the_points_not_m():
+    # three points on m = 20,000: one column per held element, no 1 << j for
+    # every j < m (about 25 MB)
+    instance = pf(20_000, (0b011, 1), (0b110, 2), ((1 << 19_999) | 1, 3))
+    tracemalloc.start()
+    try:
+        result = norm_extension_approx(instance)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert result.opt_restricted == 0

@@ -1,13 +1,15 @@
 """Round-trips and located parse errors for the JSON forms."""
 
+import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coverext.errors import InstanceParseError
 from coverext.gadgets import Graph
-from coverext.setfun import PartialFunction, WCoefficients
+from coverext.setfun import PartialFunction, TotalSetFunction, WCoefficients, mask_to_elements
 from coverext.serialize import (
     format_rational,
     graph_from_json,
@@ -20,7 +22,16 @@ from coverext.serialize import (
     wcoeffs_to_json,
 )
 
+import oracles
+
 F = Fraction
+PROPERTY = settings(max_examples=60, deadline=None, database=None)
+RATIONALS = st.builds(F, st.integers(-9, 9), st.integers(1, 4))
+
+
+def through_text(data):
+    """The JSON value as a file would carry it."""
+    return json.loads(json.dumps(data))
 
 
 def test_rational_strings():
@@ -93,6 +104,39 @@ def test_wcoeffs_errors_carry_location(data, where):
         wcoeffs_from_json(2, data)
 
 
+def parse_wcoeffs_m2(data):
+    return wcoeffs_from_json(2, data)
+
+
+@pytest.mark.parametrize(
+    "parse, data, message",
+    [
+        (partial_function_from_json,
+         {"m": 2, "points": [{"set": [1], "value": "1"}, {"set": [1], "value": "x"}]},
+         "points[1]: duplicate set [1] (first at points[0])"),
+        (partial_function_from_json, {"m": 2, "points": [{"set": [], "value": "x"}]},
+         "points[0]: defined set must be nonempty"),
+        (partial_function_from_json,
+         {"m": 2, "points": [{"set": [1], "value": "-1"}, {"set": [3]}]},
+         "points[0]: value must be nonnegative"),
+        (total_function_from_json,
+         {"m": 1, "values": [{"set": [], "value": "0"}, {"set": [], "value": "x"}]},
+         "values[1]: duplicate set"),
+        (total_function_from_json, {"m": 1, "values": [{"set": []}]},
+         "values[0]: need 'set' and 'value'"),
+        (parse_wcoeffs_m2, [{"set": [1], "weight": "1"}, {"set": [1], "weight": "x"}],
+         "coefficients[1]: duplicate set"),
+        (parse_wcoeffs_m2, [{"set": [], "weight": "x"}],
+         "coefficients[0]: coefficient set must be nonempty"),
+    ],
+)
+def test_entry_errors_keep_their_text(parse, data, message):
+    # where an entry has two faults, the one checked first is reported
+    with pytest.raises(InstanceParseError) as info:
+        parse(data)
+    assert str(info.value) == message
+
+
 def test_graph_roundtrip():
     g = Graph(3, ((1, 2), (2, 3)), (F(1, 2), F(-1)))
     data = graph_to_json(g)
@@ -101,3 +145,55 @@ def test_graph_roundtrip():
         graph_from_json({"vertices": 2, "edges": [[1, 1]]})
     with pytest.raises(InstanceParseError, match=r"weights\[0\]"):
         graph_from_json({"vertices": 2, "edges": [[1, 2]], "weights": ["0.5"]})
+
+
+@PROPERTY
+@given(oracles.partial_functions())
+def test_partial_function_roundtrip_property(pf):
+    assert partial_function_from_json(through_text(partial_function_to_json(pf))) == pf
+
+
+@st.composite
+def total_functions(draw):
+    m = draw(st.integers(1, 4))
+    values = [F(0)] + draw(st.lists(RATIONALS.map(abs), min_size=(1 << m) - 1,
+                                    max_size=(1 << m) - 1))
+    return TotalSetFunction(m, tuple(values)), draw(st.permutations(range(1 << m)))
+
+
+@PROPERTY
+@given(total_functions())
+def test_total_function_roundtrip_property(case):
+    # entries may come in any order; the table is indexed by set
+    f, order = case
+    entries = [{"set": mask_to_elements(s), "value": format_rational(f.values[s])} for s in order]
+    assert total_function_from_json(through_text({"m": f.m, "values": entries})) == f
+
+
+@st.composite
+def coefficients(draw):
+    m = draw(st.integers(1, 6))
+    support = draw(st.dictionaries(st.integers(1, (1 << m) - 1), RATIONALS, max_size=8))
+    return WCoefficients.from_dict(m, support)  # zero weights drop out
+
+
+@PROPERTY
+@given(coefficients())
+def test_wcoeffs_roundtrip_property(w):
+    assert wcoeffs_from_json(w.m, through_text(wcoeffs_to_json(w))) == w
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weighted = draw(st.booleans())
+    weights = tuple(draw(RATIONALS) for _ in edges) if weighted else None
+    return Graph(n, tuple(edges), weights)
+
+
+@PROPERTY
+@given(graphs())
+def test_graph_roundtrip_property(g):
+    assert graph_from_json(through_text(graph_to_json(g))) == g
