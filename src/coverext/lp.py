@@ -7,9 +7,18 @@ Programs, solutions and certificates are fractions.Fraction; there is no
 floating point and no tolerance anywhere in this module. Feasible
 programs yield a basic (vertex) solution, optimal when an objective is
 present. Infeasible programs yield a Farkas ray over the input rows,
-checkable by direct aggregation (verify_farkas). Bland's smallest-index
-rule drives both the entering and leaving choices, so the solver cannot
-cycle and is bit-for-bit deterministic.
+checkable by direct aggregation (verify_farkas).
+
+Dantzig's rule picks the entering column (the most negative reduced cost
+on the integer tableau, smallest index on ties); the least ratio leaves,
+ties going to the smaller basic column. After _STALL_LIMIT degenerate
+pivots in a row, Bland's smallest-index rule enters instead until the
+vertex moves, so the solver cannot cycle; every choice is a pure function
+of the program, so it is bit-for-bit deterministic.
+
+Both verifiers, and the solver itself, read one integer form of the rows
+(LinearProgram.integer_rows): every row times the least common
+denominator of all coefficients and right-hand sides.
 
 Programs are in standard form: minimize c'x over sparse rows (<=, =, >=)
 with every variable x_j >= 0 and no other per-variable bound; any other
@@ -22,6 +31,7 @@ the final reduced-cost row.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -34,6 +44,7 @@ EQUAL = "="
 GREATER_EQUAL = ">="
 _RELATIONS = (LESS_EQUAL, EQUAL, GREATER_EQUAL)
 _SLACK_SIGN = {LESS_EQUAL: 1, EQUAL: 0, GREATER_EQUAL: -1}
+_HOLDS = {LESS_EQUAL: operator.le, EQUAL: operator.eq, GREATER_EQUAL: operator.ge}
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -41,11 +52,18 @@ UNBOUNDED = "unbounded"
 
 _ZERO = Fraction(0)
 
+#: Degenerate pivots in a row after which Bland's rule picks the entering column.
+_STALL_LIMIT = 50
+
+
 @dataclass(frozen=True)
 class Row:
     coeffs: tuple[tuple[int, Fraction], ...]  # sparse, sorted by index
     relation: str
     rhs: Fraction
+
+
+IntRow = tuple[tuple[int, ...], tuple[int, ...], str, int]  # indices, coefficients, relation, rhs
 
 
 class LinearProgram:
@@ -56,7 +74,7 @@ class LinearProgram:
     has no other bound; write any other limit as a row.
     """
 
-    __slots__ = ("num_vars", "objective", "rows")
+    __slots__ = ("num_vars", "objective", "rows", "_integer_rows")
 
     def __init__(
         self,
@@ -93,15 +111,36 @@ class LinearProgram:
             else:
                 items = coeffs
             seen = {}
+            what = f"row {k} coefficient"
             for idx, val in items:
                 if not isinstance(idx, int) or not (0 <= idx < num_vars):
                     raise MalformedProgramError(f"row {k}: variable index {idx!r} out of range")
                 if idx in seen:
                     raise MalformedProgramError(f"row {k}: duplicate index {idx}")
-                seen[idx] = _coerce_value(val, f"row {k} coefficient", MalformedProgramError)
+                seen[idx] = _coerce_value(val, what, MalformedProgramError)
             rhs = _coerce_value(rhs, f"row {k} rhs", MalformedProgramError)
             norm_rows.append(Row(tuple(sorted(seen.items())), relation, rhs))
         self.rows = tuple(norm_rows)
+        self._integer_rows = None
+
+    def integer_rows(self) -> tuple[tuple[IntRow, ...], int]:
+        """The rows scaled to integers, and the scale S; computed once per program.
+
+        S is the least common denominator of every coefficient and rhs, and
+        row k becomes (indices, S * coefficients, relation, S * rhs), which
+        holds exactly where row k does.
+        """
+        if self._integer_rows is None:
+            rows = self.rows
+            nums, scale = _scaled(
+                [v for row in rows for v in (row.rhs, *(c for _, c in row.coeffs))])
+            nums = iter(nums)  # each row's rhs, then its coefficients
+            self._integer_rows = tuple(
+                (tuple(j for j, _ in row.coeffs), tuple(itertools.islice(nums, len(row.coeffs))),
+                 row.relation, rhs)
+                for row, rhs in zip(rows, nums)
+            ), scale
+        return self._integer_rows
 
     @property
     def num_rows(self) -> int:
@@ -138,19 +177,21 @@ class LpOutcome:
 
 
 def verify_solution(lp: LinearProgram, solution: Sequence[ExactLike]) -> bool:
-    """True iff x >= 0 and every row holds exactly."""
+    """True iff x >= 0 and every row holds exactly.
+
+    Checked in integers: with X the least common denominator of x, each
+    integer row of lp holds at X * x iff the row holds at x.
+    """
     if len(solution) != lp.num_vars:
         raise MalformedProgramError("solution length does not match num_vars")
     x = [_coerce_value(v, "solution entry", MalformedProgramError) for v in solution]
     if any(v < 0 for v in x):
         return False
-    for row in lp.rows:
-        lhs = sum((c * x[j] for j, c in row.coeffs), _ZERO)
-        if row.relation == LESS_EQUAL and lhs > row.rhs:
-            return False
-        if row.relation == GREATER_EQUAL and lhs < row.rhs:
-            return False
-        if row.relation == EQUAL and lhs != row.rhs:
+    xs, scale = _scaled(x)
+    rows, _ = lp.integer_rows()
+    for idx, coeffs, relation, rhs in rows:
+        lhs = sum(map(operator.mul, coeffs, map(xs.__getitem__, idx)))
+        if not _HOLDS[relation](lhs, rhs * scale):
             return False
     return True
 
@@ -161,30 +202,32 @@ def verify_farkas(lp: LinearProgram, ray: Sequence[ExactLike]) -> bool:
     The ray must have nonnegative multipliers on <= rows and nonpositive
     multipliers on >= rows. Aggregating the rows with these multipliers
     gives g'x <= beta, valid for every feasible x; since x >= 0, the
-    certificate is good iff g >= 0 and beta < 0.
+    certificate is good iff g >= 0 and beta < 0. The aggregation runs on
+    the integer rows with the ray's numerators over its least common
+    denominator, which scales g and beta by one positive factor.
     """
     if len(ray) != lp.num_rows:
         return False
     r = [_coerce_value(v, "ray entry", MalformedProgramError) for v in ray]
-    g = [_ZERO] * lp.num_vars
-    beta = _ZERO
-    for mult, row in zip(r, lp.rows):
-        if row.relation == LESS_EQUAL and mult < 0:
+    ys, _ = _scaled(r)
+    rows, _ = lp.integer_rows()
+    g = [0] * lp.num_vars
+    beta = 0
+    for y, (idx, coeffs, relation, rhs) in zip(ys, rows):
+        if (relation == LESS_EQUAL and y < 0) or (relation == GREATER_EQUAL and y > 0):
             return False
-        if row.relation == GREATER_EQUAL and mult > 0:
-            return False
-        if mult:
-            for j, c in row.coeffs:
-                g[j] += mult * c
-            beta += mult * row.rhs
-    return all(gj >= 0 for gj in g) and beta < 0
+        if y:
+            for j, a in zip(idx, coeffs):
+                g[j] += y * a
+            beta += y * rhs
+    return min(g) >= 0 and beta < 0
 
 
 # --- internals -------------------------------------------------------------
 
 
 class _Simplex:
-    """Fraction-free (Bareiss) simplex tableau with Bland pivoting.
+    """Fraction-free (Bareiss) simplex tableau with Dantzig pricing.
 
     Every entry is an int over one common denominator d > 0, the
     determinant of the current basis: the exact tableau entry is
@@ -230,15 +273,26 @@ class _Simplex:
     def run(self, ncand: int) -> str:
         """Minimize until optimal or unbounded, entering only columns below ncand.
 
-        Bland's rule throughout: the first column with a negative reduced cost
-        enters; the least ratio rhs/t leaves, ties going to the smaller basic
-        column. Ratios are compared by cross-multiplying, all over the same d.
+        Dantzig pricing: the column with the most negative cost-row entry
+        enters, ties going to the smallest index. After _STALL_LIMIT
+        degenerate pivots in a row (the leaving rhs is 0, so the vertex
+        stays put), Bland's rule enters the first column with a negative
+        entry instead, until a pivot moves the vertex. Bland's rule cannot
+        cycle and every nondegenerate pivot lowers the objective, so no
+        basis repeats. The least ratio rhs/t leaves, ties going to the
+        smaller basic column. Ratios are compared by cross-multiplying,
+        all over the same d.
         """
         tab, basis = self.tab, self.basis
         nrows = len(tab) - 1
+        stall = 0  # degenerate pivots in a row
         while True:
             cost = tab[-1]
-            pc = next((j for j in range(ncand) if cost[j] < 0), -1)
+            if stall < _STALL_LIMIT:
+                least = min(cost[:ncand])
+                pc = cost.index(least, 0, ncand) if least < 0 else -1
+            else:
+                pc = next((j for j in range(ncand) if cost[j] < 0), -1)
             if pc < 0:
                 return "optimal"
             pr = -1
@@ -254,6 +308,7 @@ class _Simplex:
                         pr, best_t, best_rhs = r, t, row[-1]
             if pr < 0:
                 return "unbounded"
+            stall = stall + 1 if best_rhs == 0 else 0
             self.pivot(pr, pc)
 
 
@@ -287,17 +342,11 @@ def _solve(lp: LinearProgram) -> LpOutcome:
 
     # Trivially satisfied all-zero rows are the only presolve: they are
     # skipped and get multiplier zero on the way out.
-    orig = []  # input row index of each tableau row
-    for i, row in enumerate(lp.rows):
-        if not any(c for _, c in row.coeffs):
-            sat = (
-                (row.relation == LESS_EQUAL and row.rhs >= 0)
-                or (row.relation == GREATER_EQUAL and row.rhs <= 0)
-                or (row.relation == EQUAL and row.rhs == 0)
-            )
-            if sat:
-                continue
-        orig.append(i)
+    int_rows, scale = lp.integer_rows()
+    orig = [  # input row index of each tableau row
+        i for i, (_, coeffs, relation, rhs) in enumerate(int_rows)
+        if any(coeffs) or not _HOLDS[relation](0, rhs)
+    ]
 
     if not orig:
         # No constraints: the origin is optimal unless some objective
@@ -306,32 +355,31 @@ def _solve(lp: LinearProgram) -> LpOutcome:
             return LpOutcome(status=UNBOUNDED)
         return LpOutcome(FEASIBLE, (_ZERO,) * nv, _ZERO, None, (_ZERO,) * lp.num_rows, 0)
 
-    # One scale S for every row (coefficients and rhs) and one scale L for
-    # the objective make the program integer. The slack and artificial
-    # columns stay unit, which rescales those variables by S; a common
-    # positive factor per column keeps every sign, ratio order and Bland
-    # choice of the unscaled program, and with it the pivot path.
-    rows = [lp.rows[i] for i in orig]
-    nums, scale = _scaled([v for row in rows for v in (row.rhs, *(c for _, c in row.coeffs))])
-    nums = iter(nums)  # each row's rhs, then its coefficients
+    # The integer rows are S times the input rows, and the objective scale
+    # L makes the costs integer. The slack and artificial columns stay
+    # unit, which rescales those variables by S: signs and ratio orders
+    # are those of the unscaled program, and pricing compares a unit
+    # column's reduced cost at 1/S of a structural column's.
+    rows = [int_rows[i] for i in orig]
     costs, obj_scale = _scaled(lp.objective)
 
     # Tableau layout: structural | slacks | artificials | rhs. A row is
     # negated when its rhs is negative (sigma = -1); its slack is its
     # identity column when the slack then reads +1, and any other row
     # gets an artificial.
-    sigma = [-1 if row.rhs < 0 else 1 for row in rows]
-    slack = [_SLACK_SIGN[row.relation] * s for row, s in zip(rows, sigma)]  # 0: no slack
+    sigma = [-1 if rhs < 0 else 1 for *_, rhs in rows]
+    # the sign of each row's slack column, 0 for no slack
+    slack = [_SLACK_SIGN[relation] * s for (_, _, relation, _), s in zip(rows, sigma)]
     art_base = nv + len(slack) - slack.count(0)
     ncols = art_base + len(slack) - slack.count(1)
     next_slack, next_art = itertools.count(nv), itertools.count(art_base)
     tab = []
     init_col = []  # identity column of each row (slack or artificial)
-    for row, s, t in zip(rows, sigma, slack):
+    for (idx, coeffs, _, rhs), s, t in zip(rows, sigma, slack):
         srow = [0] * (ncols + 1)
-        srow[-1] = s * next(nums)
-        for j, _ in row.coeffs:
-            srow[j] = s * next(nums)
+        srow[-1] = s * rhs
+        for j, a in zip(idx, coeffs):
+            srow[j] = s * a
         if t:
             ic = next(next_slack)
             srow[ic] = t

@@ -34,6 +34,7 @@ Mask = int
 ExactLike = Union[int, Fraction]
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def require_enumerable(
@@ -63,15 +64,9 @@ def mask_from_elements(elements: Iterable[int], m: int) -> Mask:
 
 
 def mask_to_elements(mask: Mask) -> list[int]:
-    """Sorted 1-based element labels of a bitmask."""
-    out = []
-    j = 1
-    while mask:
-        if mask & 1:
-            out.append(j)
-        mask >>= 1
-        j += 1
-    return out
+    """Sorted 1-based element labels of a bitmask, in time linear in its bit length."""
+    bits = bin(mask)[:1:-1]  # lowest bit first, without the "0b"
+    return [j for j, bit in enumerate(bits, 1) if bit == "1"]
 
 
 def _coerce_value(v: ExactLike, what: str, error: type[ValueError] = ValueError) -> Fraction:
@@ -209,8 +204,9 @@ class PartialFunction:
 
 def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """Numerators over the least common denominator, and that denominator."""
-    scale = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
+    pairs = [v.as_integer_ratio() for v in values]
+    scale = math.lcm(*{q for _, q in pairs})
+    return [p * (scale // q) for p, q in pairs], scale
 
 
 def _subset_pass(table: list[int], m: int, sign: int) -> None:
@@ -269,8 +265,10 @@ def span_columns(m: int, points: Sequence[Mask]) -> list[Mask]:
     is left out.
 
     Keeping only the smallest copy changes no simplex outcome: copies keep
-    equal reduced costs and tableau entries under every pivot, so Bland's
-    rule would only ever pick the smallest, and a zero column never enters.
+    equal reduced costs and tableau entries under every pivot, so they tie
+    under both Dantzig's and Bland's entering rule, ties go to the smallest
+    index, and the smallest copy is the one that enters; a zero column
+    never enters.
     """
     hit = [0] * m
     for i, point in enumerate(points):
@@ -289,13 +287,14 @@ def span_columns(m: int, points: Sequence[Mask]) -> list[Mask]:
     return columns
 
 
-def span_row(columns: Sequence[Mask], point: Mask) -> dict[int, int]:
+def span_row(columns: Sequence[Mask], point: Mask) -> dict[int, Fraction]:
     """LP row over set columns: coefficient 1 on every column whose set meets point.
 
     The extension, stretch and norm programs all price a defined set T_i
-    this way; columns[c] is the set carried by variable c.
+    this way; columns[c] is the set carried by variable c. Every
+    coefficient is one shared Fraction(1), which LinearProgram takes as is.
     """
-    return {c: 1 for c, s in enumerate(columns) if s & point}
+    return {c: _ONE for c, s in enumerate(columns) if s & point}
 
 
 def _w_values(values: Sequence[Fraction], m: int) -> list[tuple[Mask, Fraction]]:

@@ -21,12 +21,25 @@ from coverext.lp import (
     UNBOUNDED,
     LinearProgram,
     LpOutcome,
-    verify_farkas,
-    verify_solution,
 )
-from coverext.setfun import PartialFunction, WCoefficients, eval_from_w, span_row
+from coverext.errors import MalformedProgramError
+from coverext.setfun import PartialFunction, WCoefficients, _coerce_value, eval_from_w, span_row
 
 ZERO = Fraction(0)
+
+
+# --- set labels ---------------------------------------------------------------
+
+def mask_to_elements_naive(mask):
+    """Sorted 1-based labels by shifting the mask one bit per step."""
+    out = []
+    j = 1
+    while mask:
+        if mask & 1:
+            out.append(j)
+        mask >>= 1
+        j += 1
+    return out
 
 
 # --- W-transform, straight from the defining sum -----------------------------
@@ -251,23 +264,79 @@ def lp_vertex_optimum(lp):
     return best
 
 
+# --- certificate checks over Fraction -----------------------------------------
+#
+# The verifiers' earlier Fraction loops, kept as the reference that the
+# integer lp.verify_solution and lp.verify_farkas must agree with.
+
+def fraction_verify_solution(lp, solution):
+    """True iff x >= 0 and every row holds exactly, summed in Fraction."""
+    if len(solution) != lp.num_vars:
+        raise MalformedProgramError("solution length does not match num_vars")
+    x = [_coerce_value(v, "solution entry", MalformedProgramError) for v in solution]
+    if any(v < 0 for v in x):
+        return False
+    for row in lp.rows:
+        lhs = sum((c * x[j] for j, c in row.coeffs), ZERO)
+        if row.relation == LESS_EQUAL and lhs > row.rhs:
+            return False
+        if row.relation == GREATER_EQUAL and lhs < row.rhs:
+            return False
+        if row.relation == EQUAL and lhs != row.rhs:
+            return False
+    return True
+
+
+def fraction_verify_farkas(lp, ray):
+    """Farkas check by aggregating the Fraction rows: signs, g >= 0, beta < 0."""
+    if len(ray) != lp.num_rows:
+        return False
+    r = [_coerce_value(v, "ray entry", MalformedProgramError) for v in ray]
+    g = [ZERO] * lp.num_vars
+    beta = ZERO
+    for mult, row in zip(r, lp.rows):
+        if row.relation == LESS_EQUAL and mult < 0:
+            return False
+        if row.relation == GREATER_EQUAL and mult > 0:
+            return False
+        if mult:
+            for j, c in row.coeffs:
+                g[j] += mult * c
+            beta += mult * row.rhs
+    return all(gj >= 0 for gj in g) and beta < 0
+
+
 # --- reference simplex over Fraction ----------------------------------------
 #
 # The solver's earlier tableau, kept as the reference that lp.solve must match
 # exactly: status, solution, objective, Farkas ray, duals and pivot count.
+#
+# Pricing follows lp.solve, which runs on the rows times S (the least common
+# denominator of every coefficient and rhs) with unit slack and artificial
+# columns: there a unit column's reduced cost reads 1/S of what it reads
+# here next to a structural column's, so structural reduced costs are
+# weighted by S before the most negative one is taken.
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
 class _FractionSimplex:
-    """Dense simplex tableau with Bland pivoting, every entry a Fraction."""
+    """Dense simplex tableau with Dantzig pricing, every entry a Fraction.
 
-    def __init__(self, tab, rhs, basis):
+    The most negative weighted reduced cost enters, smallest index on
+    ties; after stall_limit degenerate pivots in a row, the first negative
+    one enters (Bland's rule) until a pivot moves the vertex. So
+    stall_limit 0 is Bland's rule throughout.
+    """
+
+    def __init__(self, tab, rhs, basis, weights, stall_limit):
         self.tab = tab            # list of rows, each a list[Fraction]
         self.rhs = rhs            # list[Fraction], kept >= 0
         self.basis = basis        # basis[p] = column index basic in row p
         self.ncols = len(tab[0]) if tab else 0
+        self.weights = weights    # pricing weight of each column
+        self.stall_limit = stall_limit
         self.red = [_ZERO] * self.ncols
         self.zval = _ZERO
         self.pivots = 0
@@ -319,15 +388,22 @@ class _FractionSimplex:
         self.pivots += 1
 
     def run(self, barred=frozenset()) -> str:
-        """Minimize until optimal or unbounded. Bland's rule throughout."""
+        """Minimize until optimal or unbounded."""
         tab, rhs, red = self.tab, self.rhs, self.red
         nrows = len(tab)
+        stall = 0
         while True:
             pc = -1
+            best = _ZERO
             for j in range(self.ncols):
-                if red[j] < 0 and j not in barred:
-                    pc = j
+                if j in barred or red[j] >= 0:
+                    continue
+                if stall >= self.stall_limit:
+                    pc = j  # Bland: the first negative reduced cost
                     break
+                priced = red[j] * self.weights[j]
+                if priced < best:
+                    pc, best = j, priced
             if pc < 0:
                 return "optimal"
             pr = -1
@@ -345,12 +421,19 @@ class _FractionSimplex:
                         pr, best_ratio, best_basis = r, ratio, self.basis[r]
             if pr < 0:
                 return "unbounded"
+            stall = stall + 1 if rhs[pr] == 0 else 0
             self.pivot(pr, pc)
 
 
-def fraction_simplex_solve(lp: LinearProgram) -> LpOutcome:
-    """Reference solve: the same two phases and Bland pivots on a Fraction tableau."""
+def fraction_simplex_solve(lp: LinearProgram, stall_limit: int = 50) -> LpOutcome:
+    """Reference solve: the same two phases and pivots on a Fraction tableau.
+
+    stall_limit is the run of degenerate pivots after which Bland's rule
+    enters, 50 as in lp.solve; 0 gives Bland's rule throughout.
+    """
     nv = lp.num_vars
+    scale = math.lcm(*(v.denominator for row in lp.rows
+                       for v in (row.rhs, *(c for _, c in row.coeffs))))
 
     # Assemble dense rows. Trivially satisfied all-zero rows are the only
     # presolve: they are skipped and get multiplier zero on the way out.
@@ -422,7 +505,8 @@ def fraction_simplex_solve(lp: LinearProgram) -> LpOutcome:
     ncols = nv + n_slack + n_art
     basis = [init_col[p] for p in range(nrows)]
 
-    sx = _FractionSimplex(tab, rhs_col, basis)
+    weights = [scale] * nv + [_ONE] * (ncols - nv)
+    sx = _FractionSimplex(tab, rhs_col, basis, weights, stall_limit)
     artificial = frozenset(range(art_base, ncols))
 
     # Phase 1: minimize the artificial total.
@@ -440,7 +524,7 @@ def fraction_simplex_solve(lp: LinearProgram) -> LpOutcome:
                 ic = init_col[p]
                 y = costs1[ic] - sx.red[ic]
                 ray[orig[p]] = -sigma[p] * y
-            if not verify_farkas(lp, ray):
+            if not fraction_verify_farkas(lp, ray):
                 raise AssertionError("internal error: extracted Farkas ray failed verification")
             return LpOutcome(INFEASIBLE, None, None, tuple(ray), None, sx.pivots)
         # Drive basic artificials out; delete rows that turned out redundant.
@@ -481,7 +565,7 @@ def fraction_simplex_solve(lp: LinearProgram) -> LpOutcome:
         duals[orig[p]] = sigma[p] * y
 
     out = LpOutcome(FEASIBLE, tuple(x), obj, None, tuple(duals), sx.pivots)
-    if not verify_solution(lp, out.solution):
+    if not fraction_verify_solution(lp, out.solution):
         raise AssertionError("internal error: simplex solution failed verification")
     return out
 

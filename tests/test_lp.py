@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coverext import lp as lp_module
 from coverext.approx import alpha_star_program
 from coverext.errors import MalformedProgramError
 from coverext.extension import extension_program
@@ -261,9 +263,19 @@ def _outcome(out):
             out.pivots)
 
 
-def assert_matches_reference(lp):
+def assert_matches_reference(lp, stall_limit=None):
+    """lp.solve against the reference, both at stall_limit or each at its own default.
+
+    Stall limit 0 is Bland's rule throughout; 1 hands over to it after
+    every degenerate pivot and back after the next nondegenerate one.
+    """
+    if stall_limit is None:
+        got, want = solve(lp), oracles.fraction_simplex_solve(lp)
+    else:
+        with mock.patch.object(lp_module, "_STALL_LIMIT", stall_limit):
+            got = solve(lp)
+        want = oracles.fraction_simplex_solve(lp, stall_limit)
     # repr, not ==: an int where the reference has a Fraction would show
-    got, want = solve(lp), oracles.fraction_simplex_solve(lp)
     assert repr(_outcome(got)) == repr(_outcome(want))
 
 
@@ -306,6 +318,76 @@ def test_coverage_programs_match_fraction_reference(pf):
     assert_matches_reference(extension_program(pf))
     assert_matches_reference(alpha_star_program(pf))
     assert_matches_reference(_norm_program(pf, singleton_only=False))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(mixed_programs())
+def test_solve_matches_reference_with_bland_fallback(lp):
+    for limit in (0, 1):
+        assert_matches_reference(lp, limit)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(oracles.partial_functions())
+def test_coverage_programs_match_reference_with_bland_fallback(pf):
+    for limit in (0, 1):
+        assert_matches_reference(extension_program(pf), limit)
+        assert_matches_reference(alpha_star_program(pf), limit)
+        assert_matches_reference(_norm_program(pf, singleton_only=False), limit)
+
+
+def _verdict(check, lp, vector):
+    """What a verifier says about vector: its bool, or the error it raises."""
+    try:
+        return check(lp, vector)
+    except MalformedProgramError as err:
+        return repr(err)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(mixed_programs(), st.data())
+def test_integer_verifiers_match_fraction_references(lp, data):
+    value = st.builds(F, st.integers(-5, 5), st.sampled_from([1, 2, 3, 4, 6]))
+    out = solve(lp)
+    candidates = [v for v in (out.solution, out.farkas_ray, out.row_duals) if v is not None]
+    for size in (lp.num_vars, lp.num_rows):
+        candidates.append(data.draw(st.lists(value, min_size=size, max_size=size)))
+    for base in list(candidates):
+        # one entry moved by +-1/k, which may or may not break the certificate
+        i = data.draw(st.integers(0, len(base) - 1))
+        step = F(data.draw(st.sampled_from([-1, 1])), data.draw(st.integers(1, 6)))
+        candidates.append(tuple(base[:i]) + (base[i] + step,) + tuple(base[i + 1:]))
+    candidates.append(data.draw(st.lists(value, max_size=lp.num_vars + lp.num_rows + 1)))
+    candidates.append([F(1, 2)] * (lp.num_rows - 1) + [0.5])  # a float entry
+    for vector in candidates:
+        assert _verdict(verify_solution, lp, vector) == _verdict(
+            oracles.fraction_verify_solution, lp, vector)
+        assert _verdict(verify_farkas, lp, vector) == _verdict(
+            oracles.fraction_verify_farkas, lp, vector)
+
+
+def test_beale_degenerate_program_reaches_its_optimum():
+    # Chvatal's form of Beale's example, built so that Dantzig's rule cycles
+    # through degenerate pivots at the origin when the slacks come first in
+    # the index order. Here they come last and the solver takes six pivots.
+    # The optimum -1/20 is at x = (1/25, 0, 1, 0), reached along the
+    # reference's path under every stall limit.
+    lp = LinearProgram(
+        4,
+        objective=[F(-3, 4), 150, F(-1, 50), 6],
+        rows=[
+            ({0: F(1, 4), 1: -60, 2: F(-1, 25), 3: 9}, LESS_EQUAL, 0),
+            ({0: F(1, 2), 1: -90, 2: F(-1, 50), 3: 3}, LESS_EQUAL, 0),
+            ({2: 1}, LESS_EQUAL, 1),
+        ],
+    )
+    out = solve(lp)
+    assert out.objective_value == F(-1, 20)
+    assert out.solution == (F(1, 25), F(0), F(1), F(0))
+    assert out.pivots == 6
+    assert verify_solution(lp, out.solution)
+    for limit in (None, 1, 0):
+        assert_matches_reference(lp, limit)
 
 
 def test_driving_out_through_a_negative_entry_drops_the_redundant_row():

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from coverext.errors import CapExceededError
 from coverext.setfun import (
@@ -34,6 +35,18 @@ def test_mask_helpers():
         mask_from_elements([4], 3)
     with pytest.raises(ValueError):
         mask_from_elements([2, 2], 3)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.one_of(
+    st.integers(0, 1 << 70),
+    st.lists(st.integers(0, 5000), max_size=12).map(lambda bits: sum(1 << b for b in set(bits))),
+))
+@example(0)
+@example(1 << 20_000)
+@example((1 << 4000) - 1)
+def test_mask_to_elements_matches_the_shifting_loop(mask):
+    assert mask_to_elements(mask) == oracles.mask_to_elements_naive(mask)
 
 
 def test_transform_two_element_coverage():
