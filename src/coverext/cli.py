@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import multiprocessing
 import os
 import sys
 import time
@@ -289,6 +288,8 @@ def _run_batch(args, argv, paths):
     jobs = [(args, argv, path) for path in paths]
     workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
     if workers > 1:
+        import multiprocessing  # here, not at the top: only a parallel batch needs it
+
         with multiprocessing.Pool(workers) as pool:
             results = pool.map(_pool_worker, jobs)
     else:

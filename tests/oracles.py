@@ -312,10 +312,10 @@ def fraction_verify_farkas(lp, ray):
 # exactly: status, solution, objective, Farkas ray, duals and pivot count.
 #
 # Pricing follows lp.solve, which runs on the rows times S (the least common
-# denominator of every coefficient and rhs) with unit slack and artificial
-# columns: there a unit column's reduced cost reads 1/S of what it reads
-# here next to a structural column's, so structural reduced costs are
-# weighted by S before the most negative one is taken.
+# denominator of every coefficient and rhs of the rows presolve keeps) with
+# unit slack and artificial columns: there a unit column's reduced cost reads
+# 1/S of what it reads here next to a structural column's, so structural
+# reduced costs are weighted by S before the most negative one is taken.
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -432,8 +432,6 @@ def fraction_simplex_solve(lp: LinearProgram, stall_limit: int = 50) -> LpOutcom
     enters, 50 as in lp.solve; 0 gives Bland's rule throughout.
     """
     nv = lp.num_vars
-    scale = math.lcm(*(v.denominator for row in lp.rows
-                       for v in (row.rhs, *(c for _, c in row.coeffs))))
 
     # Assemble dense rows. Trivially satisfied all-zero rows are the only
     # presolve: they are skipped and get multiplier zero on the way out.
@@ -459,6 +457,8 @@ def fraction_simplex_solve(lp: LinearProgram, stall_limit: int = 50) -> LpOutcom
             return LpOutcome(status=UNBOUNDED)
         return LpOutcome(FEASIBLE, (_ZERO,) * nv, _ZERO, None, (_ZERO,) * lp.num_rows, 0)
 
+    # the least common denominator of the kept rows, as lp.solve scales them
+    scale = math.lcm(*(v.denominator for dense, rhs, _, _ in std for v in (rhs, *dense)))
     nrows = len(std)
     n_slack = sum(1 for s in std if s[2] != EQUAL)
 
@@ -568,6 +568,27 @@ def fraction_simplex_solve(lp: LinearProgram, stall_limit: int = 50) -> LpOutcom
     if not fraction_verify_solution(lp, out.solution):
         raise AssertionError("internal error: simplex solution failed verification")
     return out
+
+
+def bareiss_pivot_dense(tab, d, pr, pc):
+    """The fraction-free pivot on (pr, pc) that rebuilds every row it changes.
+
+    tab holds integer rows over the common denominator d; every row but pr
+    is replaced by (row * pv - row[pc] * tab[pr]) // d, pv = tab[pr][pc],
+    and the new denominator is pv. It replaces rows and mutates none. lp's
+    pivot must leave the same rows.
+    """
+    prow = tab[pr]
+    pv = prow[pc]
+    for i, row in enumerate(tab):
+        if i == pr:
+            continue
+        f = row[pc]
+        if f:
+            tab[i] = [(a * pv - f * b) // d for a, b in zip(row, prow)]
+        elif pv != d:
+            tab[i] = [a * pv // d for a in row]
+    return tab
 
 
 # --- random generators --------------------------------------------------------

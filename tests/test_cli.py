@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -251,7 +252,7 @@ def test_jobs_clamped_to_batch_and_cpus(tmp_path, capsys, monkeypatch):
         def map(self, fn, items):
             return [fn(item) for item in items]
 
-    monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     for name in ("a.json", "b.json", "c.json"):
         write(tmp_path, name, ADDITIVE)
     for cpus, want in ((8, 3), (2, 2)):
@@ -280,6 +281,14 @@ def test_stdin_pipeline_subprocess(tmp_path):
     assert extend.returncode == 0
     report = json.loads(extend.stdout)
     assert report["result"]["status"] == "extendible"
+
+
+def test_importing_the_cli_leaves_multiprocessing_out():
+    # only a directory batch with --jobs > 1 needs a process pool
+    probe = "import sys, coverext.cli; print('multiprocessing' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), check=True)
+    assert done.stdout == "False\n"
 
 
 REPORT_KEYS = ["command", "argv", "input_digest", "result", "wall_time_ms", "solver"]

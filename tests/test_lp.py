@@ -5,7 +5,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coverext import lp as lp_module
 from coverext.approx import alpha_star_program
@@ -25,6 +25,7 @@ from coverext.lp import (
     verify_solution,
 )
 from coverext.norm import _norm_program
+from coverext.setfun import PartialFunction
 
 import oracles
 
@@ -416,3 +417,77 @@ def test_driving_out_through_a_negative_entry_drops_the_redundant_row():
         row_duals=(F(0), F(1, 2), F(-5, 3), F(0)),
         pivots=2,
     )
+
+
+# --- presolve and the in-place pivot ------------------------------------------
+
+
+@st.composite
+def trivial_zero_rows(draw):
+    """All-zero rows that every x satisfies: every relation, odd denominators,
+    sometimes an explicit zero coefficient."""
+    relation = draw(st.sampled_from([LESS_EQUAL, EQUAL, GREATER_EQUAL]))
+    rhs = F(draw(st.integers(0, 20)), draw(st.sampled_from([1, 3, 5, 7, 97])))
+    rhs = {LESS_EQUAL: rhs, EQUAL: F(0), GREATER_EQUAL: -rhs}[relation]
+    coeffs = {0: F(0)} if draw(st.booleans()) else {}
+    return coeffs, relation, rhs
+
+
+# Two stretch programs whose paths a 1/97 row would move if the scale were
+# taken over every row: unit columns would price 97 times lower against
+# structural ones (10 -> 11 pivots to infeasibility, 13 -> 12 to the optimum).
+_STRETCH_PROGRAMS = [alpha_star_program(PartialFunction(5, points)) for points in (
+    ((16, F(8, 3)), (27, F(7)), (12, F(6)), (14, F(5)), (29, F(4)), (1, F(1, 3)), (18, F(0))),
+    ((1, F(2, 3)), (18, F(5)), (26, F(1, 2)), (8, F(1, 2)), (14, F(9)), (6, F(4)), (22, F(3))),
+)]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(mixed_programs(), st.lists(trivial_zero_rows(), min_size=1, max_size=3))
+@example(_STRETCH_PROGRAMS[0], [({}, LESS_EQUAL, F(1, 97))])
+@example(_STRETCH_PROGRAMS[1], [({}, LESS_EQUAL, F(1, 97))])
+def test_trivial_zero_rows_leave_the_path_unchanged(lp, extra):
+    # presolve drops such rows, so they must not move the pivot path either:
+    # the solver scales the tableau by the rows it keeps
+    rows = [(dict(row.coeffs), row.relation, row.rhs) for row in lp.rows]
+    padded = LinearProgram(lp.num_vars, objective=lp.objective, rows=rows + extra)
+    base = solve(lp)
+
+    def with_zero_rows(multipliers):
+        return None if multipliers is None else multipliers + (F(0),) * len(extra)
+
+    want = LpOutcome(base.status, base.solution, base.objective_value,
+                     with_zero_rows(base.farkas_ray), with_zero_rows(base.row_duals), base.pivots)
+    assert repr(_outcome(solve(padded))) == repr(_outcome(want))
+    assert_matches_reference(padded)
+
+
+def test_in_place_pivot_matches_the_dense_update():
+    kinds = set()  # whether pv == d, over every pivot checked
+    library_pivot = lp_module._Simplex.pivot
+
+    def checked_pivot(self, pr, pc):
+        before, d = [list(row) for row in self.tab], self.d
+        kinds.add(before[pr][pc] == d)
+        library_pivot(self, pr, pc)
+        assert self.tab == oracles.bareiss_pivot_dense(before, d, pr, pc)
+        assert self.d == before[pr][pc]
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(mixed_programs())
+    def mixed(lp):
+        solve(lp)
+
+    @settings(max_examples=15, deadline=None, database=None)
+    @given(oracles.partial_functions())
+    def coverage(pf):
+        solve(extension_program(pf))
+        solve(alpha_star_program(pf))
+        solve(_norm_program(pf, singleton_only=False))
+
+    with mock.patch.object(lp_module._Simplex, "pivot", checked_pivot):
+        for limit in (lp_module._STALL_LIMIT, 0):
+            with mock.patch.object(lp_module, "_STALL_LIMIT", limit):
+                mixed()
+                coverage()
+    assert kinds == {True, False}
