@@ -43,7 +43,7 @@ from .setfun import (
     require_enumerable,
     span_columns,
     span_row,
-    span_sums,
+    span_violation,
 )
 
 _ZERO = Fraction(0)
@@ -275,20 +275,12 @@ def generate_tight_instance(
             continue
         points = [(mask, Fraction(root)) for mask in blocks]
         points += [(mask, _ONE) for mask in trans]
-        candidate = PartialFunction(m, tuple(points))
-        if _spans_dominated(candidate, len(blocks)):
-            return candidate
+        # Blocks weigh +1 and transversals -1, so no positive span sum
+        # means every subset meets at least as many transversals as blocks.
+        weights = [1] * len(blocks) + [-1] * len(trans)
+        if span_violation(m, blocks + trans, weights, cap) is None:
+            return PartialFunction(m, tuple(points))
     raise SeedExhaustedError(
         f"no valid transversal draw within {max_attempts} attempts (m={m}, k={k}, seed={seed})"
     )
 
-
-def _spans_dominated(pf: PartialFunction, num_blocks: int) -> bool:
-    """Every nonempty subset meets at least as many transversals as blocks.
-
-    Blocks occupy the first num_blocks points by construction; weighting
-    blocks +1 and transversals -1, no span sum may be positive.
-    """
-    weights = [1] * num_blocks + [-1] * (pf.n - num_blocks)
-    sums, _ = span_sums(pf.m, pf.masks(), weights)
-    return max(sums) <= 0

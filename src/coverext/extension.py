@@ -26,13 +26,14 @@ from typing import Optional, Sequence
 from .lp import EQUAL, FEASIBLE, INFEASIBLE, LinearProgram, solve
 from .setfun import (
     DEFAULT_ENUMERATION_CAP,
+    Mask,
     PartialFunction,
     WCoefficients,
     eval_from_w,
     require_enumerable,
     span_columns,
     span_row,
-    span_sums,
+    span_violation,
 )
 
 _ZERO = Fraction(0)
@@ -45,13 +46,12 @@ class ExtensionVerdict:
     certificate: Optional[tuple[Fraction, ...]] = None
 
 
-def extension_program(pf: PartialFunction) -> LinearProgram:
+def extension_program(pf: PartialFunction, columns: Sequence[Mask]) -> LinearProgram:
     """Feasibility program over one coefficient per distinct hit pattern.
 
-    Variable c carries w(span_columns(pf.m, pf.masks())[c]); every point
-    contributes the equality row: total weight on sets meeting T_i equals f_i.
+    Variable c carries w(columns[c]), columns = span_columns(pf.m, pf.masks());
+    every point contributes the equality row: weight on sets meeting T_i = f_i.
     """
-    columns = span_columns(pf.m, pf.masks())
     rows = [(span_row(columns, mask_i), EQUAL, value) for mask_i, value in pf.points]
     return LinearProgram(len(columns), rows=rows)
 
@@ -59,9 +59,9 @@ def extension_program(pf: PartialFunction) -> LinearProgram:
 def decide_extension(pf: PartialFunction, cap: int = DEFAULT_ENUMERATION_CAP) -> ExtensionVerdict:
     """Exact verdict with a verified witness or a verified certificate."""
     require_enumerable(pf.m, cap)
-    outcome = solve(extension_program(pf))
+    columns = span_columns(pf.m, pf.masks())
+    outcome = solve(extension_program(pf, columns))
     if outcome.status == FEASIBLE:
-        columns = span_columns(pf.m, pf.masks())
         support = {columns[c]: v for c, v in enumerate(outcome.solution) if v}
         witness = WCoefficients.from_dict(pf.m, support)
         if witness.support_size > pf.n:
@@ -91,6 +91,6 @@ def verify_certificate(
     require_enumerable(pf.m, cap)
     if len(certificate) != pf.n:
         return False
-    sums, _ = span_sums(pf.m, pf.masks(), certificate)  # sums[0] is 0, the empty S
+    inside = span_violation(pf.m, pf.masks(), certificate, cap) is None
     objective = sum((v * l for (_, v), l in zip(pf.points, certificate)), _ZERO)
-    return max(sums) <= 0 and objective > 0
+    return inside and objective > 0

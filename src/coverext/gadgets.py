@@ -37,6 +37,7 @@ from .setfun import (
     mask_from_elements,
     require_enumerable,
     span_sums,
+    span_violation,
 )
 
 _ZERO = Fraction(0)
@@ -94,15 +95,6 @@ class Graph:
         total = _ZERO
         for (u, v), wt in zip(self.edges, w):
             if bool(smask >> (u - 1) & 1) != bool(smask >> (v - 1) & 1):
-                total += wt
-        return total
-
-    def span_weight(self, smask: Mask) -> Fraction:
-        """Total weight of edges with at least one endpoint in the subset."""
-        w = self.require_weights()
-        total = _ZERO
-        for (u, v), wt in zip(self.edges, w):
-            if (smask >> (u - 1) & 1) or (smask >> (v - 1) & 1):
                 total += wt
         return total
 
@@ -324,6 +316,7 @@ def coverage_span_sums(instance: MembershipInstance) -> dict[Mask, Fraction]:
     if instance.variant != "coverage":
         raise ValueError("expected a coverage membership instance")
     m = instance.family_m
+    require_enumerable(m)
     sums, scale = span_sums(m, instance.family_sets, instance.point)
     return {s: Fraction(sums[s], scale) for s in range(1, 1 << m)}
 
@@ -408,7 +401,7 @@ def densest_cut_report(
     """
     require_enumerable(graph.num_vertices, cap)
     gadget = densest_cut_gadget(graph, density)
-    cuts, scale = _edge_sums(gadget, cut=True)
+    cuts, scale = _edge_sums(gadget)
     proper = itertools.islice(cuts, 1, (1 << graph.num_vertices) - 1)
     best = Fraction(max(proper), scale)
     return DensestCutReport(gadget, best, best > 0, best == 0)
@@ -425,36 +418,38 @@ def check_cut_membership(
     graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> MembershipCheck:
     """Brute-force test against the cut polytope (all cut sums <= 0, unit box)."""
-    return _check_membership(graph, cap, cut=True)
+    return _check_membership(graph, cap, lambda: next(
+        (s for s, value in enumerate(_edge_sums(graph)[0]) if value > 0), None))
 
 
 def check_span_membership(
     graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> MembershipCheck:
     """Brute-force test against the span polytope (all span sums <= 0, unit box)."""
-    return _check_membership(graph, cap, cut=False)
+    return _check_membership(graph, cap, lambda: span_violation(
+        graph.num_vertices, _edge_masks(graph), graph.weights, cap))
 
 
-def _edge_sums(graph: Graph, cut: bool):
-    """Scaled cut or span sums of all vertex subsets in mask order, and the scale.
+def _edge_masks(graph: Graph) -> list[Mask]:
+    return [(1 << (u - 1)) | (1 << (v - 1)) for u, v in graph.edges]
+
+
+def _edge_sums(graph: Graph):
+    """Scaled cut sums of all vertex subsets in mask order, and the scale.
 
     An edge meets both S and its complement (the mirrored index) exactly
     when it is cut, so cut(S) = span(S) + span(complement) - total weight.
     """
-    masks = [(1 << (u - 1)) | (1 << (v - 1)) for u, v in graph.edges]
-    sums, scale = span_sums(graph.num_vertices, masks, graph.require_weights())
-    if not cut:
-        return sums, scale
+    sums, scale = span_sums(graph.num_vertices, _edge_masks(graph), graph.require_weights())
     total = sums[-1]
     return (a + b - total for a, b in zip(sums, reversed(sums))), scale
 
 
-def _check_membership(graph: Graph, cap: int, cut: bool) -> MembershipCheck:
+def _check_membership(graph: Graph, cap: int, violation) -> MembershipCheck:
+    """The unit box first, edge by edge, then violation(): a violated set or None."""
     require_enumerable(graph.num_vertices, cap)
-    w = graph.require_weights()
-    for i, wt in enumerate(w):
+    for i, wt in enumerate(graph.require_weights()):
         if wt < -1 or wt > 1:
             return MembershipCheck(False, box_edge=i)
-    sums, _ = _edge_sums(graph, cut)
-    violated = next((s for s, value in enumerate(sums) if value > 0), None)
+    violated = violation()
     return MembershipCheck(violated is None, violated_set=violated)

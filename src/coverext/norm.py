@@ -31,7 +31,7 @@ from .setfun import (
     require_enumerable,
     span_columns,
     span_row,
-    span_sums,
+    span_violation,
 )
 
 _ZERO = Fraction(0)
@@ -64,18 +64,14 @@ def _held_singletons(pf: PartialFunction) -> list[Mask]:
     return singletons
 
 
-def _norm_program(pf: PartialFunction, singleton_only: bool) -> LinearProgram:
-    """min sum(eps+ + eps-) with (span weight) - f_i = eps+_i - eps-_i."""
-    if singleton_only:
-        coeff_masks = _held_singletons(pf)
-    else:
-        coeff_masks = span_columns(pf.m, pf.masks())
-    nw = len(coeff_masks)
+def _norm_program(pf: PartialFunction, columns: Sequence[Mask]) -> LinearProgram:
+    """min sum(eps+ + eps-) with (weight on columns meeting T_i) - f_i = eps+_i - eps-_i."""
+    nw = len(columns)
     nv = nw + 2 * pf.n
     objective = [0] * nw + [1] * (2 * pf.n)
     rows = []
     for i, (mask_i, value) in enumerate(pf.points):
-        coeffs = span_row(coeff_masks, mask_i)
+        coeffs = span_row(columns, mask_i)
         coeffs[nw + 2 * i] = -1      # eps+_i
         coeffs[nw + 2 * i + 1] = 1   # eps-_i
         rows.append((coeffs, EQUAL, value))
@@ -91,10 +87,11 @@ def norm_extension_approx(
 
     The restricted path never enumerates 2^m; only with_exact does.
     """
-    outcome = solve(_norm_program(pf, singleton_only=True))
+    singletons = _held_singletons(pf)
+    outcome = solve(_norm_program(pf, singletons))
     if outcome.status != FEASIBLE:
         raise AssertionError("restricted norm program is always feasible")
-    support = [(s, v) for s, v in zip(_held_singletons(pf), outcome.solution) if v]
+    support = [(s, v) for s, v in zip(singletons, outcome.solution) if v]
     witness = WCoefficients(pf.m, tuple(support))
     errors = tuple(eval_from_w(witness, mask) - value for mask, value in pf.points)
     opt_restricted = outcome.objective_value
@@ -117,7 +114,7 @@ def norm_extension_approx(
 def norm_opt_exact(pf: PartialFunction, cap: int = DEFAULT_ENUMERATION_CAP) -> Fraction:
     """Exact optimum over all coverage functions (one column per hit pattern)."""
     require_enumerable(pf.m, cap)
-    outcome = solve(_norm_program(pf, singleton_only=False))
+    outcome = solve(_norm_program(pf, span_columns(pf.m, pf.masks())))
     if outcome.status != FEASIBLE:
         raise AssertionError("full norm program is always feasible")
     return outcome.objective_value
@@ -130,5 +127,4 @@ def verify_dual_feasible(
     require_enumerable(pf.m, cap)
     if len(y) != pf.n:
         return False
-    sums, _ = span_sums(pf.m, pf.masks(), y)
-    return max(sums) <= 0 and all(-1 <= v <= 1 for v in y)
+    return span_violation(pf.m, pf.masks(), y, cap) is None and all(-1 <= v <= 1 for v in y)

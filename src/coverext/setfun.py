@@ -254,6 +254,21 @@ def span_sums(
     return table, scale
 
 
+def span_violation(
+    m: int, sets: Sequence[Mask], weights: Sequence[ExactLike], cap: int
+) -> Optional[Mask]:
+    """The smallest S with a positive span sum, or None when every span sum is <= 0.
+
+    The one span-polytope test: certificates, rounded norm duals, the
+    tight-family validation and span membership all run it.
+    """
+    require_enumerable(m, cap)
+    sums, _ = span_sums(m, sets, weights)
+    if max(sums) <= 0:
+        return None
+    return next(s for s, value in enumerate(sums) if value > 0)
+
+
 def span_columns(m: int, points: Sequence[Mask]) -> list[Mask]:
     """One LP column per distinct hit pattern: the smallest set of each, ascending.
 

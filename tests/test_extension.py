@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from coverext import extension
 from coverext.errors import CapExceededError
 from coverext.lp import verify_solution
-from coverext.setfun import PartialFunction, WCoefficients, eval_from_w
+from coverext.setfun import PartialFunction, WCoefficients, eval_from_w, span_columns
 from coverext.extension import (
     decide_extension,
     extension_program,
@@ -49,13 +50,30 @@ def test_monotonicity_violation_is_not_extendible():
     assert verify_certificate(instance, verdict.certificate)
 
 
+@pytest.mark.parametrize("extendible", [True, False])
+def test_columns_are_built_once_per_decision(monkeypatch, extendible):
+    calls = []
+
+    def counting(m, points):
+        calls.append(m)
+        return span_columns(m, points)
+
+    monkeypatch.setattr(extension, "span_columns", counting)
+    values = (1, 1, 2) if extendible else (1, 1, 3)
+    instance = pf(2, *zip((0b01, 0b10, 0b11), values))
+    assert decide_extension(instance).extendible is extendible
+    assert calls == [2]
+
+
 def test_program_solution_verifies_directly():
     # the one-point instance's program is satisfied by weight 1 on {1} alone
-    program = extension_program(pf(1, (0b1, 1)))
+    single = pf(1, (0b1, 1))
+    program = extension_program(single, span_columns(1, single.masks()))
     assert verify_solution(program, [F(1)])
     # at m = 2, {1, 2} meets {1} just as {1} does and {2} meets nothing,
     # so the only column is {1}
-    program = extension_program(pf(2, (0b01, 1)))
+    wide = pf(2, (0b01, 1))
+    program = extension_program(wide, span_columns(2, wide.masks()))
     assert program.num_vars == 1
     assert verify_solution(program, [F(1)])
     assert not verify_solution(program, [F(0)])

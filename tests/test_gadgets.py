@@ -1,10 +1,12 @@
 """Gadget constructions, their exact identities, and the chromatic oracle."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from coverext.errors import CapExceededError
 from coverext.extension import decide_extension
 from coverext.gadgets import (
     Graph,
@@ -138,7 +140,7 @@ def test_cut_to_span_identity_and_equivalence():
         graph = Graph(n, tuple(edges), tuple(weights))
         gadget, scale = cut_to_span_gadget(graph)
         for s in range(1 << n):
-            lhs = scale * gadget.span_weight(s)
+            lhs = scale * oracles.span_weight_naive(n + 2, gadget.edges, gadget.weights, s)
             rhs = graph.cut_weight(s) / 2
             assert lhs == rhs
         has_pos_cut = any(graph.cut_weight(s) > 0 for s in range(1, 1 << n))
@@ -226,6 +228,19 @@ def test_setcover_gadget_frozen_no_instance():
     inst = setcover_membership_gadget(2, [[1], [2]], 1)
     sums = coverage_span_sums(inst)
     assert max(sums.values()) == F(-1)  # every span sum <= -1/(2L) = -1
+
+
+def test_coverage_span_sums_refuse_a_family_past_the_cap():
+    # 25 members would ask for a 2^25-entry table
+    inst = setcover_membership_gadget(2, [[1]] * 25, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError):
+            coverage_span_sums(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_membership_instance_validated_at_construction():

@@ -25,7 +25,7 @@ from coverext.lp import (
     verify_solution,
 )
 from coverext.norm import _norm_program
-from coverext.setfun import PartialFunction
+from coverext.setfun import PartialFunction, span_columns
 
 import oracles
 
@@ -316,9 +316,10 @@ def test_solve_matches_fraction_reference(lp):
 @settings(max_examples=40, deadline=None, database=None)
 @given(oracles.partial_functions())
 def test_coverage_programs_match_fraction_reference(pf):
-    assert_matches_reference(extension_program(pf))
+    columns = span_columns(pf.m, pf.masks())
+    assert_matches_reference(extension_program(pf, columns))
     assert_matches_reference(alpha_star_program(pf))
-    assert_matches_reference(_norm_program(pf, singleton_only=False))
+    assert_matches_reference(_norm_program(pf, columns))
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -331,10 +332,11 @@ def test_solve_matches_reference_with_bland_fallback(lp):
 @settings(max_examples=25, deadline=None, database=None)
 @given(oracles.partial_functions())
 def test_coverage_programs_match_reference_with_bland_fallback(pf):
+    columns = span_columns(pf.m, pf.masks())
     for limit in (0, 1):
-        assert_matches_reference(extension_program(pf), limit)
+        assert_matches_reference(extension_program(pf, columns), limit)
         assert_matches_reference(alpha_star_program(pf), limit)
-        assert_matches_reference(_norm_program(pf, singleton_only=False), limit)
+        assert_matches_reference(_norm_program(pf, columns), limit)
 
 
 def _verdict(check, lp, vector):
@@ -481,9 +483,10 @@ def test_in_place_pivot_matches_the_dense_update():
     @settings(max_examples=15, deadline=None, database=None)
     @given(oracles.partial_functions())
     def coverage(pf):
-        solve(extension_program(pf))
+        columns = span_columns(pf.m, pf.masks())
+        solve(extension_program(pf, columns))
         solve(alpha_star_program(pf))
-        solve(_norm_program(pf, singleton_only=False))
+        solve(_norm_program(pf, columns))
 
     with mock.patch.object(lp_module._Simplex, "pivot", checked_pivot):
         for limit in (lp_module._STALL_LIMIT, 0):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from coverext.lp import solve
 from coverext.setfun import PartialFunction, eval_from_w
 from coverext.norm import (
+    _held_singletons,
     _norm_program,
     norm_extension_approx,
     norm_opt_exact,
@@ -98,7 +99,7 @@ def test_witness_evaluates_consistently():
 def test_restricted_program_solves_like_all_singletons(instance, unheld):
     # up to three more elements that no point holds
     instance = PartialFunction(instance.m + unheld, instance.points)
-    got = solve(_norm_program(instance, singleton_only=True))
+    got = solve(_norm_program(instance, _held_singletons(instance)))
     want = solve(oracles.all_singletons_norm_program(instance))
     assert (got.status, got.objective_value, got.row_duals, got.pivots) == (
         want.status, want.objective_value, want.row_duals, want.pivots)

@@ -58,9 +58,9 @@ def _expand(columns, solution, m):
 def test_deduplicated_programs_solve_like_full_ones(pf):
     columns = span_columns(pf.m, pf.masks())
     pairs = [
-        (extension_program(pf), oracles.full_extension_program(pf)),
+        (extension_program(pf, columns), oracles.full_extension_program(pf)),
         (alpha_star_program(pf), oracles.full_alpha_star_program(pf)),
-        (_norm_program(pf, singleton_only=False), oracles.full_norm_program(pf)),
+        (_norm_program(pf, columns), oracles.full_norm_program(pf)),
     ]
     for dedup, full in pairs:
         assert dedup.num_vars - len(columns) == full.num_vars - ((1 << pf.m) - 1)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coverext.approx import _spans_dominated
+from coverext.errors import CapExceededError
 from coverext.extension import verify_certificate
 from coverext.gadgets import (
     Graph,
@@ -18,7 +18,7 @@ from coverext.gadgets import (
     densest_cut_report,
 )
 from coverext.norm import verify_dual_feasible
-from coverext.setfun import PartialFunction, span_sums
+from coverext.setfun import DEFAULT_ENUMERATION_CAP, PartialFunction, span_sums, span_violation
 
 import oracles
 
@@ -95,6 +95,23 @@ def test_span_sums_match_literal_sums(family):
 
 
 @PROPERTY
+@given(families())
+@example((2, [0b01, 0b11], [F(1), F(-1)]))  # largest span sum exactly 0
+@example((2, [0b01, 0b10], [F(1), F(2)]))  # first violation is not the largest
+def test_span_violation_is_the_first_positive_span_in_ascending_order(family):
+    m, sets, weights = family
+    want = next((s for s in range(1, 1 << m)
+                 if oracles.span_sum_naive(sets, weights, s) > 0), None)
+    assert span_violation(m, sets, weights, DEFAULT_ENUMERATION_CAP) == want
+
+
+def test_span_violation_is_gated_by_its_cap():
+    with pytest.raises(CapExceededError):
+        span_violation(4, [0b1], [F(1)], 3)
+    assert span_violation(3, [0b1], [F(1)], 3) == 0b1
+
+
+@PROPERTY
 @given(weighted_graphs())
 def test_membership_matches_an_ascending_scan(graph):
     n, edges, weights = graph.num_vertices, graph.edges, graph.weights
@@ -154,7 +171,8 @@ def test_spans_dominated_matches_hit_counts(case, data):
         if len(hit) - hit_blocks < hit_blocks:
             want = False
             break
-    assert _spans_dominated(pf, blocks) is want
+    weights = [1] * blocks + [-1] * (pf.n - blocks)
+    assert (span_violation(pf.m, pf.masks(), weights, DEFAULT_ENUMERATION_CAP) is None) is want
 
 
 @PROPERTY
