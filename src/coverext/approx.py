@@ -51,6 +51,9 @@ _ONE = Fraction(1)
 
 Ratio = Union[Fraction, float]  # float only ever holds math.inf
 
+#: Transversal draws generate_tight_instance validates before it gives up.
+_MAX_ATTEMPTS = 64
+
 
 def harmonic(k: int) -> Fraction:
     """Exact k-th harmonic number, the greedy cover guarantee."""
@@ -231,7 +234,6 @@ def generate_tight_instance(
     k: int = 2,
     seed: int = 0,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    max_attempts: int = 64,
 ) -> PartialFunction:
     """Blocks-versus-transversals family with d = sqrt(m) and kappa = 1.
 
@@ -240,7 +242,7 @@ def generate_tight_instance(
     transversals (one uniform element per block) get value 1. A draw is
     accepted only if every nonempty subset of the ground set meets at
     least as many transversals as blocks, checked by full enumeration;
-    otherwise the transversals are redrawn, up to max_attempts.
+    otherwise the transversals are redrawn, up to _MAX_ATTEMPTS times.
     """
     if m < 1:
         raise ValueError("ground set must be nonempty")
@@ -261,15 +263,15 @@ def generate_tight_instance(
     count = k * root * log_factor
 
     rng = random.Random(seed)
-    block_mask_set = set(blocks)
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
+        # A transversal meets all root >= 2 blocks, so it is never a block
+        # itself; at m = 1 no transversal is drawn (count is 0).
         transversals = set()
         for _ in range(count):
             mask = 0
             for b in range(root):
                 mask |= 1 << (b * root + rng.randrange(root))
-            if mask not in block_mask_set:
-                transversals.add(mask)
+            transversals.add(mask)
         trans = sorted(transversals)
         if not trans:
             continue
@@ -281,6 +283,6 @@ def generate_tight_instance(
         if span_violation(m, blocks + trans, weights, cap) is None:
             return PartialFunction(m, tuple(points))
     raise SeedExhaustedError(
-        f"no valid transversal draw within {max_attempts} attempts (m={m}, k={k}, seed={seed})"
+        f"no valid transversal draw within {_MAX_ATTEMPTS} attempts (m={m}, k={k}, seed={seed})"
     )
 

@@ -34,6 +34,8 @@ from .setfun import (
     Mask,
     PartialFunction,
     _coerce_value,
+    _is_int,
+    _require_positive_int,
     mask_from_elements,
     require_enumerable,
     span_sums,
@@ -52,12 +54,12 @@ class Graph:
     weights: Optional[tuple[Fraction, ...]] = None
 
     def __post_init__(self):
-        if self.num_vertices < 1:
-            raise ValueError("graph needs at least one vertex")
+        n = self.num_vertices
+        _require_positive_int(n, "num_vertices")
         seen = set()
         norm = []
         for u, v in self.edges:
-            if not (1 <= u <= self.num_vertices and 1 <= v <= self.num_vertices):
+            if not (_is_int(u) and _is_int(v) and 1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"edge ({u},{v}) out of range")
             if u == v:
                 raise ValueError(f"self-loop at {u}")
@@ -234,26 +236,26 @@ class DeltaSpec:
 
 @dataclass(frozen=True)
 class MembershipInstance:
-    """A point to test against a cut, span, or coverage polytope."""
+    """A point to test against the coverage polytope of a set family.
 
-    variant: str  # "cut" | "span" | "coverage"
+    Coverage-only: point[i] is the value at family_sets[i], a subset of
+    [family_m], and the point is inside when every span sum is <= 0.
+    """
+
     point: tuple[Fraction, ...]
-    delta: Optional[DeltaSpec] = None
-    family_m: Optional[int] = None
-    family_sets: Optional[tuple[Mask, ...]] = None
+    delta: DeltaSpec
+    family_m: int
+    family_sets: tuple[Mask, ...]
 
     def __post_init__(self):
-        if self.family_sets is None:
-            return
         m = self.family_m
-        if not isinstance(m, int) or m < 1:
-            raise ValueError(f"family_m must be a positive int, got {m!r}")
+        _require_positive_int(m, "family_m")
         if len(self.point) != len(self.family_sets):
             raise ValueError(
                 f"{len(self.point)} point entries but {len(self.family_sets)} family sets"
             )
         for mask in self.family_sets:
-            if not isinstance(mask, int) or not (mask >= 0 and mask.bit_length() <= m):
+            if not (_is_int(mask) and mask >= 0 and mask.bit_length() <= m):
                 raise ValueError(f"family set mask {mask} not a subset of [{m}]")
         point = tuple(_coerce_value(v, "point entry") for v in self.point)
         object.__setattr__(self, "point", point)
@@ -269,7 +271,7 @@ def setcover_membership_gadget(
     (k - k*n' + 1/2)/L, and one set per universe element (the indices of
     the members containing it) at k/L, with L = k*n' - k - 1/2. A k-cover
     exists iff some subset's span sum reaches +1/(2L); otherwise every
-    span sum stays at or below -1/(2L).
+    span sum stays at or below -1/(2L). L >= 1/2, since n' >= 2 and k >= 1.
     """
     if universe_size < 2:
         raise ValueError("universe must have at least 2 elements")
@@ -278,8 +280,6 @@ def setcover_membership_gadget(
     if not family:
         raise ValueError("family must be nonempty")
     scale = Fraction(k * universe_size - k) - Fraction(1, 2)
-    if scale <= 0:
-        raise ValueError("degenerate parameters: k*n' - k - 1/2 must be positive")
 
     m = len(family)
     fam_masks = []
@@ -306,15 +306,11 @@ def setcover_membership_gadget(
         point.append(Fraction(k) / scale)
 
     delta = DeltaSpec(1 / (4 * scale), len(sets))
-    return MembershipInstance(
-        "coverage", tuple(point), delta, family_m=m, family_sets=tuple(sets)
-    )
+    return MembershipInstance(tuple(point), delta, m, tuple(sets))
 
 
 def coverage_span_sums(instance: MembershipInstance) -> dict[Mask, Fraction]:
     """All span sums of a coverage membership instance, by full enumeration."""
-    if instance.variant != "coverage":
-        raise ValueError("expected a coverage membership instance")
     m = instance.family_m
     require_enumerable(m)
     sums, scale = span_sums(m, instance.family_sets, instance.point)

@@ -44,7 +44,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import MalformedProgramError
-from .setfun import ExactLike, _coerce_value, _scaled
+from .setfun import ExactLike, _coerce_value, _is_int, _scaled
 
 LESS_EQUAL = "<="
 EQUAL = "="
@@ -76,8 +76,8 @@ IntRow = tuple[tuple[int, ...], tuple[int, ...], str, int]  # indices, coefficie
 class LinearProgram:
     """Immutable standard-form program: min objective'x, sparse rows, x >= 0.
 
-    rows are given as (coeffs, relation, rhs) where coeffs is a mapping or
-    an iterable of (index, value) pairs. Every variable is nonnegative and
+    rows are given as (coeffs, relation, rhs) where coeffs is a mapping
+    from variable index to coefficient. Every variable is nonnegative and
     has no other bound; write any other limit as a row.
     """
 
@@ -89,7 +89,7 @@ class LinearProgram:
         objective: Optional[Sequence[ExactLike]] = None,
         rows: Iterable[tuple] = (),
     ):
-        if not isinstance(num_vars, int) or num_vars < 1:
+        if not _is_int(num_vars) or num_vars < 1:
             raise MalformedProgramError(f"num_vars must be a positive int, got {num_vars!r}")
         self.num_vars = num_vars
 
@@ -112,21 +112,17 @@ class LinearProgram:
                 raise MalformedProgramError(f"row {k} is not a (coeffs, relation, rhs) triple")
             if relation not in _RELATIONS:
                 raise MalformedProgramError(f"row {k}: unknown relation {relation!r}")
-            items: Iterable
-            if isinstance(coeffs, Mapping):
-                items = coeffs.items()
-            else:
-                items = coeffs
-            seen = {}
+            if not isinstance(coeffs, Mapping):
+                raise MalformedProgramError(
+                    f"row {k}: coefficients must be a mapping, got {type(coeffs).__name__}")
+            items = []
             what = f"row {k} coefficient"
-            for idx, val in items:
+            for idx, val in coeffs.items():
                 if not isinstance(idx, int) or not (0 <= idx < num_vars):
                     raise MalformedProgramError(f"row {k}: variable index {idx!r} out of range")
-                if idx in seen:
-                    raise MalformedProgramError(f"row {k}: duplicate index {idx}")
-                seen[idx] = _coerce_value(val, what, MalformedProgramError)
+                items.append((idx, _coerce_value(val, what, MalformedProgramError)))
             rhs = _coerce_value(rhs, f"row {k} rhs", MalformedProgramError)
-            norm_rows.append(Row(tuple(sorted(seen.items())), relation, rhs))
+            norm_rows.append(Row(tuple(sorted(items)), relation, rhs))
         self.rows = tuple(norm_rows)
         self._integer_rows = None
 
@@ -338,9 +334,10 @@ class _Simplex:
             self.pivot(pr, pc)
 
 
-# Per-process accounting for run reports. Purely observational; reset it
-# before a batch and snapshot after. Parallel batch runs use one process
-# per instance, so there is no shared mutable state to worry about.
+# Per-process accounting for run reports. Purely observational: cli._run
+# resets it before each run and snapshots it after, so a report counts its
+# own run only, also in a parallel batch, whose pool workers each run many
+# instances in turn.
 _COUNTERS = {"solves": 0, "pivots": 0, "rows": 0, "vars": 0}
 
 

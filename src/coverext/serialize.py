@@ -29,11 +29,8 @@ _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # ASCII digits; \d takes an
 
 
 def format_rational(x) -> str:
-    if x == math.inf:
-        return "inf"
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
-    return str(x)  # "p" or "p/q", lowest terms
+    """A Fraction as "p" or "p/q" in lowest terms; math.inf as "inf"."""
+    return "inf" if x == math.inf else str(x)
 
 
 def parse_rational(text, where: str = "value") -> Fraction:
@@ -239,14 +236,14 @@ def setcover_from_json(data: Any) -> tuple[int, list[list[int]], int]:
 
 
 def membership_to_json(inst: MembershipInstance) -> dict:
-    out: dict = {"variant": inst.variant, "point": [format_rational(y) for y in inst.point]}
-    if inst.delta is not None:
-        out["delta"] = {
+    return {
+        "variant": "coverage",
+        "point": [format_rational(y) for y in inst.point],
+        "delta": {
             "coefficient": format_rational(inst.delta.coefficient),
             "radicand": inst.delta.radicand,
-        }
-    if inst.family_sets is not None:
-        out["m"] = inst.family_m
-        out["sets"] = [mask_to_elements(mask) for mask in inst.family_sets]
-    return out
+        },
+        "m": inst.family_m,
+        "sets": [mask_to_elements(mask) for mask in inst.family_sets],
+    }
 

@@ -50,6 +50,11 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _require_positive_int(x, what: str) -> None:
+    if not _is_int(x) or x < 1:
+        raise ValueError(f"{what} must be a positive int, got {x!r}")
+
+
 def mask_from_elements(elements: Iterable[int], m: int) -> Mask:
     """Bitmask of distinct 1-based element labels."""
     mask = 0
@@ -91,8 +96,7 @@ class TotalSetFunction:
     values: tuple[Fraction, ...]  # indexed by mask
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("ground set must have at least one element")
+        _require_positive_int(self.m, "m")
         if len(self.values) != (1 << self.m):
             raise ValueError(f"need {1 << self.m} values, got {len(self.values)}")
         vals = tuple(_coerce_value(v, "set function value") for v in self.values)
@@ -102,9 +106,6 @@ class TotalSetFunction:
         for mask, v in enumerate(vals):
             if v < 0:
                 raise ValueError(f"negative value at mask {mask}")
-
-    def value(self, mask: Mask) -> Fraction:
-        return self.values[mask]
 
 
 @dataclass(frozen=True)
@@ -120,8 +121,7 @@ class WCoefficients:
     support: tuple[tuple[Mask, Fraction], ...]
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("ground set must have at least one element")
+        _require_positive_int(self.m, "m")
         items = []
         seen = set()
         for mask, weight in self.support:
@@ -162,14 +162,13 @@ class PartialFunction:
     points: tuple[tuple[Mask, Fraction], ...]
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("ground set must have at least one element")
+        _require_positive_int(self.m, "m")
         if not self.points:
             raise ValueError("a partial function needs at least one point")
         seen = set()
         norm = []
         for mask, value in self.points:
-            if not (mask > 0 and mask.bit_length() <= self.m):
+            if not (_is_int(mask) and mask > 0 and mask.bit_length() <= self.m):
                 raise ValueError(f"defined set mask {mask} not a nonempty subset of [{self.m}]")
             if mask in seen:
                 raise ValueError(f"duplicate defined set {mask_to_elements(mask)}")
@@ -194,9 +193,6 @@ class PartialFunction:
 
     def masks(self) -> tuple[Mask, ...]:
         return tuple(mask for mask, _ in self.points)
-
-    def values(self) -> tuple[Fraction, ...]:
-        return tuple(v for _, v in self.points)
 
 
 # --- transforms --------------------------------------------------------------

@@ -111,6 +111,11 @@ def test_alpha_bounds_passes_its_cap_to_exact_kappa_only():
     assert alpha_bounds(instance, mode="greedy", cap=0).kappa_estimate == F(1, 2)
 
 
+def test_alpha_bounds_refuses_an_unknown_mode():
+    with pytest.raises(ValueError, match="^unknown mode 'x'$"):
+        alpha_bounds(pf(1, (0b1, 1)), mode="x")
+
+
 def test_alpha_star_examples():
     extendible = pf(2, (0b01, 1), (0b10, 1), (0b11, 2))
     assert alpha_star_exact(extendible) == F(1)
@@ -231,11 +236,13 @@ def test_generate_tight_instance_m4():
 def test_generate_tight_instance_rejects_bad_m():
     with pytest.raises(ValueError):
         generate_tight_instance(5)
+    with pytest.raises(ValueError, match="^ground set must be nonempty$"):
+        generate_tight_instance(0)
     with pytest.raises(ValueError):
         generate_tight_instance(4, k=0)
     # m = 1 produces no transversals at all, so validation can never pass
     with pytest.raises(SeedExhaustedError):
-        generate_tight_instance(1, k=1, seed=3, max_attempts=4)
+        generate_tight_instance(1, k=1, seed=3)
 
 
 def test_generator_is_deterministic_per_seed():

@@ -1,6 +1,7 @@
 """CLI dispatch, exit codes, file round-trips, and pipelines."""
 
 import hashlib
+import io
 import json
 import multiprocessing
 import os
@@ -214,6 +215,52 @@ def test_gadget_setcover(tmp_path, capsys):
     result = json.loads(out)["result"]["instance"]
     assert result["point"] == ["-2", "-1", "2", "2"]
     assert result["delta"] == {"coefficient": "1/2", "radicand": 4}
+
+
+@pytest.mark.parametrize("kind, flag", [("chromatic", "--k"), ("densest", "--density")])
+def test_rational_arguments_are_usage_errors(tmp_path, capsys, kind, flag):
+    graph = write(tmp_path, "k3.json", K3_GRAPH)
+    code, out, err = run_cli(["gadget", kind, "--graph", graph, flag, "x"], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: argument {flag}: argument: expected an integer or p/q string, got 'x'\n"
+
+
+def test_stdin_input_in_process(capsys, monkeypatch):
+    raw = json.dumps(ADDITIVE).encode()
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw)))
+    code, out, err = run_cli(["extend", "--input", "-"], capsys)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["result"]["status"] == "extendible"
+    assert report["input_digest"] == hashlib.sha256(raw).hexdigest()
+
+
+def test_unreadable_or_invalid_input_is_a_usage_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run_cli(["extend", "--input", missing], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {missing}: ")
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"m": 1,\n  "points": [}')
+    code, out, err = run_cli(["extend", "--input", str(broken)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {broken}: invalid JSON at line 2: Expecting value\n"
+
+
+def test_check_refuses_an_unweighted_graph(tmp_path, capsys):
+    graph = write(tmp_path, "k3.json", K3_GRAPH)
+    code, out, err = run_cli(["check", "span", "--graph", graph], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: membership checks need an edge-weighted graph\n"
+
+
+@pytest.mark.parametrize("kind", ["cut", "span"])
+def test_check_names_the_edge_outside_the_box(tmp_path, capsys, kind):
+    graph = write(tmp_path, "wide.json", {"vertices": 3, "edges": [[1, 2], [2, 3]],
+                                          "weights": ["-1/2", "3/2"]})
+    code, out, err = run_cli(["check", kind, "--graph", graph], capsys)
+    assert (code, err) == (2, "")
+    assert json.loads(out)["result"] == {"kind": kind, "inside": False, "box_edge": [2, 3]}
 
 
 def test_directory_batch_with_jobs(tmp_path, capsys):

@@ -86,6 +86,10 @@ def test_verify_witness_examples():
     wide = pf(2, (0b01, 1))
     assert verify_witness(wide, WCoefficients.from_dict(2, {0b11: F(1)}))
     assert not verify_witness(wide, WCoefficients.from_dict(2, {0b10: F(1)}))
+    assert not verify_witness(wide, WCoefficients.from_dict(3, {0b01: F(1)}))  # wrong m
+    negative = WCoefficients.from_dict(2, {0b01: F(2), 0b11: F(-1)})  # sums to 1 at {1}
+    assert eval_from_w(negative, 0b01) == 1
+    assert not verify_witness(wide, negative)
 
 
 def test_verify_certificate_examples():

@@ -9,6 +9,7 @@ import pytest
 from coverext.errors import CapExceededError
 from coverext.extension import decide_extension
 from coverext.gadgets import (
+    DeltaSpec,
     Graph,
     MembershipInstance,
     check_cut_membership,
@@ -42,6 +43,35 @@ def test_graph_validation():
         Graph(2, ((1, 3),))
     with pytest.raises(ValueError):
         Graph(2, ((1, 2),), (F(1), F(2)))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Graph(0, ()), "num_vertices must be a positive int, got 0"),
+        # int fields are checked here, not left to fail later in an LP or a scan
+        (lambda: Graph(2.0, ()), "num_vertices must be a positive int, got 2.0"),
+        (lambda: Graph(True, ()), "num_vertices must be a positive int, got True"),
+        (lambda: Graph(3, ((1.5, 2),), (F(0),)), "edge (1.5,2) out of range"),
+        (lambda: Graph(3, ((1, True),), (F(0),)), "edge (1,True) out of range"),
+        (lambda: cut_to_span_gadget(K3), "operation needs an edge-weighted graph"),
+        (lambda: check_cut_membership(K3), "operation needs an edge-weighted graph"),
+        (lambda: chromatic_gadget(K3, 0), "k = 0 outside [1, 3]"),
+        (lambda: chromatic_gadget(K3, F(7, 2)), "k = 7/2 outside [1, 3]"),
+        (lambda: setcover_membership_gadget(1, [[1]], 1),
+         "universe must have at least 2 elements"),
+        (lambda: setcover_membership_gadget(2, [[1]], 0), "k must be at least 1"),
+        (lambda: setcover_membership_gadget(2, [], 1), "family must be nonempty"),
+        (lambda: cut_to_span_gadget(Graph(2, (), ())), "gadget needs at least one edge"),
+        (lambda: densest_cut_gadget(K3, 0), "density threshold must be positive"),
+        (lambda: densest_cut_gadget(K3, F(-1, 2)), "density threshold must be positive"),
+        (lambda: densest_cut_gadget(Graph(1, ()), 1), "need at least two vertices"),
+    ],
+)
+def test_graph_and_gadget_refusals_keep_their_text(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_fractional_chromatic_anchors():
@@ -243,18 +273,28 @@ def test_coverage_span_sums_refuse_a_family_past_the_cap():
     assert peak < 1 << 20
 
 
+DELTA = DeltaSpec(F(1, 4), 2)
+
+
 def test_membership_instance_validated_at_construction():
     # mask 0 is legal: the set-cover gadget emits it for an element no member holds
-    inst = MembershipInstance("coverage", (1, F(-1, 2)), family_m=2, family_sets=(0, 3))
+    inst = MembershipInstance((1, F(-1, 2)), DELTA, 2, (0, 3))
     assert inst.point == (F(1), F(-1, 2))
     with pytest.raises(ValueError, match="point entries"):
-        MembershipInstance("coverage", (F(1),), family_m=2, family_sets=(1, 2))
+        MembershipInstance((F(1),), DELTA, 2, (1, 2))
     with pytest.raises(ValueError, match="not a subset"):
-        MembershipInstance("coverage", (F(1), F(1)), family_m=2, family_sets=(1, 4))
+        MembershipInstance((F(1), F(1)), DELTA, 2, (1, 4))
     with pytest.raises(ValueError, match="family_m"):
-        MembershipInstance("coverage", (F(1),), family_m=0, family_sets=(0,))
+        MembershipInstance((F(1),), DELTA, 0, (0,))
     with pytest.raises(ValueError, match="point entry"):
-        MembershipInstance("coverage", (0.5,), family_m=1, family_sets=(1,))
+        MembershipInstance((0.5,), DELTA, 1, (1,))
+    # integer fields are ints, not floats or bools
+    with pytest.raises(ValueError, match=r"^family_m must be a positive int, got 2\.0$"):
+        MembershipInstance((F(1),), DELTA, 2.0, (1,))
+    with pytest.raises(ValueError, match="^family_m must be a positive int, got True$"):
+        MembershipInstance((F(1),), DELTA, True, (1,))
+    with pytest.raises(ValueError, match=r"^family set mask 1\.0 not a subset of \[2\]$"):
+        MembershipInstance((F(1),), DELTA, 2, (1.0,))
 
 
 def test_setcover_gadget_margins_random():

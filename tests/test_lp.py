@@ -125,6 +125,28 @@ def test_malformed_programs_rejected():
         LinearProgram(1, rows=[({0: True}, EQUAL, 0)])
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: LinearProgram(1, rows=[({0: 1}, EQUAL)]),
+         "row 0 is not a (coeffs, relation, rhs) triple"),
+        (lambda: LinearProgram(1, rows=[5]), "row 0 is not a (coeffs, relation, rhs) triple"),
+        # rows are mappings: (index, value) pairs and bare numbers are refused
+        (lambda: LinearProgram(2, rows=[({0: 1}, EQUAL, 1), ([(0, 1)], EQUAL, 0)]),
+         "row 1: coefficients must be a mapping, got list"),
+        (lambda: LinearProgram(1, rows=[(5, EQUAL, 0)]),
+         "row 0: coefficients must be a mapping, got int"),
+        # num_vars is an int, not a bool or a float
+        (lambda: LinearProgram(True), "num_vars must be a positive int, got True"),
+        (lambda: LinearProgram(2.0), "num_vars must be a positive int, got 2.0"),
+    ],
+)
+def test_malformed_programs_keep_their_text(build, message):
+    with pytest.raises(MalformedProgramError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_trivial_zero_rows_are_skipped_or_refuted():
     lp = LinearProgram(1, rows=[({}, LESS_EQUAL, 5), ({0: 1}, GREATER_EQUAL, 2)])
     out = solve(lp)

@@ -70,6 +70,7 @@ def test_dual_feasibility_examples():
     assert verify_dual_feasible(instance, (F(1), F(-1)))
     assert not verify_dual_feasible(instance, (F(2), F(0)))
     assert not verify_dual_feasible(instance, (F(1), F(0)))  # span sum at {1} is +1
+    assert not verify_dual_feasible(instance, (F(0),))  # wrong length
 
 
 def test_guarantees_on_random_instances():

@@ -17,6 +17,7 @@ from coverext.serialize import (
     parse_rational,
     partial_function_from_json,
     partial_function_to_json,
+    setcover_from_json,
     total_function_from_json,
     wcoeffs_from_json,
     wcoeffs_to_json,
@@ -132,6 +133,52 @@ def parse_wcoeffs_m2(data):
 )
 def test_entry_errors_keep_their_text(parse, data, message):
     # where an entry has two faults, the one checked first is reported
+    with pytest.raises(InstanceParseError) as info:
+        parse(data)
+    assert str(info.value) == message
+
+
+def parse_wcoeffs_m1(data):
+    return wcoeffs_from_json(1, data)
+
+
+@pytest.mark.parametrize(
+    "parse, data, message",
+    [
+        # a file that is not a JSON object
+        (partial_function_from_json, [], "instance file must be a JSON object"),
+        (total_function_from_json, [], "total function file must be a JSON object"),
+        (graph_from_json, [], "graph file must be a JSON object"),
+        (setcover_from_json, [], "set-cover file must be a JSON object"),
+        (parse_wcoeffs_m1, {}, "coefficients must be a list"),
+        # fields that are not lists
+        (partial_function_from_json, {"m": 1, "points": {"set": [1]}},
+         "field 'points' must be a nonempty list"),
+        (partial_function_from_json, {"m": 1, "points": []},
+         "field 'points' must be a nonempty list"),
+        (total_function_from_json, {"m": 1, "values": {}}, "field 'values' must be a list"),
+        (graph_from_json, {"vertices": 2, "edges": {}}, "field 'edges' must be a list of pairs"),
+        (setcover_from_json, {"universe": 2, "family": {}, "k": 1},
+         "field 'family' must be a nonempty list of element lists"),
+        (setcover_from_json, {"universe": 2, "family": [], "k": 1},
+         "field 'family' must be a nonempty list of element lists"),
+        # a set that is not a list
+        (partial_function_from_json, {"m": 1, "points": [{"set": 1, "value": "1"}]},
+         "points[0]: set must be a list of 1-based integers"),
+        # graph entries
+        (graph_from_json, {"vertices": 2, "edges": [[1, 2, 3]]},
+         "edges[0]: expected a pair [u, v]"),
+        (graph_from_json, {"vertices": 2, "edges": [[1, 2]], "weights": ["1", "1"]},
+         "field 'weights' must match the edge list"),
+        (graph_from_json, {"vertices": 2, "edges": [[1, 2]], "weights": "1"},
+         "field 'weights' must match the edge list"),
+        # a full table whose empty-set value is not 0
+        (total_function_from_json,
+         {"m": 1, "values": [{"set": [], "value": "1"}, {"set": [1], "value": "1"}]},
+         "f(empty set) must be 0 for coverage candidacy"),
+    ],
+)
+def test_file_refusals_keep_their_text(parse, data, message):
     with pytest.raises(InstanceParseError) as info:
         parse(data)
     assert str(info.value) == message

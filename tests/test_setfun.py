@@ -15,6 +15,7 @@ from coverext.setfun import (
     is_coverage,
     mask_from_elements,
     mask_to_elements,
+    span_sums,
     w_roundtrip_check,
     w_transform,
 )
@@ -151,6 +152,37 @@ def test_constructor_rejections():
         PartialFunction(2, ((0b01, F(1)), (0b01, F(2))))  # duplicate set
     with pytest.raises(ValueError):
         PartialFunction(2, ((0b01, F(-1)),))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: TotalSetFunction(0, (F(0),)), "m must be a positive int, got 0"),
+        (lambda: TotalSetFunction(2, (F(0), F(1))), "need 4 values, got 2"),
+        (lambda: WCoefficients(0, ()), "m must be a positive int, got 0"),
+        (lambda: WCoefficients(2, ((0b01, F(1)), (0b01, F(2)))), "duplicate support mask 1"),
+        (lambda: PartialFunction(0, ((1, F(1)),)), "m must be a positive int, got 0"),
+        (lambda: PartialFunction(2, ()), "a partial function needs at least one point"),
+        (lambda: PartialFunction(2, ((0, F(1)),)),
+         "defined set mask 0 not a nonempty subset of [2]"),
+        (lambda: PartialFunction(2, ((0b100, F(1)),)),
+         "defined set mask 4 not a nonempty subset of [2]"),
+        (lambda: span_sums(2, [0b01, 0b10], [F(1)]), "2 sets but 1 weights"),
+        # m and the masks are ints, not floats or bools
+        (lambda: TotalSetFunction(2.0, (F(0),) * 4), "m must be a positive int, got 2.0"),
+        (lambda: TotalSetFunction(True, (F(0), F(1))), "m must be a positive int, got True"),
+        (lambda: WCoefficients(2.5, ((1, F(1)),)), "m must be a positive int, got 2.5"),
+        (lambda: PartialFunction(2.5, ((1, F(1)),)), "m must be a positive int, got 2.5"),
+        (lambda: PartialFunction(2, ((1.0, F(1)),)),
+         "defined set mask 1.0 not a nonempty subset of [2]"),
+        (lambda: PartialFunction(2, ((True, F(1)),)),
+         "defined set mask True not a nonempty subset of [2]"),
+    ],
+)
+def test_constructor_refusals_keep_their_text(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_partial_function_derived_quantities():
