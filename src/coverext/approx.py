@@ -40,6 +40,7 @@ from .lp import FEASIBLE, GREATER_EQUAL, INFEASIBLE, LESS_EQUAL, LinearProgram, 
 from .setfun import (
     DEFAULT_ENUMERATION_CAP,
     PartialFunction,
+    _is_int,
     require_enumerable,
     span_columns,
     span_row,
@@ -244,12 +245,16 @@ def generate_tight_instance(
     least as many transversals as blocks, checked by full enumeration;
     otherwise the transversals are redrawn, up to _MAX_ATTEMPTS times.
     """
+    if not _is_int(m):
+        raise ValueError(f"m must be an int, got {m!r}")
     if m < 1:
         raise ValueError("ground set must be nonempty")
     root = math.isqrt(m)
     if root * root != m:
         raise ValueError(f"m = {m} is not a perfect square")
     require_enumerable(m, cap)
+    if not _is_int(k):
+        raise ValueError(f"k must be an int, got {k!r}")
     if k < 1:
         raise ValueError("k must be at least 1")
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .lp import EQUAL, FEASIBLE, GREATER_EQUAL, LinearProgram, solve
+from .lp import EQUAL, FEASIBLE, LinearProgram, solve
 from .setfun import (
     DEFAULT_ENUMERATION_CAP,
     ExactLike,
@@ -106,7 +106,7 @@ class Graph:
 
 @dataclass(frozen=True)
 class FractionalColoring:
-    """Weights on independent sets; every vertex is covered to at least 1."""
+    """Weights on independent sets; every vertex is covered to exactly 1."""
 
     independent_sets: tuple[Mask, ...]
     weights: tuple[Fraction, ...]
@@ -134,28 +134,28 @@ def _independent_set_masks(graph: Graph) -> list[Mask]:
     return out
 
 
-def _coloring_program(graph: Graph, sets: Sequence[Mask], equality: bool) -> LinearProgram:
-    relation = EQUAL if equality else GREATER_EQUAL
+def _coloring_program(graph: Graph, sets: Sequence[Mask]) -> LinearProgram:
     rows = []
     for v in range(1, graph.num_vertices + 1):
         bit = 1 << (v - 1)
-        rows.append(({i: 1 for i, s in enumerate(sets) if s & bit}, relation, 1))
+        rows.append(({i: 1 for i, s in enumerate(sets) if s & bit}, EQUAL, 1))
     return LinearProgram(len(sets), objective=[1] * len(sets), rows=rows)
 
 
 def fractional_chromatic(
     graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> tuple[Fraction, FractionalColoring]:
-    """Exact optimum of the independent-set covering LP.
+    """Exact optimum of the independent-set covering LP, and an optimal coloring.
 
-    The explicit unit box on the set weights is dropped: any cover using a
-    weight above 1 can be clipped to 1 without uncovering a vertex, so the
-    optimum is unchanged, and the equality form used elsewhere forces the
-    box anyway.
+    The program covers each vertex exactly once (equality rows). That keeps
+    the covering optimum: independent sets are closed under subsets, so an
+    over-covered vertex can leave one of its sets at no cost. It also
+    forces the unit box on the set weights, and lets equalize_coloring mix
+    the coloring with the singletons.
     """
     require_enumerable(graph.num_vertices, cap)
     sets = _independent_set_masks(graph)
-    outcome = solve(_coloring_program(graph, sets, equality=False))
+    outcome = solve(_coloring_program(graph, sets))
     if outcome.status != FEASIBLE:
         raise AssertionError("covering program is always feasible")
     chosen = [(s, x) for s, x in zip(sets, outcome.solution) if x]
@@ -170,28 +170,20 @@ def equalize_coloring(
 ) -> FractionalColoring:
     """Coloring with per-vertex cover exactly 1 and total weight exactly t.
 
-    Uses the convex combination of an optimal equality-form coloring with
+    Uses the convex combination of fractional_chromatic's coloring with
     the all-singletons coloring, which works for any t between the
     fractional chromatic number and the vertex count.
     """
     t = _coerce_value(t, "target total")
-    require_enumerable(graph.num_vertices, cap)
-    sets = _independent_set_masks(graph)
-    outcome = solve(_coloring_program(graph, sets, equality=True))
-    if outcome.status != FEASIBLE:
-        raise AssertionError("equality covering program is always feasible")
-    chi = outcome.objective_value
+    chi, coloring = fractional_chromatic(graph, cap)
     nv = Fraction(graph.num_vertices)
     if not (chi <= t <= nv):
         raise ValueError(f"target {t} outside [{chi}, {nv}]")
-    weights = {s: x for s, x in zip(sets, outcome.solution) if x}
     if t == chi:
         lam = _ONE
     else:
         lam = (nv - t) / (nv - chi)
-    combined: dict[Mask, Fraction] = {}
-    for s, x in weights.items():
-        combined[s] = combined.get(s, _ZERO) + lam * x
+    combined = {s: lam * x for s, x in zip(coloring.independent_sets, coloring.weights)}
     for v in range(graph.num_vertices):
         s = 1 << v
         combined[s] = combined.get(s, _ZERO) + (_ONE - lam)

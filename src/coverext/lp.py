@@ -7,11 +7,12 @@ pivot whose entry equals that denominator (85% of the pivots on planted
 m = 8 extension programs) keeps it and changes a row only under the pivot
 row's nonzeros, so it updates those entries in place, still exactly (by
 Sylvester's identity; see _Simplex.pivot).
-Programs, solutions and certificates are fractions.Fraction; there is no
-floating point and no tolerance anywhere in this module. Feasible
-programs yield a basic (vertex) solution, optimal when an objective is
-present. Infeasible programs yield a Farkas ray over the input rows,
-checkable by direct aggregation (verify_farkas).
+Programs take int or fractions.Fraction input, and solutions and
+certificates are Fractions; there is no floating point and no tolerance
+anywhere in this module. Feasible programs yield a basic (vertex)
+solution, optimal when an objective is present. Infeasible programs
+yield a Farkas ray over the input rows, checkable by direct aggregation
+(verify_farkas).
 
 Dantzig's rule picks the entering column (the most negative reduced cost
 on the integer tableau, smallest index on ties); the least ratio leaves,
@@ -20,11 +21,12 @@ pivots in a row, Bland's smallest-index rule enters instead until the
 vertex moves, so the solver cannot cycle; every choice is a pure function
 of the program, so it is bit-for-bit deterministic.
 
-Both verifiers, and the solver itself, read one integer form of the rows
-(LinearProgram.integer_rows): every row times the least common
-denominator of all coefficients and right-hand sides. The solver divides
-the rows it keeps by their common factor, so the tableau is scaled by the
-least common denominator of the kept rows alone.
+A program keeps its rows in one integer form (LinearProgram.rows): every
+row times the least common denominator S of all coefficients and
+right-hand sides (LinearProgram.scale). The solver and both verifiers
+read that form alone. The solver divides the rows it keeps by their
+common factor, so the tableau is scaled by the least common denominator
+of the kept rows alone.
 
 Programs are in standard form: minimize c'x over sparse rows (<=, =, >=)
 with every variable x_j >= 0 and no other per-variable bound; any other
@@ -63,25 +65,20 @@ _ZERO = Fraction(0)
 _STALL_LIMIT = 50
 
 
-@dataclass(frozen=True)
-class Row:
-    coeffs: tuple[tuple[int, Fraction], ...]  # sparse, sorted by index
-    relation: str
-    rhs: Fraction
-
-
-IntRow = tuple[tuple[int, ...], tuple[int, ...], str, int]  # indices, coefficients, relation, rhs
-
-
 class LinearProgram:
     """Immutable standard-form program: min objective'x, sparse rows, x >= 0.
 
-    rows are given as (coeffs, relation, rhs) where coeffs is a mapping
-    from variable index to coefficient. Every variable is nonnegative and
-    has no other bound; write any other limit as a row.
+    Input rows are (coeffs, relation, rhs) where coeffs is a mapping from
+    variable index to an int or Fraction coefficient. Every variable is
+    nonnegative and has no other bound; write any other limit as a row.
+
+    The rows are stored once, in integer form: scale is the least common
+    denominator S of every coefficient and rhs, and rows[k] is
+    (indices, S * coefficients, relation, S * rhs), sorted by index,
+    which holds exactly where input row k does.
     """
 
-    __slots__ = ("num_vars", "objective", "rows", "_integer_rows")
+    __slots__ = ("num_vars", "objective", "rows", "scale")
 
     def __init__(
         self,
@@ -104,7 +101,7 @@ class LinearProgram:
             obj = tuple(_coerce_value(c, what, MalformedProgramError) for c in objective)
         self.objective = obj
 
-        norm_rows = []
+        checked = []  # (sorted (index, coefficient) pairs, relation, rhs) per row
         for k, row in enumerate(rows):
             try:
                 coeffs, relation, rhs = row
@@ -118,47 +115,25 @@ class LinearProgram:
             items = []
             what = f"row {k} coefficient"
             for idx, val in coeffs.items():
-                if not isinstance(idx, int) or not (0 <= idx < num_vars):
+                if not (_is_int(idx) and 0 <= idx < num_vars):
                     raise MalformedProgramError(f"row {k}: variable index {idx!r} out of range")
-                items.append((idx, _coerce_value(val, what, MalformedProgramError)))
+                if not _is_int(val):  # ints stay ints: _scaled reads both
+                    val = _coerce_value(val, what, MalformedProgramError)
+                items.append((idx, val))
             rhs = _coerce_value(rhs, f"row {k} rhs", MalformedProgramError)
-            norm_rows.append(Row(tuple(sorted(items)), relation, rhs))
-        self.rows = tuple(norm_rows)
-        self._integer_rows = None
+            checked.append((sorted(items), relation, rhs))
 
-    def integer_rows(self) -> tuple[tuple[IntRow, ...], int]:
-        """The rows scaled to integers, and the scale S; computed once per program.
-
-        S is the least common denominator of every coefficient and rhs, and
-        row k becomes (indices, S * coefficients, relation, S * rhs), which
-        holds exactly where row k does.
-        """
-        if self._integer_rows is None:
-            rows = self.rows
-            nums, scale = _scaled(
-                [v for row in rows for v in (row.rhs, *(c for _, c in row.coeffs))])
-            nums = iter(nums)  # each row's rhs, then its coefficients
-            self._integer_rows = tuple(
-                (tuple(j for j, _ in row.coeffs), tuple(itertools.islice(nums, len(row.coeffs))),
-                 row.relation, rhs)
-                for row, rhs in zip(rows, nums)
-            ), scale
-        return self._integer_rows
+        nums, self.scale = _scaled([v for items, _, rhs in checked
+                                    for v in (rhs, *(c for _, c in items))])
+        nums = iter(nums)  # each row's rhs, then its coefficients
+        self.rows = tuple(
+            (tuple(j for j, _ in items), tuple(itertools.islice(nums, len(items))), relation, rhs)
+            for (items, relation, _), rhs in zip(checked, nums)
+        )
 
     @property
     def num_rows(self) -> int:
         return len(self.rows)
-
-    def dump(self) -> str:
-        """Canonical text form, one row per line, rationals as p/q. Debug aid."""
-        def term(c, j):
-            return f"{c} x{j}"
-
-        lines = ["min " + (" + ".join(term(c, j) for j, c in enumerate(self.objective) if c) or "0")]
-        for row in self.rows:
-            lhs = " + ".join(term(c, j) for j, c in row.coeffs) or "0"
-            lines.append(f"{lhs} {row.relation} {row.rhs}")
-        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -191,8 +166,7 @@ def verify_solution(lp: LinearProgram, solution: Sequence[ExactLike]) -> bool:
     if any(v < 0 for v in x):
         return False
     xs, scale = _scaled(x)
-    rows, _ = lp.integer_rows()
-    for idx, coeffs, relation, rhs in rows:
+    for idx, coeffs, relation, rhs in lp.rows:
         lhs = sum(map(operator.mul, coeffs, map(xs.__getitem__, idx)))
         if not _HOLDS[relation](lhs, rhs * scale):
             return False
@@ -213,10 +187,9 @@ def verify_farkas(lp: LinearProgram, ray: Sequence[ExactLike]) -> bool:
         return False
     r = [_coerce_value(v, "ray entry", MalformedProgramError) for v in ray]
     ys, _ = _scaled(r)
-    rows, _ = lp.integer_rows()
     g = [0] * lp.num_vars
     beta = 0
-    for y, (idx, coeffs, relation, rhs) in zip(ys, rows):
+    for y, (idx, coeffs, relation, rhs) in zip(ys, lp.rows):
         if (relation == LESS_EQUAL and y < 0) or (relation == GREATER_EQUAL and y > 0):
             return False
         if y:
@@ -244,8 +217,8 @@ class _Simplex:
     reads as it would on the exact tableau.
     """
 
-    def __init__(self, rows, basis):
-        self.tab = rows + [[0] * len(rows[0])]
+    def __init__(self, rows, basis, width):
+        self.tab = rows + [[0] * width]
         self.basis = basis        # basis[p] = column index basic in row p
         self.d = 1
         self.pivots = 0
@@ -365,18 +338,10 @@ def _solve(lp: LinearProgram) -> LpOutcome:
 
     # Trivially satisfied all-zero rows are the only presolve: they are
     # skipped and get multiplier zero on the way out.
-    int_rows, scale = lp.integer_rows()
     orig = [  # input row index of each tableau row
-        i for i, (_, coeffs, relation, rhs) in enumerate(int_rows)
+        i for i, (_, coeffs, relation, rhs) in enumerate(lp.rows)
         if any(coeffs) or not _HOLDS[relation](0, rhs)
     ]
-
-    if not orig:
-        # No constraints: the origin is optimal unless some objective
-        # coefficient is negative, which makes that direction unbounded.
-        if any(c < 0 for c in lp.objective):
-            return LpOutcome(status=UNBOUNDED)
-        return LpOutcome(FEASIBLE, (_ZERO,) * nv, _ZERO, None, (_ZERO,) * lp.num_rows, 0)
 
     # The kept rows are divided by g, which leaves them S / g times the
     # input rows, S / g being the least common denominator of the kept
@@ -385,8 +350,8 @@ def _solve(lp: LinearProgram) -> LpOutcome:
     # stay unit, which rescales those variables by S / g: signs and ratio
     # orders are those of the unscaled program, and pricing compares a
     # unit column's reduced cost at g / S of a structural column's.
-    rows = [int_rows[i] for i in orig]
-    g = math.gcd(scale, *(v for _, coeffs, _, rhs in rows for v in (rhs, *coeffs)))
+    rows = [lp.rows[i] for i in orig]
+    g = math.gcd(lp.scale, *(v for _, coeffs, _, rhs in rows for v in (rhs, *coeffs)))
     costs, obj_scale = _scaled(lp.objective)
 
     # Tableau layout: structural | slacks | artificials | rhs. A row is
@@ -414,7 +379,7 @@ def _solve(lp: LinearProgram) -> LpOutcome:
             srow[ic] = 1
         init_col.append(ic)
         tab.append(srow)
-    sx = _Simplex(tab, list(init_col))
+    sx = _Simplex(tab, list(init_col), ncols + 1)
 
     # Phase 1: minimize the artificial total.
     if ncols > art_base:
@@ -470,7 +435,7 @@ def _solve(lp: LinearProgram) -> LpOutcome:
     # and the costs by L, so each dual is -reduced cost * (S / g) / L.
     duals = [_ZERO] * lp.num_rows
     for i, s, ic in zip(orig, sigma, init_col):
-        duals[i] = Fraction(-s * cost[ic] * (scale // g), d * obj_scale)
+        duals[i] = Fraction(-s * cost[ic] * (lp.scale // g), d * obj_scale)
 
     out = LpOutcome(FEASIBLE, tuple(x), obj, None, tuple(duals), sx.pivots)
     if not verify_solution(lp, out.solution):

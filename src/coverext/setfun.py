@@ -34,7 +34,6 @@ Mask = int
 ExactLike = Union[int, Fraction]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def require_enumerable(
@@ -125,7 +124,7 @@ class WCoefficients:
         items = []
         seen = set()
         for mask, weight in self.support:
-            if not (mask > 0 and mask.bit_length() <= self.m):
+            if not (_is_int(mask) and mask > 0 and mask.bit_length() <= self.m):
                 raise ValueError(f"support mask {mask} not a nonempty subset of [{self.m}]")
             if mask in seen:
                 raise ValueError(f"duplicate support mask {mask}")
@@ -198,7 +197,7 @@ class PartialFunction:
 # --- transforms --------------------------------------------------------------
 
 
-def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
+def _scaled(values: Sequence[ExactLike]) -> tuple[list[int], int]:
     """Numerators over the least common denominator, and that denominator."""
     pairs = [v.as_integer_ratio() for v in values]
     scale = math.lcm(*{q for _, q in pairs})
@@ -298,14 +297,13 @@ def span_columns(m: int, points: Sequence[Mask]) -> list[Mask]:
     return columns
 
 
-def span_row(columns: Sequence[Mask], point: Mask) -> dict[int, Fraction]:
+def span_row(columns: Sequence[Mask], point: Mask) -> dict[int, int]:
     """LP row over set columns: coefficient 1 on every column whose set meets point.
 
     The extension, stretch and norm programs all price a defined set T_i
-    this way; columns[c] is the set carried by variable c. Every
-    coefficient is one shared Fraction(1), which LinearProgram takes as is.
+    this way; columns[c] is the set carried by variable c.
     """
-    return {c: _ONE for c, s in enumerate(columns) if s & point}
+    return {c: 1 for c, s in enumerate(columns) if s & point}
 
 
 def _w_values(values: Sequence[Fraction], m: int) -> list[tuple[Mask, Fraction]]:

@@ -6,6 +6,7 @@ enumeration, no shortcuts shared with the library code paths under test.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from fractions import Fraction
@@ -207,6 +208,21 @@ def setcover_has_cover(universe_size, family, k):
 
 # --- tiny LPs by vertex enumeration --------------------------------------------
 
+FractionRow = collections.namedtuple("FractionRow", "coeffs relation rhs")
+
+
+def fraction_rows(lp):
+    """lp's rows read back in Fraction form: Fraction(a, lp.scale) for every stored a.
+
+    coeffs are (index, coefficient) pairs in index order.
+    """
+    return [
+        FractionRow(tuple((j, Fraction(a, lp.scale)) for j, a in zip(idx, coeffs)),
+                    relation, Fraction(rhs, lp.scale))
+        for idx, coeffs, relation, rhs in lp.rows
+    ]
+
+
 def _solve_square(matrix, rhs):
     """Unique solution of a square system by Gauss elimination, or None if singular."""
     n = len(matrix)
@@ -234,7 +250,7 @@ def lp_vertex_optimum(lp):
     nv = lp.num_vars
     assert nv <= 3
     constraints = []  # (dense coefficients, rhs)
-    for row in lp.rows:
+    for row in fraction_rows(lp):
         dense = [ZERO] * nv
         for j, c in row.coeffs:
             dense[j] = c
@@ -245,7 +261,7 @@ def lp_vertex_optimum(lp):
     def feasible(x):
         if any(v < 0 for v in x):
             return False
-        for row in lp.rows:
+        for row in fraction_rows(lp):
             lhs = sum((c * x[j] for j, c in row.coeffs), ZERO)
             if (row.relation == "<=" and lhs > row.rhs) or (
                 row.relation == ">=" and lhs < row.rhs
@@ -276,7 +292,7 @@ def fraction_verify_solution(lp, solution):
     x = [_coerce_value(v, "solution entry", MalformedProgramError) for v in solution]
     if any(v < 0 for v in x):
         return False
-    for row in lp.rows:
+    for row in fraction_rows(lp):
         lhs = sum((c * x[j] for j, c in row.coeffs), ZERO)
         if row.relation == LESS_EQUAL and lhs > row.rhs:
             return False
@@ -294,7 +310,7 @@ def fraction_verify_farkas(lp, ray):
     r = [_coerce_value(v, "ray entry", MalformedProgramError) for v in ray]
     g = [ZERO] * lp.num_vars
     beta = ZERO
-    for mult, row in zip(r, lp.rows):
+    for mult, row in zip(r, fraction_rows(lp)):
         if row.relation == LESS_EQUAL and mult < 0:
             return False
         if row.relation == GREATER_EQUAL and mult > 0:
@@ -436,7 +452,7 @@ def fraction_simplex_solve(lp: LinearProgram, stall_limit: int = 50) -> LpOutcom
     # Assemble dense rows. Trivially satisfied all-zero rows are the only
     # presolve: they are skipped and get multiplier zero on the way out.
     std = []  # (dense, rhs, relation, orig_index)
-    for i, row in enumerate(lp.rows):
+    for i, row in enumerate(fraction_rows(lp)):
         dense = [_ZERO] * nv
         for j, c in row.coeffs:
             dense[j] = c

@@ -245,6 +245,15 @@ def test_generate_tight_instance_rejects_bad_m():
         generate_tight_instance(1, k=1, seed=3)
 
 
+def test_generate_tight_instance_rejects_non_int_m_and_k():
+    for m in (4.0, True):
+        with pytest.raises(ValueError) as info:
+            generate_tight_instance(m)
+        assert str(info.value) == f"m must be an int, got {m!r}"
+    with pytest.raises(ValueError, match=r"^k must be an int, got 1\.5$"):
+        generate_tight_instance(4, k=1.5)
+
+
 def test_generator_is_deterministic_per_seed():
     a = generate_tight_instance(4, k=2, seed=42)
     b = generate_tight_instance(4, k=2, seed=42)

@@ -1,5 +1,6 @@
 """Exact simplex kernel: statuses, certificates, determinism."""
 
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -94,6 +95,21 @@ def test_rowless_program_is_origin_or_unbounded():
     assert solve(LinearProgram(2, objective=[1, -1])).status == UNBOUNDED
 
 
+def test_rowless_programs_keep_their_outcome():
+    # no rows at all, or only all-zero rows that every x satisfies
+    trivial = [({}, LESS_EQUAL, 5), ({0: 0}, EQUAL, 0), ({1: F(0)}, GREATER_EQUAL, F(-1, 3))]
+    origin = "solution=(Fraction(0, 1), Fraction(0, 1)), objective_value=Fraction(0, 1)"
+    assert repr(solve(LinearProgram(2, objective=[1, 0]))) == (
+        f"LpOutcome(status='feasible', {origin}, farkas_ray=None, row_duals=(), pivots=0)")
+    assert repr(solve(LinearProgram(2, objective=[1, 0], rows=trivial))) == (
+        f"LpOutcome(status='feasible', {origin}, farkas_ray=None, "
+        "row_duals=(Fraction(0, 1), Fraction(0, 1), Fraction(0, 1)), pivots=0)")
+    for rows in ([], trivial):
+        assert repr(solve(LinearProgram(2, objective=[F(1, 2), -1], rows=rows))) == (
+            "LpOutcome(status='unbounded', solution=None, objective_value=None, "
+            "farkas_ray=None, row_duals=None, pivots=0)")
+
+
 def test_verify_farkas_needs_nonnegative_aggregate():
     # x0 - x1 >= 1 aggregates (ray -1) to -x0 + x1 <= -1: g has a negative
     # entry, so x >= 0 alone does not refute it (x0 = 1 is feasible).
@@ -123,6 +139,14 @@ def test_malformed_programs_rejected():
         LinearProgram(1, rows=[({0: 0.5}, EQUAL, 0)])
     with pytest.raises(MalformedProgramError, match="row 0 coefficient .* got bool"):
         LinearProgram(1, rows=[({0: True}, EQUAL, 0)])
+
+
+def test_variable_indices_are_ints():
+    # True == 1 and 1.0 == 1, but neither is a variable index
+    for idx in (True, 1.0):
+        with pytest.raises(MalformedProgramError) as info:
+            LinearProgram(2, rows=[({idx: 1}, EQUAL, 1)])
+        assert str(info.value) == f"row 0: variable index {idx!r} out of range"
 
 
 @pytest.mark.parametrize(
@@ -233,21 +257,15 @@ def test_duals_certify_optimality_on_equality_programs():
         if out.status != FEASIBLE:
             continue
         y = out.row_duals
+        rows = oracles.fraction_rows(lp)
         for j in range(nv):
             reduced = lp.objective[j] - sum(
-                y[i] * dict(row.coeffs).get(j, Fraction(0)) for i, row in enumerate(lp.rows)
+                y[i] * dict(row.coeffs).get(j, Fraction(0)) for i, row in enumerate(rows)
             )
             assert reduced >= 0
-        assert sum(y[i] * row.rhs for i, row in enumerate(lp.rows)) == out.objective_value
+        assert sum(y[i] * row.rhs for i, row in enumerate(rows)) == out.objective_value
         checked += 1
     assert checked > 40
-
-
-def test_dump_is_readable():
-    lp = LinearProgram(2, objective=[1, F(1, 2)], rows=[({0: 2, 1: -1}, GREATER_EQUAL, F(5, 2))])
-    text = lp.dump()
-    assert "min 1 x0 + 1/2 x1" in text
-    assert "2 x0 + -1 x1 >= 5/2" in text
 
 
 @st.composite
@@ -303,9 +321,10 @@ def assert_matches_reference(lp, stall_limit=None):
 
 
 @st.composite
-def mixed_programs(draw):
-    """Mixed denominators in coefficients and rhs, negative rhs, every relation,
-    explicit zero coefficients, and redundant equality rows."""
+def mixed_program_inputs(draw):
+    """(num_vars, objective, rows) with mixed denominators in coefficients and
+    rhs, negative rhs, every relation, explicit zero coefficients, and
+    redundant equality rows."""
     nv = draw(st.integers(1, 5))
     value = st.builds(F, st.integers(-5, 5), st.sampled_from([1, 2, 3, 4, 6]))
     rows = []
@@ -326,7 +345,11 @@ def mixed_programs(draw):
         coeffs = {j: ka * a[0].get(j, 0) + kb * b[0].get(j, 0) for j in set(a[0]) | set(b[0])}
         rows.append((coeffs, EQUAL, ka * a[2] + kb * b[2]))
     objective = draw(st.lists(value, min_size=nv, max_size=nv))
-    return LinearProgram(nv, objective=objective, rows=rows)
+    return nv, objective, rows
+
+
+def mixed_programs():
+    return mixed_program_inputs().map(lambda args: LinearProgram(*args))
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -443,6 +466,35 @@ def test_driving_out_through_a_negative_entry_drops_the_redundant_row():
     )
 
 
+# --- the integer form against its input ----------------------------------------
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(mixed_program_inputs())
+def test_integer_rows_give_back_their_input(args):
+    nv, objective, rows = args
+    lp = LinearProgram(nv, objective, rows)
+    values = [v for coeffs, _, rhs in rows for v in (rhs, *coeffs.values())]
+    assert lp.scale == math.lcm(*(v.denominator for v in values))
+    assert all(type(a) is int for idx, coeffs, _, rhs in lp.rows for a in (*idx, *coeffs, rhs))
+    # Fraction(a, lp.scale) is every input coefficient, in index order, and rhs
+    want = [(tuple(sorted(coeffs.items())), relation, rhs) for coeffs, relation, rhs in rows]
+    assert [tuple(row) for row in oracles.fraction_rows(lp)] == want
+    # the same rows with every integral value given as an int store the same form
+    as_int = [({j: int(c) if c.denominator == 1 else c for j, c in coeffs.items()}, relation,
+               int(rhs) if rhs.denominator == 1 else rhs) for coeffs, relation, rhs in rows]
+    same = LinearProgram(nv, objective, as_int)
+    assert (same.rows, same.scale) == (lp.rows, lp.scale)
+
+
+def test_rows_of_ones_and_of_fraction_ones_are_equal():
+    ones = LinearProgram(3, rows=[({0: 1, 2: 1}, EQUAL, F(1, 2)), ({1: 1}, LESS_EQUAL, 3)])
+    fractions = LinearProgram(3, rows=[({2: F(1), 0: F(1)}, EQUAL, F(1, 2)),
+                                       ({1: F(1)}, LESS_EQUAL, F(3))])
+    assert ones.rows == fractions.rows == (((0, 2), (2, 2), EQUAL, 1), ((1,), (2,), LESS_EQUAL, 6))
+    assert ones.scale == fractions.scale == 2
+
+
 # --- presolve and the in-place pivot ------------------------------------------
 
 
@@ -473,7 +525,7 @@ _STRETCH_PROGRAMS = [alpha_star_program(PartialFunction(5, points)) for points i
 def test_trivial_zero_rows_leave_the_path_unchanged(lp, extra):
     # presolve drops such rows, so they must not move the pivot path either:
     # the solver scales the tableau by the rows it keeps
-    rows = [(dict(row.coeffs), row.relation, row.rhs) for row in lp.rows]
+    rows = [(dict(row.coeffs), row.relation, row.rhs) for row in oracles.fraction_rows(lp)]
     padded = LinearProgram(lp.num_vars, objective=lp.objective, rows=rows + extra)
     base = solve(lp)
 

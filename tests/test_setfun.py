@@ -185,6 +185,14 @@ def test_constructor_refusals_keep_their_text(build, message):
     assert str(info.value) == message
 
 
+def test_support_masks_are_ints():
+    # a float mask has no bit_length; True == 1 but is no set
+    for mask in (1.0, True):
+        with pytest.raises(ValueError) as info:
+            WCoefficients(2, ((mask, F(1)),))
+        assert str(info.value) == f"support mask {mask!r} not a nonempty subset of [2]"
+
+
 def test_partial_function_derived_quantities():
     pf = PartialFunction(3, ((0b001, F(1)), (0b011, F(2)), (0b111, F(1, 2))))
     assert pf.n == 3
