@@ -13,13 +13,14 @@ f_v over all v. Then
 
     1 / kappa  <=  alpha*  <=  min(d, ceil(m^(2/3))) / kappa,
 
-where d is the maximum defined-set size. kappa is computed exactly by a
-0/1 cover DP per point v over the unions of the other points' sets, each
-projected onto T_v. Such a union is a subset of T_v built from at most
-n - 1 sets, so at most 2^min(d, n-1) unions arise per point, and the
-enumeration cap gates that exponent; for fixed d, the paper's
-bounded-degree regime, the DP takes O(n^2 * 2^d) steps. Weighted greedy
-cover approximates kappa within the harmonic factor H_d instead.
+where d is the maximum defined-set size. kappa is computed exactly per
+point v by setfun.cheapest_unions, the least-cost union DP that also
+builds the LP columns, over the other points' sets projected onto T_v.
+Such a union is a subset of T_v built from at most n - 1 sets, so at
+most 2^min(d, n-1) unions arise per point, and the enumeration cap gates
+that exponent; for fixed d, the paper's bounded-degree regime, the DP
+takes O(n^2 * 2^d) steps. Weighted greedy cover approximates kappa
+within the harmonic factor H_d instead.
 
 generate_tight_instance builds the family showing the lower bound is
 real: sqrt(m) consecutive blocks of weight sqrt(m) against random unit
@@ -41,6 +42,7 @@ from .setfun import (
     DEFAULT_ENUMERATION_CAP,
     PartialFunction,
     _is_int,
+    cheapest_unions,
     require_enumerable,
     span_columns,
     span_row,
@@ -90,19 +92,10 @@ def _least_ratio(pf: PartialFunction, cover) -> Ratio:
 
 
 def _cheapest_cover(pts, v) -> Optional[Fraction]:
-    """Exact 0/1 cover DP: every union of joined sets keeps its least weight."""
+    """Least weight of other points whose sets, projected onto T_v, cover T_v."""
     target = pts[v][0]
-    cheapest = {0: _ZERO}  # union within target -> least weight reaching it
-    for i, (mask, weight) in enumerate(pts):
-        part = mask & target
-        if i == v or not part:
-            continue
-        for union, cost in list(cheapest.items()):
-            grown, total = union | part, cost + weight
-            known = cheapest.get(grown)
-            if known is None or total < known:
-                cheapest[grown] = total
-    return cheapest.get(target)
+    parts = ((mask & target, weight) for i, (mask, weight) in enumerate(pts) if i != v)
+    return cheapest_unions(parts).get(target)
 
 
 def _greedy_cover(pts, v) -> Optional[Fraction]:
@@ -123,10 +116,10 @@ def _greedy_cover(pts, v) -> Optional[Fraction]:
 def replacement_ratio_exact(pf: PartialFunction, cap: int = DEFAULT_ENUMERATION_CAP) -> Ratio:
     """kappa by an exact cover DP per point; math.inf when nothing is replaceable.
 
-    For each point v the other points meeting T_v join one at a time, and
-    every union of joined sets (projected onto T_v) keeps the least weight
-    reaching it, so the weight kept at T_v is the cheapest cover. Points
-    missing T_v could only add weight, since weights are nonnegative.
+    For each point v, cheapest_unions over the other points' sets
+    projected onto T_v keeps the least weight of every union, so the
+    weight kept at T_v is the cheapest cover. A point missing T_v is an
+    empty part and changes nothing.
     """
     require_enumerable(min(pf.d, pf.n - 1), cap, "kappa cover DP bound min(d, n-1) =")
     return _least_ratio(pf, _cheapest_cover)
@@ -150,9 +143,7 @@ def alpha_star_program(pf: PartialFunction) -> LinearProgram:
     for mask_i, value in pf.points:
         span = span_row(columns, mask_i)
         rows.append((span, GREATER_EQUAL, value))
-        upper = dict(span)
-        upper[beta] = -value
-        rows.append((upper, LESS_EQUAL, value))
+        rows.append(({**span, beta: -value}, LESS_EQUAL, value))
     return LinearProgram(beta + 1, objective=objective, rows=rows)
 
 
@@ -221,13 +212,9 @@ def alpha_bounds(
         # every candidate function, so no stretch is ever feasible
         return AlphaBounds(kappa, mode == "exact", math.inf, math.inf, star, degenerate=True)
 
-    lower = 1 / kappa
-    if mode == "exact":
-        upper = max(_ONE, factor / kappa)
-    else:
-        upper = max(_ONE, factor * harmonic(pf.d) / kappa)
-    degenerate = star == math.inf
-    return AlphaBounds(kappa, mode == "exact", lower, upper, star, degenerate=degenerate)
+    slack = _ONE if mode == "exact" else harmonic(pf.d)  # greedy kappa is within H_d
+    upper = max(_ONE, factor * slack / kappa)
+    return AlphaBounds(kappa, mode == "exact", 1 / kappa, upper, star, degenerate=star == math.inf)
 
 
 def generate_tight_instance(
@@ -258,12 +245,7 @@ def generate_tight_instance(
     if k < 1:
         raise ValueError("k must be at least 1")
 
-    blocks = []
-    for b in range(root):
-        mask = 0
-        for j in range(b * root, (b + 1) * root):
-            mask |= 1 << j
-        blocks.append(mask)
+    blocks = [((1 << root) - 1) << (b * root) for b in range(root)]
     log_factor = (m - 1).bit_length()  # ceil(log2 m), 0 when m == 1
     count = k * root * log_factor
 
@@ -271,13 +253,8 @@ def generate_tight_instance(
     for _ in range(_MAX_ATTEMPTS):
         # A transversal meets all root >= 2 blocks, so it is never a block
         # itself; at m = 1 no transversal is drawn (count is 0).
-        transversals = set()
-        for _ in range(count):
-            mask = 0
-            for b in range(root):
-                mask |= 1 << (b * root + rng.randrange(root))
-            transversals.add(mask)
-        trans = sorted(transversals)
+        trans = sorted({sum(1 << (b * root + rng.randrange(root)) for b in range(root))
+                        for _ in range(count)})
         if not trans:
             continue
         points = [(mask, Fraction(root)) for mask in blocks]

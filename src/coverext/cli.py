@@ -17,6 +17,7 @@ Exit codes are a stable contract for scripting:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -56,6 +57,19 @@ class _Parser(argparse.ArgumentParser):
     # mathematical negatives, so usage problems are rethrown as exceptions.
     def error(self, message):
         raise _UsageError(message)
+
+
+@contextlib.contextmanager
+def _unlimited_digits():
+    """Lift Python's int-string digit limit during a run: exact answers may be long."""
+    saved = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if saved:  # 0: no limit, or an interpreter without one
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if saved:
+            sys.set_int_max_str_digits(saved)
 
 
 def _rational_arg(text):
@@ -269,6 +283,7 @@ def _batch_paths(args):
     return paths
 
 
+@_unlimited_digits()
 def _pool_worker(job):
     """One batch entry: its run report, or an error record, and its exit code.
 
@@ -330,11 +345,13 @@ def _build_parser() -> _Parser:
                    help="exact kappa reaches up to 2^min(d, n-1) unions per point, "
                         "so --cap also bounds min(d, n-1)")
     p.add_argument("--alpha-star", action="store_true", dest="alpha_star",
-                   help="also solve the exact stretch optimum (enumerates 2^m)")
+                   help="also solve the exact stretch optimum (one column per hit "
+                        "pattern, at most 2^min(m, n) - 1; --cap bounds m)")
     p = instance_command("norm", "minimize total absolute error with singleton "
                                  "universe elements; certified additive guarantee")
     p.add_argument("--exact", action="store_true",
-                   help="also solve the unrestricted optimum (enumerates 2^m)")
+                   help="also solve the unrestricted optimum (one column per hit "
+                        "pattern, at most 2^min(m, n) - 1; --cap bounds m)")
     for p in instance_parsers:  # after each command's own flags, the order --help shows
         p.add_argument("--jobs", type=int, default=1, help="parallel workers for a directory input")
         add_cap(p)
@@ -395,6 +412,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@_unlimited_digits()
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:

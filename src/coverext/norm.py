@@ -28,6 +28,7 @@ from .setfun import (
     PartialFunction,
     WCoefficients,
     eval_from_w,
+    mask_to_elements,
     require_enumerable,
     span_columns,
     span_row,
@@ -57,11 +58,7 @@ def _held_singletons(pf: PartialFunction) -> list[Mask]:
     held = 0
     for mask in pf.masks():
         held |= mask
-    singletons = []
-    while held:
-        singletons.append(held & -held)
-        held &= held - 1
-    return singletons
+    return [1 << (e - 1) for e in mask_to_elements(held)]
 
 
 def _norm_program(pf: PartialFunction, columns: Sequence[Mask]) -> LinearProgram:

@@ -264,15 +264,35 @@ def span_violation(
     return next(s for s, value in enumerate(sums) if value > 0)
 
 
+def cheapest_unions(parts: Iterable[tuple[Mask, ExactLike]]) -> dict[Mask, ExactLike]:
+    """Least total cost of every union of some of the parts (costs >= 0), by mask.
+
+    The exact 0/1 DP behind both the LP columns and the exact kappa; it
+    stores only the unions that occur.
+    """
+    cheapest = {0: 0}
+    for part, cost in parts:
+        if not part:  # grows no union, and a cost >= 0 lowers none
+            continue
+        for union, total in list(cheapest.items()):
+            grown, total = union | part, total + cost
+            known = cheapest.get(grown)
+            if known is None or total < known:
+                cheapest[grown] = total
+    return cheapest
+
+
 def span_columns(m: int, points: Sequence[Mask]) -> list[Mask]:
     """One LP column per distinct hit pattern: the smallest set of each, ascending.
 
     A set S enters the extension, stretch and norm programs only through
     the points it meets, so sets with the same pattern are the same
     column. With hit[j] the points holding element j, the pattern of S is
-    that of S without its lowest element plus hit[lowest], one integer
-    pass over 2^m masks. A set meeting no point is an all-zero column and
-    is left out.
+    the union of hit[j] over its elements and S is the sum of their 2^j,
+    so cheapest_unions over the parts (hit[j], 2^j) gives each pattern its
+    smallest set, in time and memory that follow the number of patterns
+    (at most 2^min(m, n)), not 2^m. The empty pattern is left out: a set
+    meeting no point is an all-zero column.
 
     Keeping only the smallest copy changes no simplex outcome: copies keep
     equal reduced costs and tableau entries under every pivot, so they tie
@@ -280,21 +300,9 @@ def span_columns(m: int, points: Sequence[Mask]) -> list[Mask]:
     index, and the smallest copy is the one that enters; a zero column
     never enters.
     """
-    hit = [0] * m
-    for i, point in enumerate(points):
-        for j in range(m):
-            if point >> j & 1:
-                hit[j] |= 1 << i
-    pat = [0] * (1 << m)
-    seen = {0}
-    columns = []
-    for s in range(1, 1 << m):
-        low = s & -s
-        p = pat[s] = pat[s ^ low] | hit[low.bit_length() - 1]
-        if p not in seen:
-            seen.add(p)
-            columns.append(s)
-    return columns
+    hit = [sum(1 << i for i, point in enumerate(points) if point >> j & 1) for j in range(m)]
+    smallest = cheapest_unions((pattern, 1 << j) for j, pattern in enumerate(hit))
+    return sorted(s for pattern, s in smallest.items() if pattern)
 
 
 def span_row(columns: Sequence[Mask], point: Mask) -> dict[int, int]:

@@ -86,6 +86,19 @@ def span_columns_naive(m, points):
     return sorted(smallest.values())
 
 
+def cheapest_unions_naive(parts):
+    """Least total cost of each union, over every subset of the listed parts (repeats distinct)."""
+    best = {}
+    for size in range(len(parts) + 1):
+        for chosen in itertools.combinations(parts, size):
+            union, cost = 0, ZERO
+            for part, weight in chosen:
+                union, cost = union | part, cost + weight
+            if union not in best or cost < best[union]:
+                best[union] = cost
+    return best
+
+
 def full_extension_program(pf):
     """Feasibility rows over all 2^m - 1 subsets; variable S - 1 carries w(S)."""
     columns = range(1, 1 << pf.m)

@@ -1,5 +1,6 @@
 """CLI dispatch, exit codes, file round-trips, and pipelines."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -11,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from coverext import cli
+from coverext import cli, serialize
+from coverext.approx import alpha_bounds
 from coverext.cli import main
+from coverext.norm import norm_extension_approx
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -516,3 +519,110 @@ def test_exact_kappa_over_the_cap_exits_3(tmp_path, capsys):
     code, out, _ = run_cli(["approx", "--input", path, "--mode", "greedy", "--cap", "2"], capsys)
     assert code == 0
     assert json.loads(out)["result"]["kappa"] == "1/2"
+
+
+# Values 1/(10^2200 + 1) and 1/(10^2200 + 3): exact answers carry denominators
+# of about 4400 digits, past Python's default int-string limit of 4300.
+LONG_DIGITS = {
+    "m": 2,
+    "points": [
+        {"set": [1], "value": f"1/{10 ** 2200 + 1}"},
+        {"set": [2], "value": f"1/{10 ** 2200 + 3}"},
+        {"set": [1, 2], "value": "1"},
+    ],
+}
+
+
+def test_answers_past_the_int_digit_limit_print_exactly(tmp_path, capsys):
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    before = digit_limit()
+    path = write(tmp_path, "long.json", LONG_DIGITS)
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    write(batch, "long.json", LONG_DIGITS)
+
+    def run(command, flag, target):
+        code, out, err = run_cli([command, flag, "--input", target], capsys)
+        assert (code, err) == (0, "")
+        assert digit_limit() == before
+        return json.loads(out)
+
+    norm_out = run("norm", "--exact", path)["result"]
+    approx_out = run("approx", "--alpha-star", path)["result"]
+    assert [report["result"] for report in run("norm", "--exact", str(batch))] == [norm_out]
+
+    instance = serialize.partial_function_from_json(LONG_DIGITS)
+    norm = norm_extension_approx(instance, with_exact=True)
+    bounds = alpha_bounds(instance, include_alpha_star=True)
+    pairs = [(norm_out[key], getattr(norm, key))
+             for key in ("opt_restricted", "opt_exact", "additive_bound")]
+    for key in ("primal_errors", "dual_restricted", "dual_rounded"):
+        pairs += zip(norm_out[key], getattr(norm, key), strict=True)
+    pairs += [(approx_out["kappa"], bounds.kappa_estimate), (approx_out["lower"], bounds.lower),
+              (approx_out["upper"], bounds.upper), (approx_out["alpha_star"], bounds.alpha_star)]
+    assert max(len(text) for text, _ in pairs) > 6000
+    if before:  # re-parsing the long strings needs the limit lifted here too
+        sys.set_int_max_str_digits(0)
+    try:
+        assert all(serialize.parse_rational(text) == value for text, value in pairs)
+    finally:
+        if before:
+            sys.set_int_max_str_digits(before)
+
+
+# Every option of every command with its default: a new or changed knob
+# shows up here as a reviewed edit.
+OPTIONS = [
+    ("extend", "--input", None),
+    ("extend", "--certify", False),
+    ("extend", "--jobs", 1),
+    ("extend", "--cap", 24),
+    ("approx", "--input", None),
+    ("approx", "--mode", "exact"),
+    ("approx", "--alpha-star", False),
+    ("approx", "--jobs", 1),
+    ("approx", "--cap", 24),
+    ("norm", "--input", None),
+    ("norm", "--exact", False),
+    ("norm", "--jobs", 1),
+    ("norm", "--cap", 24),
+    ("wtransform", "--input", None),
+    ("wtransform", "--cap", 24),
+    ("gadget chromatic", "--graph", None),
+    ("gadget chromatic", "--k", None),
+    ("gadget chromatic", "--chi", False),
+    ("gadget chromatic", "--out", None),
+    ("gadget chromatic", "--cap", 24),
+    ("gadget setcover", "--input", None),
+    ("gadget setcover", "--out", None),
+    ("gadget cut2span", "--graph", None),
+    ("gadget cut2span", "--allow-wide-weights", False),
+    ("gadget cut2span", "--out", None),
+    ("gadget densest", "--graph", None),
+    ("gadget densest", "--density", None),
+    ("gadget densest", "--out", None),
+    ("gadget densest", "--cap", 24),
+    ("gen tight", "--m", None),
+    ("gen tight", "--k", 2),
+    ("gen tight", "--seed", 0),
+    ("gen tight", "--out", None),
+    ("gen tight", "--cap", 24),
+    ("check cut", "--graph", None),
+    ("check cut", "--cap", 24),
+    ("check span", "--graph", None),
+    ("check span", "--cap", 24),
+]
+
+
+def _options(parser, command=()):
+    """(command path, option strings, default) of every option under parser, in --help order."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _options(sub, command + (name,))
+        elif action.option_strings and not isinstance(action, argparse._HelpAction):
+            yield " ".join(command), ", ".join(action.option_strings), action.default
+
+
+def test_every_option_and_default_is_pinned():
+    assert list(_options(cli._build_parser())) == OPTIONS
