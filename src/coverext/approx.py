@@ -24,8 +24,8 @@ within the harmonic factor H_d instead.
 
 generate_tight_instance builds the family showing the lower bound is
 real: sqrt(m) consecutive blocks of weight sqrt(m) against random unit
-transversals, validated by full subset enumeration so that every subset
-meets at least as many transversals as blocks.
+transversals, validated over every hit pattern (setfun.span_violation)
+so that every subset meets at least as many transversals as blocks.
 """
 
 from __future__ import annotations
@@ -229,8 +229,9 @@ def generate_tight_instance(
     each a point of value sqrt(m); k * sqrt(m) * ceil(log2 m) random
     transversals (one uniform element per block) get value 1. A draw is
     accepted only if every nonempty subset of the ground set meets at
-    least as many transversals as blocks, checked by full enumeration;
-    otherwise the transversals are redrawn, up to _MAX_ATTEMPTS times.
+    least as many transversals as blocks, checked once per hit pattern by
+    setfun.span_violation; otherwise the transversals are redrawn, up to
+    _MAX_ATTEMPTS times.
     """
     if not _is_int(m):
         raise ValueError(f"m must be an int, got {m!r}")

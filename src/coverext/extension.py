@@ -12,9 +12,11 @@ l_1..l_n over the points with
     sum of l_i over points meeting S  <=  0   for every nonempty S, and
     sum of f_i * l_i                  >   0,
 
-which is checkable by plain enumeration and refutes every candidate
-coverage extension at once. Both artifacts are re-verified here before
-being returned; we never trust the solver's algebra blindly.
+which refutes every candidate coverage extension at once. S enters the
+first line only through the points it meets, so the check prices each
+hit pattern once (setfun.span_violation), not every subset of [m]. Both
+artifacts are re-verified here before being returned; we never trust the
+solver's algebra blindly.
 """
 
 from __future__ import annotations
@@ -87,7 +89,11 @@ def verify_witness(pf: PartialFunction, w: WCoefficients) -> bool:
 def verify_certificate(
     pf: PartialFunction, certificate: Sequence[Fraction], cap: int = DEFAULT_ENUMERATION_CAP
 ) -> bool:
-    """Check the refutation by full enumeration of all nonempty subsets."""
+    """Check the refutation: every span sum <= 0 and a positive objective.
+
+    The span sums are priced once per hit pattern (setfun.span_violation),
+    which covers every nonempty subset of [m] without listing them.
+    """
     require_enumerable(pf.m, cap)
     if len(certificate) != pf.n:
         return False

@@ -82,7 +82,8 @@ def norm_extension_approx(
 ) -> NormResult:
     """Solve the singleton-restricted program; optionally attach the exact optimum.
 
-    The restricted path never enumerates 2^m; only with_exact does.
+    The restricted program has one column per held singleton; only
+    with_exact builds one per hit pattern.
     """
     singletons = _held_singletons(pf)
     outcome = solve(_norm_program(pf, singletons))
@@ -120,7 +121,11 @@ def norm_opt_exact(pf: PartialFunction, cap: int = DEFAULT_ENUMERATION_CAP) -> F
 def verify_dual_feasible(
     pf: PartialFunction, y: Sequence[Fraction], cap: int = DEFAULT_ENUMERATION_CAP
 ) -> bool:
-    """Box |y_i| <= 1 plus span sums <= 0 over every nonempty subset."""
+    """Box |y_i| <= 1 plus span sums <= 0 over every nonempty subset.
+
+    The span sums are priced once per hit pattern (setfun.span_violation),
+    not once per subset of [m].
+    """
     require_enumerable(pf.m, cap)
     if len(y) != pf.n:
         return False

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import Any, Iterator, Mapping
 
@@ -26,22 +27,60 @@ from .setfun import (
 )
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # ASCII digits; \d takes any Unicode digit
+_DEFAULT_DIGIT_LIMIT = getattr(sys.int_info, "default_max_str_digits", 4300)
+
+
+def _int_text(n: int) -> str:
+    """Decimal text of an int of any length.
+
+    str() refuses ints past the interpreter's int-string limit (4300 digits
+    by default, never under 640), so a long int is printed in halves of
+    under 600 digits each.
+    """
+    if n < 0:
+        return "-" + _int_text(-n)
+    if n.bit_length() <= 1990:  # 2^1990 has 600 digits
+        return str(n)
+    half = n.bit_length() * 3 // 20  # about half the digit count: log10(2) = 0.301
+    high, low = divmod(n, 10 ** half)
+    return _int_text(high) + _int_text(low).zfill(half)
 
 
 def format_rational(x) -> str:
-    """A Fraction as "p" or "p/q" in lowest terms; math.inf as "inf"."""
-    return "inf" if x == math.inf else str(x)
+    """A Fraction as "p" or "p/q" in lowest terms, at any length; math.inf as "inf"."""
+    if x == math.inf:
+        return "inf"
+    text = _int_text(x.numerator)
+    return text if x.denominator == 1 else f"{text}/{_int_text(x.denominator)}"
+
+
+def parse_int(text: str, where: str = "integer") -> int:
+    """int(text), refusing a digit run past the interpreter's int-string limit.
+
+    The limit is Python's default of 4300 digits unless the interpreter's
+    was changed; it is checked before converting, because converting takes
+    time quadratic in the length. Refused text is an InstanceParseError.
+    """
+    if len(text) > 640:  # the least limit Python accepts: shorter text always converts
+        get_limit = getattr(sys, "get_int_max_str_digits", None)
+        limit = get_limit() if get_limit else _DEFAULT_DIGIT_LIMIT
+        digits = len(text) - text.startswith(("+", "-"))
+        if limit and digits > limit:
+            raise InstanceParseError(f"{where}: {digits} digits exceed the limit of {limit}")
+    return int(text)
 
 
 def parse_rational(text, where: str = "value") -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise InstanceParseError(f"{where}: expected an integer or p/q string, got {text!r}")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise InstanceParseError(f"{where}: zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, _, den = text.partition("/")
+    numerator = parse_int(num, where)
+    if not den:
+        return Fraction(numerator)
+    denominator = parse_int(den, where)
+    if denominator == 0:
+        raise InstanceParseError(f"{where}: zero denominator in {text!r}")
+    return Fraction(numerator, denominator)
 
 
 def _positive_int(data: Mapping, field: str) -> int:

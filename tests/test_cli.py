@@ -8,11 +8,12 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from coverext import cli, serialize
+from coverext import cli, serialize, setfun
 from coverext.approx import alpha_bounds
 from coverext.cli import main
 from coverext.norm import norm_extension_approx
@@ -141,6 +142,18 @@ def test_wtransform_negative(tmp_path, capsys):
     assert result["is_coverage"] is False
     assert result["violating_set"] == [1, 2]
     assert result["coefficient"] == "-1"
+
+
+def test_wtransform_runs_one_moebius_pass(tmp_path, capsys, monkeypatch):
+    calls = []
+    w_values = setfun._w_values
+    monkeypatch.setattr(setfun, "_w_values", lambda *args: calls.append(args) or w_values(*args))
+    for top, want in (("2", 0), ("3", 2)):  # f({1, 2}) = 3 makes w({1, 2}) = -1
+        total = {"m": 2, "values": [{"set": [], "value": "0"}, {"set": [1], "value": "1"},
+                                    {"set": [2], "value": "1"}, {"set": [1, 2], "value": top}]}
+        calls.clear()
+        code, _, _ = run_cli(["wtransform", "--input", write(tmp_path, "t.json", total)], capsys)
+        assert (code, len(calls)) == (want, 1)
 
 
 def test_gadget_chromatic_to_file_roundtrip(tmp_path, capsys):
@@ -568,6 +581,39 @@ def test_answers_past_the_int_digit_limit_print_exactly(tmp_path, capsys):
     finally:
         if before:
             sys.set_int_max_str_digits(before)
+
+
+# One digit past Python's default int-string limit; parsing it would take
+# time quadratic in its length, so it is refused before any conversion.
+LONG = "1" * 4301
+ONE_POINT = '{"m": %s, "points": [{"set": [1], "value": "%s"}]}'
+
+
+@pytest.mark.parametrize("argv, text, error", [
+    (["extend", "--input", "IN"], ONE_POINT % (LONG, "1"), "IN: 4301 digits exceed"),
+    (["extend", "--input", "IN"], ONE_POINT % (1, LONG), "points[0].value: 4301 digits exceed"),
+    (["extend", "--input", "IN"], ONE_POINT % (1, "1/" + LONG), "points[0].value: 4301 digits"),
+    (["gen", "tight", "--m", "4", "--k", LONG], None, "argument --k: invalid int value"),
+    (["gadget", "chromatic", "--graph", "IN", "--k", LONG], json.dumps(K3_GRAPH),
+     "argument --k: argument: 4301 digits exceed"),
+], ids=["m", "value", "denominator", "gen-k", "chromatic-k"])
+def test_input_digits_past_the_limit_exit_1_at_once(tmp_path, capsys, argv, text, error):
+    path = tmp_path / "in.json"
+    if text is not None:
+        path.write_text(text)
+    argv = [str(path) if arg == "IN" else arg for arg in argv]
+    started = time.monotonic()
+    code, out, err = run_cli(argv, capsys)
+    assert time.monotonic() - started < 1
+    assert (code, out) == (1, "")
+    assert err.startswith("error: " + error.replace("IN", str(path)))
+
+
+def test_a_value_at_the_digit_limit_parses_and_prints(tmp_path, capsys):
+    path = write(tmp_path, "long.json", json.loads(ONE_POINT % (1, "9" * 4300)))
+    code, out, _ = run_cli(["extend", "--input", path], capsys)
+    assert code == 0
+    assert json.loads(out)["result"]["witness"] == [{"set": [1], "weight": "9" * 4300}]
 
 
 # Every option of every command with its default: a new or changed knob

@@ -47,6 +47,30 @@ def test_rational_strings():
             parse_rational(bad)
 
 
+def _long_int(text):
+    """An int read back from text in 1000-digit pieces, each inside the int-string limit."""
+    digits = text.lstrip("-")
+    value = 0
+    for i in range(0, len(digits), 1000):
+        piece = digits[i:i + 1000]
+        value = value * 10 ** len(piece) + int(piece)
+    return -value if text.startswith("-") else value
+
+
+def test_rationals_print_past_the_int_digit_limit_and_parse_up_to_it():
+    big = 7 ** 12000 + 1  # 10,142 digits
+    for x in (F(0), F(big), F(-big, 3), F(3, big), F(-(10 ** 4300), 10 ** 601 + 1)):
+        num, _, den = format_rational(x).partition("/")
+        assert (_long_int(num), _long_int(den or "1")) == (x.numerator, x.denominator)
+        assert num.lstrip("-")[:1] != "0" or x == 0
+    assert len(format_rational(F(big))) == 10142
+    assert parse_rational("9" * 4300) == 10 ** 4300 - 1
+    assert parse_rational("-1/" + "9" * 4300) == F(-1, 10 ** 4300 - 1)
+    for bad in ("9" * 4301, "-" + "9" * 4301, "1/" + "9" * 4301, "9" * 4301 + "/2"):
+        with pytest.raises(InstanceParseError, match="4301 digits exceed the limit of 4300"):
+            parse_rational(bad)
+
+
 def test_partial_function_roundtrip():
     pf = PartialFunction(3, ((0b001, F(1)), (0b110, F(3, 2))))
     data = partial_function_to_json(pf)

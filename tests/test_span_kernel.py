@@ -4,6 +4,8 @@ Each property draws small cases (m <= 8) and compares the library with a
 full ascending enumeration written straight from the definitions.
 """
 
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -37,7 +39,7 @@ def _same_length(draw, strategy, items):
 def families(draw):
     """Sets over [m], repeats and the empty set allowed, with signed weights."""
     m = draw(st.integers(1, 8))
-    sets = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=8))
+    sets = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=12))
     return m, sets, _same_length(draw, signed, sets)
 
 
@@ -98,11 +100,29 @@ def test_span_sums_match_literal_sums(family):
 @given(families())
 @example((2, [0b01, 0b11], [F(1), F(-1)]))  # largest span sum exactly 0
 @example((2, [0b01, 0b10], [F(1), F(2)]))  # first violation is not the largest
+@example((2, [0b11], [F(1)]))  # {1} and {2} share one hit pattern: the smaller answers
+@example((2, [0b01, 0b10, 0b11], [F(1), F(1), F(-1)]))  # only the union of two patterns
+@example((2, [0b01] * 8 + [0b10], [F(-1)] * 8 + [F(1)]))  # decided by the ninth set
 def test_span_violation_is_the_first_positive_span_in_ascending_order(family):
     m, sets, weights = family
     want = next((s for s in range(1, 1 << m)
                  if oracles.span_sum_naive(sets, weights, s) > 0), None)
     assert span_violation(m, sets, weights, DEFAULT_ENUMERATION_CAP) == want
+
+
+def test_span_violation_memory_follows_the_patterns():
+    rng = random.Random(20)
+    sets = [rng.randrange(1, 1 << 20) for _ in range(40)]
+    weights = [F(rng.randint(-1, 1)) for _ in sets]  # first violation: S = {12}
+    tracemalloc.start()
+    try:
+        found = span_violation(20, sets, weights, DEFAULT_ENUMERATION_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == next(s for s in range(1, 1 << 20)
+                         if sum(w for t, w in zip(sets, weights) if t & s) > 0)
+    assert peak < 2 * 1024 * 1024  # a 2^20 table of ints alone takes about 8 MB
 
 
 def test_span_violation_is_gated_by_its_cap():
