@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import SeedExhaustedError
+from .errors import CapExceededError, SeedExhaustedError
 from .lp import FEASIBLE, GREATER_EQUAL, INFEASIBLE, LESS_EQUAL, LinearProgram, solve
 from .setfun import (
     DEFAULT_ENUMERATION_CAP,
@@ -231,7 +231,8 @@ def generate_tight_instance(
     accepted only if every nonempty subset of the ground set meets at
     least as many transversals as blocks, checked once per hit pattern by
     setfun.span_violation; otherwise the transversals are redrawn, up to
-    _MAX_ATTEMPTS times.
+    _MAX_ATTEMPTS times. More than 2^cap draws raise CapExceededError
+    before any is drawn, the budget that cap sets on enumerated objects.
     """
     if not _is_int(m):
         raise ValueError(f"m must be an int, got {m!r}")
@@ -249,6 +250,9 @@ def generate_tight_instance(
     blocks = [((1 << root) - 1) << (b * root) for b in range(root)]
     log_factor = (m - 1).bit_length()  # ceil(log2 m), 0 when m == 1
     count = k * root * log_factor
+    # the bit-length test keeps a huge cap from building 2^cap
+    if count.bit_length() > cap and count > 1 << cap:
+        raise CapExceededError(f"k * {root * log_factor} transversal draws exceed 2^{cap}")
 
     rng = random.Random(seed)
     for _ in range(_MAX_ATTEMPTS):

@@ -36,8 +36,10 @@ from .setfun import (
     _coerce_value,
     _is_int,
     _require_positive_int,
+    hit_patterns,
     mask_from_elements,
     require_enumerable,
+    span_row,
     span_sums,
 )
 
@@ -134,10 +136,8 @@ def _independent_set_masks(graph: Graph) -> list[Mask]:
 
 
 def _coloring_program(graph: Graph, sets: Sequence[Mask]) -> LinearProgram:
-    rows = []
-    for v in range(1, graph.num_vertices + 1):
-        bit = 1 << (v - 1)
-        rows.append(({i: 1 for i, s in enumerate(sets) if s & bit}, EQUAL, 1))
+    """The independent sets are the columns and the vertices the points, each covered once."""
+    rows = [(span_row(sets, 1 << v), EQUAL, 1) for v in range(graph.num_vertices)]
     return LinearProgram(len(sets), objective=[1] * len(sets), rows=rows)
 
 
@@ -280,22 +280,9 @@ def setcover_membership_gadget(
         except ValueError as exc:
             raise ValueError(f"family[{idx}]: {exc}") from exc
 
-    sets: list[Mask] = []
-    point: list[Fraction] = []
-    for i in range(m):
-        sets.append(1 << i)
-        point.append(-1 / scale)
-    sets.append((1 << m) - 1)
-    point.append((Fraction(k) - k * universe_size + Fraction(1, 2)) / scale)
-    for e in range(1, universe_size + 1):
-        bit = 1 << (e - 1)
-        owner = 0
-        for i, fm in enumerate(fam_masks):
-            if fm & bit:
-                owner |= 1 << i
-        sets.append(owner)
-        point.append(Fraction(k) / scale)
-
+    sets = [1 << i for i in range(m)] + [(1 << m) - 1] + hit_patterns(universe_size, fam_masks)
+    point = ([-1 / scale] * m + [(Fraction(k) - k * universe_size + Fraction(1, 2)) / scale]
+             + [Fraction(k) / scale] * universe_size)
     delta = DeltaSpec(1 / (4 * scale), len(sets))
     return MembershipInstance(tuple(point), delta, m, tuple(sets))
 
@@ -388,7 +375,7 @@ def densest_cut_report(
     """
     require_enumerable(graph.num_vertices, cap)
     gadget = densest_cut_gadget(graph, density)
-    cuts, scale = _edge_sums(gadget)
+    cuts, scale = _cut_sums(gadget)
     proper = itertools.islice(cuts, 1, (1 << graph.num_vertices) - 1)
     best = Fraction(max(proper), scale)
     return DensestCutReport(gadget, best, best > 0, best == 0)
@@ -405,8 +392,7 @@ def check_cut_membership(
     graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> MembershipCheck:
     """Brute-force test against the cut polytope (all cut sums <= 0, unit box)."""
-    return _check_membership(graph, cap, lambda: next(
-        (s for s, value in enumerate(_edge_sums(graph)[0]) if value > 0), None))
+    return _check_membership(graph, cap, _cut_sums)
 
 
 def check_span_membership(
@@ -420,37 +406,31 @@ def check_span_membership(
     the 2^m table is cheaper: at 18 vertices it takes 170 ms and 13 MB
     where the closure walk takes 268 ms and 22 MB.
     """
-    return _check_membership(graph, cap, lambda: _first_positive(span_sums(
-        graph.num_vertices, _edge_masks(graph), graph.require_weights())[0]))
+    return _check_membership(graph, cap, _span_sums)
 
 
-def _first_positive(sums: list[int]) -> Optional[Mask]:
-    """The first mask with a positive sum, or None; max() rules out most scans in C."""
-    if max(sums) <= 0:
-        return None
-    return next(s for s, value in enumerate(sums) if value > 0)
+def _span_sums(graph: Graph) -> tuple[list[int], int]:
+    """Scaled span sums of all vertex subsets in mask order, and the scale."""
+    edges = [(1 << (u - 1)) | (1 << (v - 1)) for u, v in graph.edges]
+    return span_sums(graph.num_vertices, edges, graph.require_weights())
 
 
-def _edge_masks(graph: Graph) -> list[Mask]:
-    return [(1 << (u - 1)) | (1 << (v - 1)) for u, v in graph.edges]
-
-
-def _edge_sums(graph: Graph):
-    """Scaled cut sums of all vertex subsets in mask order, and the scale.
+def _cut_sums(graph: Graph):
+    """Scaled cut sums of all vertex subsets in mask order, streamed, and the scale.
 
     An edge meets both S and its complement (the mirrored index) exactly
     when it is cut, so cut(S) = span(S) + span(complement) - total weight.
     """
-    sums, scale = span_sums(graph.num_vertices, _edge_masks(graph), graph.require_weights())
+    sums, scale = _span_sums(graph)
     total = sums[-1]
     return (a + b - total for a, b in zip(sums, reversed(sums))), scale
 
 
-def _check_membership(graph: Graph, cap: int, violation) -> MembershipCheck:
-    """The unit box first, edge by edge, then violation(): a violated set or None."""
+def _check_membership(graph: Graph, cap: int, table) -> MembershipCheck:
+    """The cap, the unit box edge by edge, then the first positive mask of table(graph)."""
     require_enumerable(graph.num_vertices, cap)
     for i, wt in enumerate(graph.require_weights()):
         if wt < -1 or wt > 1:
             return MembershipCheck(False, box_edge=i)
-    violated = violation()
+    violated = next((s for s, value in enumerate(table(graph)[0]) if value > 0), None)
     return MembershipCheck(violated is None, violated_set=violated)

@@ -273,6 +273,11 @@ def cheapest_unions(parts: Iterable[tuple[Mask, ExactLike]]) -> dict[Mask, Exact
     return cheapest
 
 
+def hit_patterns(m: int, sets: Sequence[Mask]) -> list[Mask]:
+    """hit[j] for j < m: the sets holding element j + 1, as a mask (bit i: sets[i])."""
+    return [sum(1 << i for i, t in enumerate(sets) if t >> j & 1) for j in range(m)]
+
+
 def _smallest_sets(m: int, sets: Sequence[Mask]) -> dict[Mask, Mask]:
     """The smallest S of every hit pattern, by pattern (bit i: S meets sets[i]).
 
@@ -282,8 +287,7 @@ def _smallest_sets(m: int, sets: Sequence[Mask]) -> dict[Mask, Mask]:
     smallest set. The patterns are the OR-closure of the hit[j], at most
     2^min(m, n) of them; the empty pattern maps to the empty set.
     """
-    hit = [sum(1 << i for i, t in enumerate(sets) if t >> j & 1) for j in range(m)]
-    return cheapest_unions((pattern, 1 << j) for j, pattern in enumerate(hit))
+    return cheapest_unions((hit, 1 << j) for j, hit in enumerate(hit_patterns(m, sets)))
 
 
 def span_violation(

@@ -219,6 +219,18 @@ def setcover_has_cover(universe_size, family, k):
     return False
 
 
+def setcover_owner_masks(universe_size, family):
+    """Per element e of [universe_size], the members holding it (bit i: family[i])."""
+    owners = []
+    for e in range(1, universe_size + 1):
+        mask = 0
+        for i, s in enumerate(family):
+            if e in s:
+                mask |= 1 << i
+        owners.append(mask)
+    return owners
+
+
 # --- tiny LPs by vertex enumeration --------------------------------------------
 
 FractionRow = collections.namedtuple("FractionRow", "coeffs relation rhs")

@@ -616,6 +616,15 @@ def test_a_value_at_the_digit_limit_parses_and_prints(tmp_path, capsys):
     assert json.loads(out)["result"]["witness"] == [{"set": [1], "weight": "9" * 4300}]
 
 
+@pytest.mark.parametrize("k", [10 ** 8, int("9" * 4300)], ids=["1e8", "4300-digits"])
+def test_gen_tight_refuses_more_draws_than_the_cap_at_once(capsys, k):
+    started = time.monotonic()
+    code, out, err = run_cli(["gen", "tight", "--m", "4", "--k", str(k)], capsys)
+    assert time.monotonic() - started < 1
+    assert (code, out) == (3, "")
+    assert err == "error: k * 4 transversal draws exceed 2^24\n"
+
+
 # Every option of every command with its default: a new or changed knob
 # shows up here as a reviewed edit.
 OPTIONS = [

@@ -89,3 +89,11 @@ def test_the_cap_is_checked_before_other_faults(name):
     with pytest.raises(CapExceededError) as info:
         OVER_THE_CAP[name]()
     assert str(info.value) == f"ground set size 4 exceeds enumeration cap {CAP}"
+
+
+def test_tight_draws_are_bounded_by_2_to_the_cap():
+    # m = 4 draws k * sqrt(4) * ceil(log2 4) = 4k transversals; cap 4 allows 16
+    assert generate_tight_instance(4, k=4, cap=4).m == 4
+    with pytest.raises(CapExceededError) as info:
+        generate_tight_instance(4, k=5, cap=4)
+    assert str(info.value) == "k * 4 transversal draws exceed 2^4"

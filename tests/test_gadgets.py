@@ -5,6 +5,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from coverext.errors import CapExceededError
 from coverext.extension import decide_extension
@@ -314,3 +315,24 @@ def test_setcover_gadget_margins_random():
             assert best >= margin
         else:
             assert best <= -margin
+
+
+@st.composite
+def setcover_families(draw):
+    """A universe of 2..9 elements and 1..8 members, empty and repeated members allowed."""
+    universe = draw(st.integers(2, 9))
+    member = st.lists(st.integers(1, universe), unique=True).map(sorted)
+    return universe, draw(st.lists(member, min_size=1, max_size=8))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(setcover_families())
+@example((4, [[1, 2], [2], [3]]))  # element 4 has no owner
+def test_setcover_gadget_sets_are_singletons_all_and_owners(data):
+    universe, family = data
+    m = len(family)
+    inst = setcover_membership_gadget(universe, family, 1)
+    assert inst.family_m == m
+    singletons = tuple(1 << i for i in range(m))
+    owners = tuple(oracles.setcover_owner_masks(universe, family))
+    assert inst.family_sets == singletons + ((1 << m) - 1,) + owners
