@@ -32,9 +32,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import CapExceededError, SeedExhaustedError
 from .lp import FEASIBLE, GREATER_EQUAL, INFEASIBLE, LESS_EQUAL, LinearProgram, solve
@@ -162,8 +161,7 @@ def alpha_star_exact(pf: PartialFunction, cap: int = DEFAULT_ENUMERATION_CAP) ->
     return _ONE + outcome.objective_value
 
 
-@dataclass(frozen=True)
-class AlphaBounds:
+class AlphaBounds(NamedTuple):
     """A certified sandwich around alpha*; degenerate means kappa was infinite."""
 
     kappa_estimate: Ratio

@@ -21,9 +21,8 @@ solver's algebra blindly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .lp import EQUAL, FEASIBLE, INFEASIBLE, LinearProgram, solve
 from .setfun import (
@@ -41,8 +40,7 @@ from .setfun import (
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class ExtensionVerdict:
+class ExtensionVerdict(NamedTuple):
     extendible: bool
     witness: Optional[WCoefficients] = None
     certificate: Optional[tuple[Fraction, ...]] = None

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .lp import EQUAL, FEASIBLE, LinearProgram, solve
 from .setfun import (
@@ -105,8 +105,7 @@ class Graph:
 # --- fractional chromatic number ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class FractionalColoring:
+class FractionalColoring(NamedTuple):
     """Weights on independent sets; every vertex is covered to exactly 1."""
 
     independent_sets: tuple[Mask, ...]
@@ -217,8 +216,7 @@ def chromatic_gadget(graph: Graph, k: ExactLike) -> PartialFunction:
 # --- membership instances ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeltaSpec:
+class DeltaSpec(NamedTuple):
     """Tolerance coefficient / sqrt(radicand), kept symbolic to stay exact."""
 
     coefficient: Fraction
@@ -356,8 +354,7 @@ def densest_cut_gadget(graph: Graph, density: ExactLike) -> Graph:
     return Graph(graph.num_vertices, tuple(edges), tuple(weights))
 
 
-@dataclass(frozen=True)
-class DensestCutReport:
+class DensestCutReport(NamedTuple):
     gadget: Graph
     max_cut_value: Fraction          # over proper nonempty subsets
     exceeds_density: bool            # some cut strictly denser than M
@@ -381,8 +378,7 @@ def densest_cut_report(
     return DensestCutReport(gadget, best, best > 0, best == 0)
 
 
-@dataclass(frozen=True)
-class MembershipCheck:
+class MembershipCheck(NamedTuple):
     inside: bool
     violated_set: Optional[Mask] = None
     box_edge: Optional[int] = None  # index of an edge breaking the unit box

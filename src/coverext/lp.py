@@ -41,9 +41,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import MalformedProgramError
 from .setfun import ExactLike, _coerce_value, _is_int, _scaled
@@ -136,8 +135,7 @@ class LinearProgram:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
-class LpOutcome:
+class LpOutcome(NamedTuple):
     """Result of solve(): exact status plus the relevant certificate.
 
     solution is a basic feasible point (vertex) when feasible; farkas_ray

@@ -17,9 +17,8 @@ repaired vector prices out against the full program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .lp import EQUAL, FEASIBLE, LinearProgram, solve
 from .setfun import (
@@ -39,8 +38,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class NormResult:
+class NormResult(NamedTuple):
     opt_restricted: Fraction
     witness: WCoefficients                  # support contained in singletons
     primal_errors: tuple[Fraction, ...]     # f(T_i) - f_i under the witness

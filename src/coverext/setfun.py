@@ -24,7 +24,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import CapExceededError
 
@@ -377,8 +377,7 @@ def eval_from_w(w: WCoefficients, subset: Mask) -> Fraction:
     return sum((weight for mask, weight in w.support if mask & subset), _ZERO)
 
 
-@dataclass(frozen=True)
-class CoverageCheck:
+class CoverageCheck(NamedTuple):
     is_coverage: bool
     violating_set: Optional[Mask] = None
     coefficient: Optional[Fraction] = None

@@ -14,9 +14,13 @@ from pathlib import Path
 import pytest
 
 from coverext import cli, serialize, setfun
-from coverext.approx import alpha_bounds
+from coverext.approx import alpha_bounds, alpha_star_program
 from coverext.cli import main
-from coverext.norm import norm_extension_approx
+from coverext.extension import extension_program
+from coverext.gadgets import _coloring_program, _independent_set_masks
+from coverext.lp import solve
+from coverext.norm import _held_singletons, _norm_program, norm_extension_approx
+from coverext.setfun import span_columns
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -399,6 +403,53 @@ def test_every_command_reports_through_one_runner(tmp_path, capsys, monkeypatch,
         assert json.loads(out) == report["result"]["instance"]
     else:
         assert err == ""
+
+
+def _extension_programs(pf):
+    return [extension_program(pf, span_columns(pf.m, pf.masks()))]
+
+
+def _norm_exact_programs(pf):
+    return [_norm_program(pf, _held_singletons(pf)),
+            _norm_program(pf, span_columns(pf.m, pf.masks()))]
+
+
+def _coloring_programs(graph):
+    return [_coloring_program(graph, _independent_set_masks(graph))]
+
+
+C5_GRAPH = {"vertices": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]]}
+
+
+@pytest.mark.parametrize(
+    "argv, payload, parse, programs",
+    [
+        (["extend", "--input"], ADDITIVE, serialize.partial_function_from_json,
+         _extension_programs),
+        (["extend", "--input"], SUPERADDITIVE, serialize.partial_function_from_json,
+         _extension_programs),
+        (["approx", "--alpha-star", "--input"], SUPERADDITIVE,
+         serialize.partial_function_from_json, lambda pf: [alpha_star_program(pf)]),
+        (["norm", "--exact", "--input"], SUPERADDITIVE, serialize.partial_function_from_json,
+         _norm_exact_programs),
+        (["gadget", "chromatic", "--k", "3", "--chi", "--graph"], C5_GRAPH,
+         serialize.graph_from_json, _coloring_programs),
+    ],
+    ids=["extend-extendible", "extend-refutable", "approx-alpha-star", "norm-exact",
+         "gadget-chromatic-chi"],
+)
+def test_solver_block_sums_the_programs_the_command_solves(tmp_path, capsys, argv, payload,
+                                                           parse, programs):
+    # one solve per program, plus its pivots, rows and variables
+    code, out, _ = run_cli(argv + [write(tmp_path, "in.json", payload)], capsys)
+    assert code in (0, 2)
+    want = [0, 0, 0, 0]
+    for program in programs(parse(payload)):
+        outcome = solve(program)
+        for k, value in enumerate((1, outcome.pivots, program.num_rows, program.num_vars)):
+            want[k] += value
+    solver = json.loads(out)["solver"]
+    assert [solver[key] for key in ("solves", "pivots", "rows", "vars")] == want
 
 
 def test_batch_records_errors_and_exits_with_the_worst_code(tmp_path, capsys):

@@ -358,8 +358,22 @@ def test_solve_matches_fraction_reference(lp):
     assert_matches_reference(lp)
 
 
+# Seeded instances with larger values than partial_functions() draws, run on
+# every pass: a change in how unit columns price against structural ones
+# moves the pivot path of seed 0, which the draws hit only on some runs.
+_SEEDED_INSTANCES = [oracles.random_partial_function(random.Random(seed), max_m=6, max_n=8)
+                     for seed in range(12)]
+
+
+def with_seeded_instances(test):
+    for pf in _SEEDED_INSTANCES:
+        test = example(pf)(test)
+    return test
+
+
 @settings(max_examples=40, deadline=None, database=None)
 @given(oracles.partial_functions())
+@with_seeded_instances
 def test_coverage_programs_match_fraction_reference(pf):
     columns = span_columns(pf.m, pf.masks())
     assert_matches_reference(extension_program(pf, columns))
@@ -376,6 +390,7 @@ def test_solve_matches_reference_with_bland_fallback(lp):
 
 @settings(max_examples=25, deadline=None, database=None)
 @given(oracles.partial_functions())
+@with_seeded_instances
 def test_coverage_programs_match_reference_with_bland_fallback(pf):
     columns = span_columns(pf.m, pf.masks())
     for limit in (0, 1):
