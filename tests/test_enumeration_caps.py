@@ -6,17 +6,26 @@ import pytest
 
 from coverext.approx import alpha_bounds, alpha_star_exact, generate_tight_instance
 from coverext.errors import CapExceededError
-from coverext.extension import verify_certificate
+from coverext.extension import decide_extension, verify_certificate
 from coverext.gadgets import (
     Graph,
     check_cut_membership,
     check_span_membership,
+    coverage_span_sums,
     densest_cut_report,
     equalize_coloring,
     fractional_chromatic,
+    setcover_membership_gadget,
 )
 from coverext.norm import norm_extension_approx, norm_opt_exact, verify_dual_feasible
-from coverext.setfun import PartialFunction, TotalSetFunction, is_coverage, w_transform
+from coverext.setfun import (
+    PartialFunction,
+    TotalSetFunction,
+    WCoefficients,
+    is_coverage,
+    w_roundtrip_check,
+    w_transform,
+)
 
 F = Fraction
 CAP = 3
@@ -45,6 +54,7 @@ def tight(n, cap):
 
 # entry point -> call at ground set (or vertex set) size n under the given cap
 GATED = {
+    "decide_extension": lambda n, cap: decide_extension(singletons(n), cap),
     "verify_certificate": lambda n, cap: verify_certificate(singletons(n), (F(0),) * n, cap),
     "alpha_star_exact": lambda n, cap: alpha_star_exact(singletons(n), cap),
     "alpha_bounds(include_alpha_star=True)":
@@ -55,11 +65,15 @@ GATED = {
     "verify_dual_feasible": lambda n, cap: verify_dual_feasible(singletons(n), (F(0),) * n, cap),
     "w_transform": lambda n, cap: w_transform(cardinality(n), cap),
     "is_coverage": lambda n, cap: is_coverage(cardinality(n), cap),
+    "w_roundtrip_check": lambda n, cap: w_roundtrip_check(WCoefficients(n, ((1, F(1)),)), cap),
     "fractional_chromatic": lambda n, cap: fractional_chromatic(path(n, 0), cap),
     "equalize_coloring": lambda n, cap: equalize_coloring(Graph(n, ()), n, cap),
     "densest_cut_report": lambda n, cap: densest_cut_report(path(n, 0), 1, cap),
     "check_cut_membership": lambda n, cap: check_cut_membership(path(n, F(-1, 2)), cap),
     "check_span_membership": lambda n, cap: check_span_membership(path(n, F(-1, 2)), cap),
+    # n members over a 2-element universe: a family of size n
+    "coverage_span_sums":
+        lambda n, cap: coverage_span_sums(setcover_membership_gadget(2, [[1]] * n, 1), cap),
     "generate_tight_instance": tight,
 }
 

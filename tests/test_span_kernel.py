@@ -15,6 +15,8 @@ from coverext.errors import CapExceededError
 from coverext.extension import verify_certificate
 from coverext.gadgets import (
     Graph,
+    _cut_sums,
+    _span_sums,
     check_cut_membership,
     check_span_membership,
     densest_cut_report,
@@ -66,9 +68,9 @@ def instances_with_multipliers(draw):
     return PartialFunction(m, tuple(zip(masks, values))), tuple(mult)
 
 
-def _edges(draw, n):
+def _edges(draw, n, min_size=1):
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    return draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True)) if pairs else []
+    return draw(st.lists(st.sampled_from(pairs), min_size=min_size, unique=True)) if pairs else []
 
 
 @st.composite
@@ -77,6 +79,15 @@ def weighted_graphs(draw):
     edges = _edges(draw, n)
     numerators = st.integers(-8, 8) if draw(st.booleans()) else st.integers(-4, 4)
     weights = _same_length(draw, st.builds(F, numerators, st.integers(4, 6)), edges)
+    return Graph(n, tuple(edges), tuple(weights))
+
+
+@st.composite
+def any_weighted_graphs(draw):
+    """Edgeless graphs and isolated vertices too, weights off the unit box, mixed denominators."""
+    n = draw(st.integers(1, 8))
+    edges = _edges(draw, n, min_size=0)
+    weights = _same_length(draw, st.builds(F, st.integers(-12, 12), st.integers(1, 7)), edges)
     return Graph(n, tuple(edges), tuple(weights))
 
 
@@ -148,6 +159,34 @@ def test_membership_matches_an_ascending_scan(graph):
                     break
         got = check(graph)
         assert (got.inside, got.violated_set, got.box_edge) == want
+
+
+@PROPERTY
+@given(any_weighted_graphs())
+@example(Graph(3, (), ()))
+@example(Graph(4, ((1, 3), (3, 4)), (F(5, 2), F(-1, 3))))  # vertex 2 isolated
+def test_graph_tables_match_literal_sums_at_every_mask(graph):
+    n, edges, weights = graph.num_vertices, graph.edges, graph.weights
+    for table, weigh in ((_span_sums, oracles.span_weight_naive),
+                         (_cut_sums, oracles.cut_weight_naive)):
+        sums, scale = table(graph)
+        assert scale > 0
+        assert [F(value, scale) for value in sums] == [weigh(n, edges, weights, s)
+                                                       for s in range(1 << n)]
+
+
+def test_span_membership_memory_stays_near_one_table():
+    rng = random.Random(18)
+    edges = [(u, v) for u in range(1, 19) for v in range(u + 1, 19) if rng.random() < 0.35]
+    graph = Graph(18, tuple(edges), tuple(F(-rng.randint(0, 4), 4) for _ in edges))
+    tracemalloc.start()
+    try:
+        check = check_span_membership(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert check.inside  # every weight is <= 0, so every entry of the table is read
+    assert peak < 16 * 1024 * 1024  # the 2^18 table of ints alone takes about 10 MB
 
 
 @PROPERTY
