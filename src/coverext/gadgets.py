@@ -287,12 +287,10 @@ def setcover_membership_gadget(
     return MembershipInstance(tuple(point), delta, m, tuple(sets))
 
 
-def coverage_span_sums(
-    instance: MembershipInstance, cap: int = DEFAULT_ENUMERATION_CAP
-) -> dict[Mask, Fraction]:
+def coverage_span_sums(instance: MembershipInstance) -> dict[Mask, Fraction]:
     """All span sums of a coverage membership instance, by full enumeration."""
     m = instance.family_m
-    require_enumerable(m, cap)
+    require_enumerable(m)
     sums, scale = span_sums(m, instance.family_sets, instance.point)
     return {s: Fraction(sums[s], scale) for s in range(1, 1 << m)}
 
@@ -376,7 +374,7 @@ def densest_cut_report(
     """
     require_enumerable(graph.num_vertices, cap)
     gadget = densest_cut_gadget(graph, density)
-    cuts, scale = _cut_sums(gadget)
+    cuts, scale = _graph_sums(gadget, 2)
     proper = itertools.islice(cuts, 1, (1 << graph.num_vertices) - 1)
     best = Fraction(max(proper), scale)
     return DensestCutReport(gadget, best, best > 0, best == 0)
@@ -392,7 +390,7 @@ def check_cut_membership(
     graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> MembershipCheck:
     """Brute-force test against the cut polytope (all cut sums <= 0, unit box)."""
-    return _check_membership(graph, cap, _cut_sums)
+    return _check_membership(graph, cap, 2)
 
 
 def check_span_membership(
@@ -403,21 +401,12 @@ def check_span_membership(
     A graph's edges meet nearly every vertex subset in its own way, so the
     pattern closure that setfun.span_violation walks is close to 2^m here
     (12,381 of 16,383 patterns on 14 vertices at edge density 0.35), and
-    the 2^m table is cheaper: on 18 vertices at that density it takes
-    33 ms and a traced peak of 11 MB where the closure walk takes 395 ms
-    and 29 MB (Python 3.11, one core of a Xeon host).
+    the 2^m table is cheaper: on a seeded 18-vertex graph at that density
+    it takes 23 ms and a traced peak of 11.3 MB where the closure walk
+    takes 205-334 ms and 29.1 MB (BENCH_18.json per_call notes; Python
+    3.11.7 on a 2-core Intel Xeon host).
     """
-    return _check_membership(graph, cap, _span_sums)
-
-
-def _span_sums(graph: Graph) -> tuple[list[int], int]:
-    """Scaled span sums of all vertex subsets in mask order, and the scale."""
-    return _graph_sums(graph, 1)
-
-
-def _cut_sums(graph: Graph) -> tuple[list[int], int]:
-    """Scaled cut sums of all vertex subsets in mask order, and the scale."""
-    return _graph_sums(graph, 2)
+    return _check_membership(graph, cap, 1)
 
 
 def _graph_sums(graph: Graph, k: int) -> tuple[list[int], int]:
@@ -448,13 +437,13 @@ def _graph_sums(graph: Graph, k: int) -> tuple[list[int], int]:
     return table, scale
 
 
-def _check_membership(graph: Graph, cap: int, table) -> MembershipCheck:
-    """The cap, the unit box edge by edge, then the first positive mask of table(graph)."""
+def _check_membership(graph: Graph, cap: int, k: int) -> MembershipCheck:
+    """The cap, the unit box edge by edge, then the first positive mask of _graph_sums(k)."""
     require_enumerable(graph.num_vertices, cap)
     for i, wt in enumerate(graph.require_weights()):
         if wt < -1 or wt > 1:
             return MembershipCheck(False, box_edge=i)
-    sums = table(graph)[0]
+    sums = _graph_sums(graph, k)[0]
     if max(sums) <= 0:
         return MembershipCheck(True)
     return MembershipCheck(False, violated_set=next(s for s, value in enumerate(sums) if value > 0))

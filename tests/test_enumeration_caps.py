@@ -11,11 +11,9 @@ from coverext.gadgets import (
     Graph,
     check_cut_membership,
     check_span_membership,
-    coverage_span_sums,
     densest_cut_report,
     equalize_coloring,
     fractional_chromatic,
-    setcover_membership_gadget,
 )
 from coverext.norm import norm_extension_approx, norm_opt_exact, verify_dual_feasible
 from coverext.setfun import (
@@ -71,9 +69,6 @@ GATED = {
     "densest_cut_report": lambda n, cap: densest_cut_report(path(n, 0), 1, cap),
     "check_cut_membership": lambda n, cap: check_cut_membership(path(n, F(-1, 2)), cap),
     "check_span_membership": lambda n, cap: check_span_membership(path(n, F(-1, 2)), cap),
-    # n members over a 2-element universe: a family of size n
-    "coverage_span_sums":
-        lambda n, cap: coverage_span_sums(setcover_membership_gadget(2, [[1]] * n, 1), cap),
     "generate_tight_instance": tight,
 }
 
