@@ -111,16 +111,13 @@ class LinearProgram:
             if not isinstance(coeffs, Mapping):
                 raise MalformedProgramError(
                     f"row {k}: coefficients must be a mapping, got {type(coeffs).__name__}")
-            items = []
-            what = f"row {k} coefficient"
             for idx, val in coeffs.items():
                 if not (_is_int(idx) and 0 <= idx < num_vars):
                     raise MalformedProgramError(f"row {k}: variable index {idx!r} out of range")
                 if not _is_int(val):  # ints stay ints: _scaled reads both
-                    val = _coerce_value(val, what, MalformedProgramError)
-                items.append((idx, val))
+                    _coerce_value(val, f"row {k} coefficient", MalformedProgramError)
             rhs = _coerce_value(rhs, f"row {k} rhs", MalformedProgramError)
-            checked.append((sorted(items), relation, rhs))
+            checked.append((sorted(coeffs.items()), relation, rhs))
 
         nums, self.scale = _scaled([v for items, _, rhs in checked
                                     for v in (rhs, *(c for _, c in items))])

@@ -22,6 +22,7 @@ from .setfun import (
     TotalSetFunction,
     WCoefficients,
     _is_int,
+    _table_size_mismatch,
     mask_from_elements,
     mask_to_elements,
 )
@@ -158,10 +159,10 @@ def total_function_from_json(data: Any) -> TotalSetFunction:
     if not isinstance(entries, list):
         raise InstanceParseError("field 'values' must be a list")
     table = {mask: value for _, mask, value in _read_entries(entries, m, "values", "value")}
-    if len(table) != (1 << m):
+    need = _table_size_mismatch(len(table), m)
+    if need:
         raise InstanceParseError(
-            f"total function on m={m} needs all {1 << m} subsets, got {len(table)}"
-        )
+            f"total function on m={m} needs all {need} subsets, got {len(table)}")
     try:
         return TotalSetFunction(m, tuple(table[mask] for mask in range(1 << m)))
     except ValueError as exc:

@@ -55,6 +55,13 @@ def _require_positive_int(x, what: str) -> None:
         raise ValueError(f"{what} must be a positive int, got {x!r}")
 
 
+def _table_size_mismatch(count: int, m: int) -> Optional[str]:
+    """2^m as text when count is not 2^m, else None; a huge m never builds 2^m."""
+    if count.bit_length() == m + 1 and count == 1 << m:
+        return None
+    return str(1 << m) if m <= 64 else f"2^{m}"
+
+
 def mask_from_elements(elements: Iterable[int], m: int) -> Mask:
     """Bitmask of distinct 1-based element labels."""
     mask = 0
@@ -97,8 +104,9 @@ class TotalSetFunction:
 
     def __post_init__(self):
         _require_positive_int(self.m, "m")
-        if len(self.values) != (1 << self.m):
-            raise ValueError(f"need {1 << self.m} values, got {len(self.values)}")
+        need = _table_size_mismatch(len(self.values), self.m)
+        if need:
+            raise ValueError(f"need {need} values, got {len(self.values)}")
         vals = tuple(_coerce_value(v, "set function value") for v in self.values)
         object.__setattr__(self, "values", vals)
         if vals[0] != 0:
@@ -351,17 +359,16 @@ def span_row(columns: Sequence[Mask], point: Mask) -> dict[int, int]:
     return {c: 1 for c, s in enumerate(columns) if s & point}
 
 
-def _w_values(values: Sequence[Fraction], m: int) -> list[tuple[Mask, Fraction]]:
-    """All nonzero W-coefficients of a full value table, exactly.
+def _w_values(table: list[int], scale: int, m: int) -> list[tuple[Mask, Fraction]]:
+    """All nonzero W-coefficients of a value table given as integers over scale.
 
-    Rearranging the defining sum: the T with S u T = [m] are exactly
-    (complement of S) u R over R subset of S, so w(S) is an inclusion-
-    exclusion over the complement table, which one in-place subset (Mobius)
-    pass computes for all S in m * 2^m steps. Values are rescaled to
-    integers first; Fraction arithmetic would dominate otherwise.
+    table[T] / scale is f(T); the table is consumed (reversed and
+    transformed in place). Rearranging the defining sum: the T with
+    S u T = [m] are exactly (complement of S) u R over R subset of S, so
+    w(S) is an inclusion-exclusion over the complement table, which one
+    in-place subset (Mobius) pass computes for all S in m * 2^m steps.
     """
-    table, scale = _scaled(values)
-    table.reverse()  # table[S] = values[full ^ S]
+    table.reverse()  # table[S] = f(full ^ S) * scale
     _subset_pass(table, m, -1)
     return [(mask, Fraction(-table[mask], scale)) for mask in range(1, 1 << m) if table[mask]]
 
@@ -369,7 +376,7 @@ def _w_values(values: Sequence[Fraction], m: int) -> list[tuple[Mask, Fraction]]
 def w_transform(f: TotalSetFunction, cap: int = DEFAULT_ENUMERATION_CAP) -> WCoefficients:
     """W-coefficients of f; zero coefficients are omitted from the support."""
     require_enumerable(f.m, cap)
-    return WCoefficients(f.m, tuple(_w_values(f.values, f.m)))
+    return WCoefficients(f.m, tuple(_w_values(*_scaled(f.values), f.m)))
 
 
 def eval_from_w(w: WCoefficients, subset: Mask) -> Fraction:
@@ -390,7 +397,7 @@ def is_coverage(f: TotalSetFunction, cap: int = DEFAULT_ENUMERATION_CAP) -> Cove
     so reruns and tests see the same witness).
     """
     require_enumerable(f.m, cap)
-    return coverage_check(_w_values(f.values, f.m))
+    return coverage_check(_w_values(*_scaled(f.values), f.m))
 
 
 def coverage_check(support: Iterable[tuple[Mask, Fraction]]) -> CoverageCheck:
@@ -409,4 +416,4 @@ def w_roundtrip_check(w: WCoefficients, cap: int = DEFAULT_ENUMERATION_CAP) -> b
     """True iff transforming the recovered table reproduces w exactly."""
     require_enumerable(w.m, cap)
     sums, scale = span_sums(w.m, [mask for mask, _ in w.support], [x for _, x in w.support])
-    return tuple(_w_values([Fraction(v, scale) for v in sums], w.m)) == w.support
+    return tuple(_w_values(sums, scale, w.m)) == w.support

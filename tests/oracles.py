@@ -186,6 +186,12 @@ def span_weight_naive(num_vertices, edges, weights, smask):
     return total
 
 
+def independent_set_masks_naive(num_vertices, edges):
+    """Every nonempty mask with no edge inside it, ascending."""
+    return [smask for smask in range(1, 1 << num_vertices)
+            if not any(smask >> (u - 1) & 1 and smask >> (v - 1) & 1 for u, v in edges)]
+
+
 def max_cut_weight(num_vertices, edges, weights, proper=False):
     """Maximum cut sum over nonempty subsets (proper ones only if asked)."""
     best = None

@@ -676,6 +676,16 @@ def test_gen_tight_refuses_more_draws_than_the_cap_at_once(capsys, k):
     assert err == "error: k * 4 transversal draws exceed 2^24\n"
 
 
+def test_wtransform_refuses_a_short_table_at_a_huge_m_at_once(tmp_path, capsys):
+    # 2^m is never built: at m = 10**9 it would be a 125 MB int
+    path = write(tmp_path, "huge.json", {"m": 10 ** 9, "values": []})
+    started = time.monotonic()
+    code, out, err = run_cli(["wtransform", "--input", path], capsys)
+    assert time.monotonic() - started < 1
+    assert (code, out) == (1, "")
+    assert err == "error: total function on m=1000000000 needs all 2^1000000000 subsets, got 0\n"
+
+
 # Every option of every command with its default: a new or changed knob
 # shows up here as a reviewed edit.
 OPTIONS = [

@@ -13,6 +13,7 @@ from coverext.gadgets import (
     DeltaSpec,
     Graph,
     MembershipInstance,
+    _independent_set_masks,
     check_cut_membership,
     check_span_membership,
     chromatic_gadget,
@@ -83,8 +84,9 @@ def test_fractional_chromatic_anchors():
     assert chi3 == F(3)
     chi5, coloring5 = fractional_chromatic(C5)
     assert chi5 == F(5, 2)
-    chi_free, _ = fractional_chromatic(Graph(4, ()))
-    assert chi_free == F(1)
+    for n in range(4, 9):  # the whole vertex set is one independent set
+        chi_free, _ = fractional_chromatic(Graph(n, ()))
+        assert chi_free == F(1)
     for graph, coloring in ((K3, coloring3), (C5, coloring5)):
         adj = graph.adjacency_masks()
         for s, x in zip(coloring.independent_sets, coloring.weights):
@@ -96,6 +98,30 @@ def test_fractional_chromatic_anchors():
             cover = sum(x for s, x in zip(coloring.independent_sets, coloring.weights)
                         if s >> v & 1)
             assert cover >= 1
+
+
+@st.composite
+def graphs_up_to_10(draw):
+    """Random, edgeless and complete graphs on 1-10 vertices; random ones
+    often leave vertices isolated."""
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    kind = draw(st.sampled_from(["random", "edgeless", "complete"]))
+    if kind == "edgeless":
+        return Graph(n, ())
+    if kind == "complete" or not pairs:
+        return Graph(n, tuple(pairs))
+    return Graph(n, tuple(draw(st.lists(st.sampled_from(pairs), unique=True))))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(graphs_up_to_10())
+@example(Graph(5, ()))
+@example(Graph(10, ()))
+@example(Graph(6, ((1, 2), (2, 3))))  # vertices 4-6 isolated
+def test_independent_sets_match_a_literal_scan(graph):
+    assert _independent_set_masks(graph) == oracles.independent_set_masks_naive(
+        graph.num_vertices, graph.edges)
 
 
 @pytest.mark.parametrize(

@@ -160,6 +160,15 @@ def test_variable_indices_are_ints():
          "row 1: coefficients must be a mapping, got list"),
         (lambda: LinearProgram(1, rows=[(5, EQUAL, 0)]),
          "row 0: coefficients must be a mapping, got int"),
+        # each pair's index is checked before its value, every value before the rhs
+        (lambda: LinearProgram(1, rows=[({0: 1}, EQUAL, 0.5)]),
+         "row 0 rhs must be an int or Fraction, got float"),
+        (lambda: LinearProgram(1, rows=[({0: 0.5}, EQUAL, 0.5)]),
+         "row 0 coefficient must be an int or Fraction, got float"),
+        (lambda: LinearProgram(1, rows=[({0: 0.5, 1: 1}, EQUAL, 0)]),
+         "row 0 coefficient must be an int or Fraction, got float"),
+        (lambda: LinearProgram(1, rows=[({1: 0.5}, EQUAL, 0)]),
+         "row 0: variable index 1 out of range"),
         # num_vars is an int, not a bool or a float
         (lambda: LinearProgram(True), "num_vars must be a positive int, got True"),
         (lambda: LinearProgram(2.0), "num_vars must be a positive int, got 2.0"),

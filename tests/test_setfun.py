@@ -159,6 +159,12 @@ def test_constructor_rejections():
     [
         (lambda: TotalSetFunction(0, (F(0),)), "m must be a positive int, got 0"),
         (lambda: TotalSetFunction(2, (F(0), F(1))), "need 4 values, got 2"),
+        (lambda: TotalSetFunction(2, (F(0),) * 5), "need 4 values, got 5"),
+        # past 64 bits the count is written as a power
+        (lambda: TotalSetFunction(64, ()), "need 18446744073709551616 values, got 0"),
+        (lambda: TotalSetFunction(65, ()), "need 2^65 values, got 0"),
+        # and never built: at m = 10**9 it would be a 125 MB int
+        (lambda: TotalSetFunction(10 ** 9, ()), "need 2^1000000000 values, got 0"),
         (lambda: WCoefficients(0, ()), "m must be a positive int, got 0"),
         (lambda: WCoefficients(2, ((0b01, F(1)), (0b01, F(2)))), "duplicate support mask 1"),
         (lambda: PartialFunction(0, ((1, F(1)),)), "m must be a positive int, got 0"),
