@@ -255,17 +255,15 @@ def generate_tight_instance(
     rng = random.Random(seed)
     for _ in range(_MAX_ATTEMPTS):
         # A transversal meets all root >= 2 blocks, so it is never a block
-        # itself; at m = 1 no transversal is drawn (count is 0).
+        # itself. At m = 1 none is drawn and the span check refuses the lone block.
         trans = sorted({sum(1 << (b * root + rng.randrange(root)) for b in range(root))
                         for _ in range(count)})
-        if not trans:
-            continue
         points = [(mask, Fraction(root)) for mask in blocks]
         points += [(mask, _ONE) for mask in trans]
         # Blocks weigh +1 and transversals -1, so no positive span sum
         # means every subset meets at least as many transversals as blocks.
         weights = [1] * len(blocks) + [-1] * len(trans)
-        if span_violation(m, blocks + trans, weights, cap) is None:
+        if span_violation(m, blocks + trans, weights) is None:
             return PartialFunction(m, tuple(points))
     raise SeedExhaustedError(
         f"no valid transversal draw within {_MAX_ATTEMPTS} attempts (m={m}, k={k}, seed={seed})"

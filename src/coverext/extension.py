@@ -30,6 +30,7 @@ from .setfun import (
     Mask,
     PartialFunction,
     WCoefficients,
+    coverage_check,
     eval_from_w,
     require_enumerable,
     span_columns,
@@ -62,9 +63,9 @@ def decide_extension(pf: PartialFunction, cap: int = DEFAULT_ENUMERATION_CAP) ->
     columns = span_columns(pf.m, pf.masks())
     outcome = solve(extension_program(pf, columns))
     if outcome.status == FEASIBLE:
-        support = {columns[c]: v for c, v in enumerate(outcome.solution) if v}
-        witness = WCoefficients.from_dict(pf.m, support)
-        if witness.support_size > pf.n:
+        support = tuple((columns[c], v) for c, v in enumerate(outcome.solution) if v)
+        witness = WCoefficients(pf.m, support)
+        if len(witness.support) > pf.n:
             raise AssertionError("basic solution exceeded the support bound")
         if not verify_witness(pf, witness):
             raise AssertionError("internal error: witness failed verification")
@@ -79,7 +80,7 @@ def decide_extension(pf: PartialFunction, cap: int = DEFAULT_ENUMERATION_CAP) ->
 
 def verify_witness(pf: PartialFunction, w: WCoefficients) -> bool:
     """True iff w is nonnegative and reproduces every defined value exactly."""
-    if w.m != pf.m or not w.is_nonnegative:
+    if w.m != pf.m or not coverage_check(w.support).is_coverage:
         return False
     return all(eval_from_w(w, mask) == value for mask, value in pf.points)
 
@@ -95,6 +96,6 @@ def verify_certificate(
     require_enumerable(pf.m, cap)
     if len(certificate) != pf.n:
         return False
-    inside = span_violation(pf.m, pf.masks(), certificate, cap) is None
+    inside = span_violation(pf.m, pf.masks(), certificate) is None
     objective = sum((v * l for (_, v), l in zip(pf.points, certificate)), _ZERO)
     return inside and objective > 0

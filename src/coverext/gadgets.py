@@ -78,10 +78,6 @@ class Graph:
             weights = tuple(_coerce_value(w, "weight") for w in self.weights)
             object.__setattr__(self, "weights", weights)
 
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
     def require_weights(self) -> tuple[Fraction, ...]:
         if self.weights is None:
             raise ValueError("operation needs an edge-weighted graph")
@@ -264,6 +260,10 @@ def setcover_membership_gadget(
     exists iff some subset's span sum reaches +1/(2L); otherwise every
     span sum stays at or below -1/(2L). L >= 1/2, since n' >= 2 and k >= 1.
     """
+    if not _is_int(universe_size):
+        raise ValueError(f"universe must be an int, got {universe_size!r}")
+    if not _is_int(k):
+        raise ValueError(f"k must be an int, got {k!r}")
     if universe_size < 2:
         raise ValueError("universe must have at least 2 elements")
     if k < 1:
@@ -311,7 +311,7 @@ def cut_to_span_gadget(graph: Graph, enforce_box: bool = True) -> tuple[Graph, F
     y = graph.require_weights()
     if enforce_box and any(w < -1 or w > 1 for w in y):
         raise ValueError("input weights must lie in [-1, 1]")
-    ne = graph.num_edges
+    ne = len(graph.edges)
     if ne == 0:
         raise ValueError("gadget needs at least one edge")
     nv = graph.num_vertices

@@ -127,4 +127,4 @@ def verify_dual_feasible(
     require_enumerable(pf.m, cap)
     if len(y) != pf.n:
         return False
-    return span_violation(pf.m, pf.masks(), y, cap) is None and all(-1 <= v <= 1 for v in y)
+    return span_violation(pf.m, pf.masks(), y) is None and all(-1 <= v <= 1 for v in y)

@@ -61,10 +61,6 @@ def w_transform_naive(values, m):
     return {s: w_coefficient_naive(values, m, s) for s in range(1, 1 << m)}
 
 
-def eval_from_w_naive(support, subset):
-    return sum((w for mask, w in support.items() if mask & subset), ZERO)
-
-
 def span_sum_naive(sets, weights, smask):
     """Total weight on the listed sets (repeats included) that meet the subset."""
     total = ZERO
@@ -651,7 +647,7 @@ def random_wcoeffs(rng, max_m=10, max_support=8):
     size = rng.randint(1, min(max_support, capacity))
     masks = rng.sample(range(1, capacity + 1), size)
     support = {mask: random_fraction(rng, allow_zero=False) for mask in masks}
-    return WCoefficients.from_dict(m, support)
+    return WCoefficients(m, tuple(support.items()))
 
 
 def random_partial_function(rng, max_m=7, max_n=8, positive=False, force_d1=False):
@@ -703,7 +699,7 @@ def partial_functions(draw):
         support = draw(st.dictionaries(st.integers(1, (1 << m) - 1),
                                        st.builds(Fraction, st.integers(1, 9), st.integers(1, 3)),
                                        min_size=1, max_size=6))
-        w = WCoefficients.from_dict(m, support)
+        w = WCoefficients(m, tuple(support.items()))
         values = [eval_from_w(w, mask) for mask in masks]
     else:
         values = draw(st.lists(st.builds(Fraction, st.integers(0, 9), st.integers(1, 3)),

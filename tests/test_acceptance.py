@@ -117,7 +117,7 @@ def test_criterion_03_extension_soundness():
         if verdict.extendible:
             yes += 1
             assert verify_witness(instance, verdict.witness)
-            assert verdict.witness.support_size <= instance.n
+            assert len(verdict.witness.support) <= instance.n
         else:
             no += 1
             assert verify_certificate(instance, verdict.certificate)

@@ -468,6 +468,22 @@ def test_batch_records_errors_and_exits_with_the_worst_code(tmp_path, capsys):
                          "error": "ground set size 30 exceeds enumeration cap 24"}
 
 
+@pytest.mark.parametrize(
+    "first, second, want",
+    [
+        # files run in name order, so the worse outcome comes first here
+        ({"m": 30, "points": [{"set": [1], "value": "1"}]}, ADDITIVE, 3),
+        (SUPERADDITIVE, {"m": 2, "points": [{"set": [1], "value": "1/0"}]}, 2),
+    ],
+    ids=["cap-error-then-extendible", "refutable-then-parse-error"],
+)
+def test_batch_exit_code_is_the_worst_not_the_last(tmp_path, capsys, first, second, want):
+    write(tmp_path, "a.json", first)
+    write(tmp_path, "b.json", second)
+    code, _, err = run_cli(["extend", "--input", str(tmp_path)], capsys)
+    assert (code, err) == (want, "")
+
+
 def test_internal_error_in_one_file_does_not_abort_the_batch(tmp_path, capsys, monkeypatch):
     real = cli.decide_extension
 

@@ -82,12 +82,12 @@ def test_program_solution_verifies_directly():
 
 def test_verify_witness_examples():
     single = pf(1, (0b1, 1))
-    assert verify_witness(single, WCoefficients.from_dict(1, {0b1: F(1)}))
+    assert verify_witness(single, WCoefficients(1, ((0b1, F(1)),)))
     wide = pf(2, (0b01, 1))
-    assert verify_witness(wide, WCoefficients.from_dict(2, {0b11: F(1)}))
-    assert not verify_witness(wide, WCoefficients.from_dict(2, {0b10: F(1)}))
-    assert not verify_witness(wide, WCoefficients.from_dict(3, {0b01: F(1)}))  # wrong m
-    negative = WCoefficients.from_dict(2, {0b01: F(2), 0b11: F(-1)})  # sums to 1 at {1}
+    assert verify_witness(wide, WCoefficients(2, ((0b11, F(1)),)))
+    assert not verify_witness(wide, WCoefficients(2, ((0b10, F(1)),)))
+    assert not verify_witness(wide, WCoefficients(3, ((0b01, F(1)),)))  # wrong m
+    negative = WCoefficients(2, ((0b01, F(2)), (0b11, F(-1))))  # sums to 1 at {1}
     assert eval_from_w(negative, 0b01) == 1
     assert not verify_witness(wide, negative)
 
@@ -117,7 +117,7 @@ def test_random_constructed_instances_are_extendible():
         verdict = decide_extension(instance)
         assert verdict.extendible
         assert verify_witness(instance, verdict.witness)
-        assert verdict.witness.support_size <= instance.n
+        assert len(verdict.witness.support) <= instance.n
 
 
 def test_perturbing_one_value_above_singleton_sum_refutes():
@@ -147,7 +147,7 @@ def test_every_random_verdict_is_sound():
         if verdict.extendible:
             seen_yes += 1
             assert verify_witness(instance, verdict.witness)
-            assert verdict.witness.support_size <= instance.n
+            assert len(verdict.witness.support) <= instance.n
         else:
             seen_no += 1
             assert verify_certificate(instance, verdict.certificate)

@@ -64,6 +64,10 @@ def test_graph_validation():
          "universe must have at least 2 elements"),
         (lambda: setcover_membership_gadget(2, [[1]], 0), "k must be at least 1"),
         (lambda: setcover_membership_gadget(2, [], 1), "family must be nonempty"),
+        (lambda: setcover_membership_gadget(3.0, [[1], [2, 3]], 1),
+         "universe must be an int, got 3.0"),
+        (lambda: setcover_membership_gadget(3, [[1], [2, 3]], True), "k must be an int, got True"),
+        (lambda: setcover_membership_gadget(3, [[1], [2, 3]], 2.0), "k must be an int, got 2.0"),
         (lambda: cut_to_span_gadget(Graph(2, (), ())), "gadget needs at least one edge"),
         (lambda: densest_cut_gadget(K3, 0), "density threshold must be positive"),
         (lambda: densest_cut_gadget(K3, F(-1, 2)), "density threshold must be positive"),

@@ -107,7 +107,7 @@ def test_total_function_parsing():
 
 
 def test_wcoeffs_roundtrip():
-    w = WCoefficients.from_dict(2, {0b11: F(1, 3), 0b01: F(2)})
+    w = WCoefficients(2, ((0b11, F(1, 3)), (0b01, F(2))))
     data = wcoeffs_to_json(w)
     assert data[0] == {"set": [1], "weight": "2"}
     assert wcoeffs_from_json(2, data) == w
@@ -245,7 +245,7 @@ def test_total_function_roundtrip_property(case):
 def coefficients(draw):
     m = draw(st.integers(1, 6))
     support = draw(st.dictionaries(st.integers(1, (1 << m) - 1), RATIONALS, max_size=8))
-    return WCoefficients.from_dict(m, support)  # zero weights drop out
+    return WCoefficients(m, tuple(support.items()))  # zero weights drop out
 
 
 @PROPERTY

@@ -55,20 +55,20 @@ def test_transform_two_element_coverage():
     # by hand from the alternating sum and cross-checked by the naive oracle.
     f = tsf(2, {0b00: 0, 0b01: 1, 0b10: 1, 0b11: 1})
     w = w_transform(f)
-    assert w.as_dict() == {0b11: F(1)}
+    assert dict(w.support) == {0b11: F(1)}
     assert oracles.w_transform_naive(f.values, 2) == {0b01: 0, 0b10: 0, 0b11: F(1)}
 
 
 def test_transform_single_element():
     f = tsf(1, {0: 0, 1: 5})
-    assert w_transform(f).as_dict() == {1: F(5)}
+    assert dict(w_transform(f).support) == {1: F(5)}
 
 
 def test_transform_detects_negative_coefficient():
     # f(12)=3 breaks subadditivity; w(12) = f(1) + f(2) - f(12) = -1
     f = tsf(2, {0b00: 0, 0b01: 1, 0b10: 1, 0b11: 3})
     w = w_transform(f)
-    assert w.as_dict()[0b11] == F(-1)
+    assert dict(w.support)[0b11] == F(-1)
     check = is_coverage(f)
     assert not check.is_coverage
     assert check.violating_set == 0b11
@@ -78,21 +78,21 @@ def test_transform_detects_negative_coefficient():
 def test_coverage_yes_case():
     f = tsf(2, {0b00: 0, 0b01: 2, 0b10: 1, 0b11: 2})
     w = w_transform(f)
-    assert w.as_dict() == {0b01: F(1), 0b11: F(1)}
+    assert dict(w.support) == {0b01: F(1), 0b11: F(1)}
     assert is_coverage(f).is_coverage
 
 
 def test_eval_from_w():
-    w = WCoefficients.from_dict(2, {0b11: F(1)})
+    w = WCoefficients(2, ((0b11, F(1)),))
     assert eval_from_w(w, 0b01) == F(1)
     assert eval_from_w(w, 0) == F(0)
-    w2 = WCoefficients.from_dict(2, {0b01: F(1), 0b10: F(1)})
+    w2 = WCoefficients(2, ((0b01, F(1)), (0b10, F(1))))
     assert eval_from_w(w2, 0b11) == F(2)
 
 
 def test_roundtrip_examples():
     assert w_roundtrip_check(WCoefficients(3, ()))
-    assert w_roundtrip_check(WCoefficients.from_dict(2, {0b11: F(1)}))
+    assert w_roundtrip_check(WCoefficients(2, ((0b11, F(1)),)))
 
 
 def test_roundtrip_property_small():
@@ -110,7 +110,7 @@ def test_transform_matches_naive_oracle():
         values[0] = F(0)
         f = TotalSetFunction(m, tuple(values))
         dense = oracles.w_transform_naive(f.values, m)
-        assert w_transform(f).as_dict() == {s: v for s, v in dense.items() if v}
+        assert dict(w_transform(f).support) == {s: v for s, v in dense.items() if v}
 
 
 def test_monotone_and_submodular_when_nonnegative():
@@ -134,7 +134,7 @@ def test_flipping_one_weight_flips_the_verdict():
         victim = rng.choice(w.support)
         flipped = dict(w.support)
         flipped[victim[0]] = -victim[1]
-        wbad = WCoefficients.from_dict(w.m, flipped)
+        wbad = WCoefficients(w.m, tuple(flipped.items()))
         table = [eval_from_w(wbad, mask) for mask in range(1 << w.m)]
         if min(table) < 0:
             continue  # not a valid nonnegative set function; nothing to test
@@ -147,7 +147,7 @@ def test_constructor_rejections():
     with pytest.raises(ValueError):
         TotalSetFunction(1, (F(0), F(-1)))  # negative value
     with pytest.raises(ValueError):
-        WCoefficients.from_dict(1, {0: F(1)})  # empty set in support
+        WCoefficients(1, ((0, F(1)),))  # empty set in support
     with pytest.raises(ValueError):
         PartialFunction(2, ((0b01, F(1)), (0b01, F(2))))  # duplicate set
     with pytest.raises(ValueError):
@@ -207,8 +207,8 @@ def test_partial_function_derived_quantities():
 
 
 def test_enumeration_cap_enforced():
-    w = WCoefficients.from_dict(30, {1: F(1)})
+    w = WCoefficients(30, ((1, F(1)),))
     with pytest.raises(CapExceededError):
         w_roundtrip_check(w)
     with pytest.raises(CapExceededError):
-        w_roundtrip_check(WCoefficients.from_dict(5, {1: F(1)}), cap=4)
+        w_roundtrip_check(WCoefficients(5, ((1, F(1)),)), cap=4)

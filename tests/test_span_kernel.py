@@ -11,7 +11,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coverext.errors import CapExceededError
 from coverext.extension import verify_certificate
 from coverext.gadgets import (
     Graph,
@@ -21,7 +20,7 @@ from coverext.gadgets import (
     densest_cut_report,
 )
 from coverext.norm import verify_dual_feasible
-from coverext.setfun import DEFAULT_ENUMERATION_CAP, PartialFunction, span_sums, span_violation
+from coverext.setfun import PartialFunction, span_sums, span_violation
 
 import oracles
 
@@ -117,7 +116,7 @@ def test_span_violation_is_the_first_positive_span_in_ascending_order(family):
     m, sets, weights = family
     want = next((s for s in range(1, 1 << m)
                  if oracles.span_sum_naive(sets, weights, s) > 0), None)
-    assert span_violation(m, sets, weights, DEFAULT_ENUMERATION_CAP) == want
+    assert span_violation(m, sets, weights) == want
 
 
 def test_span_violation_memory_follows_the_patterns():
@@ -126,19 +125,13 @@ def test_span_violation_memory_follows_the_patterns():
     weights = [F(rng.randint(-1, 1)) for _ in sets]  # first violation: S = {12}
     tracemalloc.start()
     try:
-        found = span_violation(20, sets, weights, DEFAULT_ENUMERATION_CAP)
+        found = span_violation(20, sets, weights)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert found == next(s for s in range(1, 1 << 20)
                          if sum(w for t, w in zip(sets, weights) if t & s) > 0)
     assert peak < 2 * 1024 * 1024  # a 2^20 table of ints alone takes about 8 MB
-
-
-def test_span_violation_is_gated_by_its_cap():
-    with pytest.raises(CapExceededError):
-        span_violation(4, [0b1], [F(1)], 3)
-    assert span_violation(3, [0b1], [F(1)], 3) == 0b1
 
 
 @PROPERTY
@@ -231,7 +224,7 @@ def test_spans_dominated_matches_hit_counts(case, data):
             want = False
             break
     weights = [1] * blocks + [-1] * (pf.n - blocks)
-    assert (span_violation(pf.m, pf.masks(), weights, DEFAULT_ENUMERATION_CAP) is None) is want
+    assert (span_violation(pf.m, pf.masks(), weights) is None) is want
 
 
 @PROPERTY
