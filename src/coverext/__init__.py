@@ -36,7 +36,6 @@ from .setfun import (
     WCoefficients,
     eval_from_w,
     is_coverage,
-    w_roundtrip_check,
     w_transform,
 )
 from .extension import (
@@ -76,7 +75,6 @@ from .gadgets import (
     cut_to_span_gadget,
     densest_cut_gadget,
     densest_cut_report,
-    equalize_coloring,
     fractional_chromatic,
     setcover_membership_gadget,
 )
@@ -87,7 +85,7 @@ __all__ = [
     "LESS_EQUAL", "UNBOUNDED", "LinearProgram", "LpOutcome", "solve", "verify_farkas",
     "verify_solution", "DEFAULT_ENUMERATION_CAP", "CoverageCheck", "PartialFunction",
     "TotalSetFunction", "WCoefficients", "eval_from_w", "is_coverage",
-    "w_roundtrip_check", "w_transform", "ExtensionVerdict", "decide_extension",
+    "w_transform", "ExtensionVerdict", "decide_extension",
     "extension_program", "verify_certificate", "verify_witness", "AlphaBounds",
     "alpha_bounds", "alpha_star_exact", "ceil_two_thirds", "generate_tight_instance",
     "harmonic", "replacement_ratio_exact", "replacement_ratio_greedy", "NormResult",
@@ -95,6 +93,6 @@ __all__ = [
     "DensestCutReport", "FractionalColoring", "Graph", "MembershipCheck",
     "MembershipInstance", "check_cut_membership", "check_span_membership",
     "chromatic_gadget", "coverage_span_sums", "cut_to_span_gadget",
-    "densest_cut_gadget", "densest_cut_report", "equalize_coloring",
+    "densest_cut_gadget", "densest_cut_report",
     "fractional_chromatic", "setcover_membership_gadget",
 ]

@@ -239,6 +239,8 @@ def generate_tight_instance(
     root = math.isqrt(m)
     if root * root != m:
         raise ValueError(f"m = {m} is not a perfect square")
+    if root == 1:
+        raise ValueError("m = 1 has no transversal to draw; the smallest family is m = 4")
     require_enumerable(m, cap)
     if not _is_int(k):
         raise ValueError(f"k must be an int, got {k!r}")
@@ -246,7 +248,7 @@ def generate_tight_instance(
         raise ValueError("k must be at least 1")
 
     blocks = [((1 << root) - 1) << (b * root) for b in range(root)]
-    log_factor = (m - 1).bit_length()  # ceil(log2 m), 0 when m == 1
+    log_factor = (m - 1).bit_length()  # ceil(log2 m)
     count = k * root * log_factor
     # the bit-length test keeps a huge cap from building 2^cap
     if count.bit_length() > cap and count > 1 << cap:
@@ -254,8 +256,7 @@ def generate_tight_instance(
 
     rng = random.Random(seed)
     for _ in range(_MAX_ATTEMPTS):
-        # A transversal meets all root >= 2 blocks, so it is never a block
-        # itself. At m = 1 none is drawn and the span check refuses the lone block.
+        # A transversal meets all root >= 2 blocks, so it is never a block itself.
         trans = sorted({sum(1 << (b * root + rng.randrange(root)) for b in range(root))
                         for _ in range(count)})
         points = [(mask, Fraction(root)) for mask in blocks]

@@ -82,17 +82,16 @@ def _read_json(path: str):
 
 
 def _emit(report, artifact, out):
-    """Route report/artifact between stdout, stderr, and files."""
+    """Route the report and the artifact's JSON text between stdout, stderr, and files."""
     text = json.dumps(report, indent=2)
     if out is None:
         print(text)
     elif out == "-":
-        json.dump(artifact, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(artifact)
         print(text, file=sys.stderr)
     else:
         try:
-            Path(out).write_text(json.dumps(artifact, indent=2) + "\n")
+            Path(out).write_text(artifact)
         except OSError as exc:
             raise _UsageError(f"cannot write {out}: {exc}") from exc
         print(text)
@@ -231,17 +230,19 @@ def _failure(exc: Exception) -> tuple[str, int]:
 
 
 def _run(args, argv, path):
-    """Run one command on one input; returns (run report, artifact, exit code).
+    """Run one command on one input; returns (run report, artifact JSON text, exit code).
 
     path is None for commands that read nothing (gen); their input digest is
-    that of the emitted artifact.
+    that of the artifact's text, the bytes that --out writes.
     """
     started = time.monotonic()
     lp.stats_reset()
     data, digest = (None, None) if path is None else _read_json(path)
     payload, artifact, code = _COMMANDS[args.command](args, data)
+    if artifact is not None:
+        artifact = json.dumps(artifact, indent=2) + "\n"
     if path is None:
-        digest = hashlib.sha256(json.dumps(artifact).encode()).hexdigest()
+        digest = hashlib.sha256(artifact.encode()).hexdigest()
     report = {
         "command": args.command,
         "argv": list(argv),

@@ -109,10 +109,6 @@ class FractionalColoring(NamedTuple):
     independent_sets: tuple[Mask, ...]
     weights: tuple[Fraction, ...]
 
-    @property
-    def total(self) -> Fraction:
-        return sum(self.weights, _ZERO)
-
 
 def _independent_set_masks(graph: Graph) -> list[Mask]:
     """Nonempty independent sets, ascending.
@@ -146,8 +142,7 @@ def fractional_chromatic(
     The program covers each vertex exactly once (equality rows). That keeps
     the covering optimum: independent sets are closed under subsets, so an
     over-covered vertex can leave one of its sets at no cost. It also
-    forces the unit box on the set weights, and lets equalize_coloring mix
-    the coloring with the singletons.
+    forces the unit box on the set weights.
     """
     require_enumerable(graph.num_vertices, cap)
     sets = _independent_set_masks(graph)
@@ -159,32 +154,6 @@ def fractional_chromatic(
         tuple(s for s, _ in chosen), tuple(x for _, x in chosen)
     )
     return outcome.objective_value, coloring
-
-
-def equalize_coloring(
-    graph: Graph, t: ExactLike, cap: int = DEFAULT_ENUMERATION_CAP
-) -> FractionalColoring:
-    """Coloring with per-vertex cover exactly 1 and total weight exactly t.
-
-    Uses the convex combination of fractional_chromatic's coloring with
-    the all-singletons coloring, which works for any t between the
-    fractional chromatic number and the vertex count.
-    """
-    t = _coerce_value(t, "target total")
-    chi, coloring = fractional_chromatic(graph, cap)
-    nv = Fraction(graph.num_vertices)
-    if not (chi <= t <= nv):
-        raise ValueError(f"target {t} outside [{chi}, {nv}]")
-    if t == chi:
-        lam = _ONE
-    else:
-        lam = (nv - t) / (nv - chi)
-    combined = {s: lam * x for s, x in zip(coloring.independent_sets, coloring.weights)}
-    for v in range(graph.num_vertices):
-        s = 1 << v
-        combined[s] = combined.get(s, _ZERO) + (_ONE - lam)
-    items = sorted((s, x) for s, x in combined.items() if x)
-    return FractionalColoring(tuple(s for s, _ in items), tuple(x for _, x in items))
 
 
 def chromatic_gadget(graph: Graph, k: ExactLike) -> PartialFunction:

@@ -396,9 +396,3 @@ def coverage_check(support: Iterable[tuple[Mask, Fraction]]) -> CoverageCheck:
             return CoverageCheck(False, mask, weight)
     return CoverageCheck(True)
 
-
-def w_roundtrip_check(w: WCoefficients, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
-    """True iff transforming the recovered table reproduces w exactly."""
-    require_enumerable(w.m, cap)
-    sums, scale = span_sums(w.m, [mask for mask, _ in w.support], [x for _, x in w.support])
-    return tuple(_w_values(sums, scale, w.m)) == w.support

@@ -1,0 +1,248 @@
+"""Mutation check: each mutant breaks src/coverext in one place, and named tests must catch it.
+
+Run from anywhere with `python tests/mutants.py` (needs pytest, like the suite).
+The source and the tests are copied to a temporary directory once. The named
+tests must pass there first, or a failure under a mutant would prove nothing.
+Then each mutant replaces its snippet, which must occur exactly once in its
+file, runs only its named tests against the copy and restores the file. The
+run exits 1 if a snippet is missing or repeated, or if any named test passes
+under its mutant. A named test that is parametrized counts as caught when one
+of its cases fails.
+
+Pytest does not collect this file (its name has no test_ prefix). When a
+change to the tests is meant to catch a new fault, add the fault here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/coverext
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]  # pytest ids, relative to the repository root
+
+
+MUTANTS = [
+    Mutant(
+        "gen tight draws at m = 1",
+        "approx.py",
+        "if root == 1:",
+        "if False:",
+        ("tests/test_approx.py::test_generate_tight_instance_rejects_bad_m",
+         "tests/test_cli.py::test_gen_tight_exits_1_on_m_1_and_when_the_draws_run_out"),
+    ),
+    Mutant(
+        "stretch upper bound drops the m^(2/3) factor",
+        "approx.py",
+        "factor = min(pf.d, ceil_two_thirds(pf.m))",
+        "factor = pf.d",
+        ("tests/test_approx.py::test_alpha_bounds_upper_binds_at_the_two_thirds_power",),
+    ),
+    Mutant(
+        "gen digest taken over compact JSON",
+        "cli.py",
+        "digest = hashlib.sha256(artifact.encode()).hexdigest()",
+        "digest = hashlib.sha256(json.dumps(json.loads(artifact)).encode()).hexdigest()",
+        ("tests/test_cli.py::test_gen_tight_then_approx",
+         "tests/test_cli.py::test_every_command_reports_through_one_runner",
+         "tests/test_cli_golden.py::test_cli_output_matches_golden[gen_tight]"),
+    ),
+    Mutant(
+        "a batch exits with its last file's code",
+        "cli.py",
+        "return max(code for _, code in results)",
+        "return results[-1][1]",
+        ("tests/test_cli.py::test_batch_exit_code_is_the_worst_not_the_last",),
+    ),
+    Mutant(
+        "InstanceParseError is no ValueError",
+        "errors.py",
+        "class InstanceParseError(CoverextError, ValueError):",
+        "class InstanceParseError(CoverextError):",
+        ("tests/test_cli.py::test_parse_error_exit_code",),
+    ),
+    Mutant(
+        "fractional_chromatic drops the last set of its coloring",
+        "gadgets.py",
+        "chosen = [(s, x) for s, x in zip(sets, outcome.solution) if x]",
+        "chosen = [(s, x) for s, x in zip(sets, outcome.solution) if x][:-1]",
+        ("tests/test_gadgets.py::test_fractional_chromatic_coloring_covers_each_vertex_once",),
+    ),
+    Mutant(
+        "independent sets of 5 or more vertices are dropped",
+        "gadgets.py",
+        "if independent[rest] and not adj[low.bit_length()] & rest:",
+        "if independent[rest] and not adj[low.bit_length()] & rest and mask.bit_count() < 5:",
+        ("tests/test_gadgets.py::test_independent_sets_match_a_literal_scan",),
+    ),
+    Mutant(
+        "setcover_membership_gadget accepts k=True",
+        "gadgets.py",
+        "    if not _is_int(k):\n",
+        "    if not isinstance(k, int):\n",
+        ("tests/test_gadgets.py::test_graph_and_gadget_refusals_keep_their_text",),
+    ),
+    Mutant(
+        "check_cut_membership tests the span polytope",
+        "gadgets.py",
+        "return _check_membership(graph, cap, 2)",
+        "return _check_membership(graph, cap, 1)",
+        ("tests/test_span_kernel.py::test_membership_matches_an_ascending_scan",),
+    ),
+    Mutant(
+        "verify_certificate without its cap gate",
+        "extension.py",
+        "    require_enumerable(pf.m, cap)\n    if len(certificate) != pf.n:",
+        "    if len(certificate) != pf.n:",
+        ("tests/test_enumeration_caps.py::test_exhaustive_entry_points_refuse_one_past_the_cap"
+         "[verify_certificate]",
+         "tests/test_enumeration_caps.py::test_the_cap_is_checked_before_other_faults"
+         "[verify_certificate, wrong length]"),
+    ),
+    Mutant(
+        "verify_witness accepts negative weights",
+        "extension.py",
+        "if w.m != pf.m or not coverage_check(w.support).is_coverage:",
+        "if w.m != pf.m:",
+        ("tests/test_extension.py::test_verify_witness_examples",),
+    ),
+    Mutant(
+        "verify_dual_feasible without its cap gate",
+        "norm.py",
+        "    require_enumerable(pf.m, cap)\n    if len(y) != pf.n:",
+        "    if len(y) != pf.n:",
+        ("tests/test_enumeration_caps.py::test_exhaustive_entry_points_refuse_one_past_the_cap"
+         "[verify_dual_feasible]",
+         "tests/test_enumeration_caps.py::test_the_cap_is_checked_before_other_faults"
+         "[verify_dual_feasible, wrong length]"),
+    ),
+    Mutant(
+        "LinearProgram skips the coefficient type check",
+        "lp.py",
+        '                if not _is_int(val):  # ints stay ints: _scaled reads both\n'
+        '                    _coerce_value(val, f"row {k} coefficient", MalformedProgramError)\n',
+        "",
+        ("tests/test_lp.py::test_malformed_programs_rejected",),
+    ),
+    Mutant(
+        "LinearProgram keeps each row's coefficients unsorted",
+        "lp.py",
+        "checked.append((sorted(coeffs.items()), relation, rhs))",
+        "checked.append((list(coeffs.items()), relation, rhs))",
+        ("tests/test_lp.py::test_integer_rows_give_back_their_input",),
+    ),
+    Mutant(
+        "partial functions accept negative values",
+        "serialize.py",
+        '        if value < 0:\n'
+        '            raise InstanceParseError(f"{where}: value must be nonnegative")\n',
+        "",
+        ("tests/test_serialize.py::test_entry_errors_keep_their_text",),
+    ),
+    Mutant(
+        "W-coefficients ignore the table's scale",
+        "setfun.py",
+        "Fraction(-table[mask], scale)",
+        "Fraction(-table[mask])",
+        ("tests/test_setfun.py::test_transform_matches_naive_oracle",
+         "tests/test_acceptance.py::test_criterion_01_w_transform_roundtrip"),
+    ),
+    Mutant(
+        "hit patterns read the next element",
+        "setfun.py",
+        "if t >> j & 1) for j in range(m)]",
+        "if t >> (j + 1) & 1) for j in range(m)]",
+        ("tests/test_span_kernel.py::"
+         "test_span_violation_is_the_first_positive_span_in_ascending_order",),
+    ),
+    Mutant(
+        "span_violation returns the largest violating set",
+        "setfun.py",
+        "return min(itertools.compress(smallest.values(), [total > 0 for total in sums]),",
+        "return max(itertools.compress(smallest.values(), [total > 0 for total in sums]),",
+        ("tests/test_span_kernel.py::"
+         "test_span_violation_is_the_first_positive_span_in_ascending_order",),
+    ),
+    Mutant(
+        "fractional_chromatic leaves __all__",
+        "__init__.py",
+        '"fractional_chromatic", ',
+        "",
+        ("tests/test_package.py::test_library_signatures_and_members_are_pinned",),
+    ),
+]
+
+
+def _failures(root: Path, tests) -> set[str]:
+    """The ids among tests (or their cases) that fail or error when run against root."""
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--tb=no", "-rfE", "-p", "no:cacheprovider",
+         *tests],
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+    shutil.rmtree(root / ".hypothesis", ignore_errors=True)  # no replay across mutants
+    if done.returncode not in (0, 1):  # 0: all passed, 1: some failed; else a usage error
+        raise RuntimeError(f"pytest exited {done.returncode}:\n{done.stdout}{done.stderr}")
+    return {line.split(" ", 1)[1].split(" - ", 1)[0]
+            for line in done.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))}
+
+
+def _caught(test: str, failed: set[str]) -> bool:
+    return any(f == test or f.startswith(test + "[") for f in failed)
+
+
+def main() -> int:
+    repo = Path(__file__).resolve().parent.parent
+    started = time.monotonic()
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(repo / part, root / part,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(repo / "pyproject.toml", root)
+
+        failed = _failures(root, sorted({t for m in MUTANTS for t in m.tests}))
+        if failed:
+            print("named tests fail on the unmutated source:", *sorted(failed), sep="\n  ")
+            return 1
+
+        bad = 0
+        for mutant in MUTANTS:
+            path = root / "src" / "coverext" / mutant.file
+            original = path.read_text()
+            count = original.count(mutant.snippet)
+            if count != 1:
+                print(f"BAD SNIPPET  {mutant.name}: found {count} times in {mutant.file}")
+                bad += 1
+                continue
+            path.write_text(original.replace(mutant.snippet, mutant.replacement))
+            try:
+                failed = _failures(root, mutant.tests)
+            finally:
+                path.write_text(original)
+            survivors = [t for t in mutant.tests if not _caught(t, failed)]
+            if survivors:
+                print(f"SURVIVED     {mutant.name}: passed", *survivors, sep="\n  ")
+                bad += 1
+            else:
+                print(f"killed       {mutant.name}")
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed "
+          f"in {time.monotonic() - started:.1f} s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from coverext import approx
 from coverext.errors import CapExceededError, SeedExhaustedError
 from coverext.setfun import PartialFunction
 from coverext.approx import (
@@ -169,6 +170,16 @@ def test_alpha_bounds_on_tight_family():
     assert bounds.lower <= bounds.alpha_star <= bounds.upper
 
 
+@pytest.mark.parametrize("mode, upper", [("exact", F(4)), ("greedy", F(761, 70))])  # 4 * H_8
+def test_alpha_bounds_upper_binds_at_the_two_thirds_power(mode, upper):
+    # the full set at 8 plus its eight singletons at 1: d = 8, kappa = 1, and
+    # ceil(8^(2/3)) = 4 < d is the factor of the upper bound
+    star = pf(8, (0xFF, 8), *((1 << j, 1) for j in range(8)))
+    bounds = alpha_bounds(star, mode=mode)
+    assert (bounds.kappa_estimate, bounds.lower) == (F(1), F(1))
+    assert bounds.upper == upper
+
+
 def test_alpha_bounds_degenerate_instance():
     bounds = alpha_bounds(pf(1, (0b1, 1)), mode="exact", include_alpha_star=True)
     assert bounds.degenerate
@@ -240,9 +251,17 @@ def test_generate_tight_instance_rejects_bad_m():
         generate_tight_instance(0)
     with pytest.raises(ValueError):
         generate_tight_instance(4, k=0)
-    # m = 1 produces no transversals at all, so validation can never pass
-    with pytest.raises(SeedExhaustedError):
+    # a 1-element ground set has no transversal besides its lone block
+    with pytest.raises(ValueError) as info:
         generate_tight_instance(1, k=1, seed=3)
+    assert str(info.value) == "m = 1 has no transversal to draw; the smallest family is m = 4"
+
+
+def test_generator_gives_up_after_its_attempts(monkeypatch):
+    monkeypatch.setattr(approx, "span_violation", lambda m, sets, weights: 1)  # refuse every draw
+    with pytest.raises(SeedExhaustedError) as info:
+        generate_tight_instance(4, k=1, seed=3)
+    assert str(info.value) == "no valid transversal draw within 64 attempts (m=4, k=1, seed=3)"
 
 
 def test_generate_tight_instance_rejects_non_int_m_and_k():

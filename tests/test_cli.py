@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from coverext import cli, serialize, setfun
+from coverext import approx, cli, serialize, setfun
 from coverext.approx import alpha_bounds, alpha_star_program
 from coverext.cli import main
 from coverext.extension import extension_program
@@ -187,9 +187,13 @@ def test_gen_tight_then_approx(tmp_path, capsys):
     code, out, _ = run_cli(["gen", "tight", "--m", "4", "--k", "2", "--seed", "7",
                             "--out", out_file], capsys)
     assert code == 0
-    assert json.loads(out)["result"]["seed"] == 7
+    report = json.loads(out)
+    assert report["result"]["seed"] == 7
+    # the digest gen reports is that of the file it wrote, as extend and approx read it
+    assert report["input_digest"] == hashlib.sha256(Path(out_file).read_bytes()).hexdigest()
     code, out, _ = run_cli(["approx", "--input", out_file], capsys)
     assert code == 0
+    assert json.loads(out)["input_digest"] == report["input_digest"]
     result = json.loads(out)["result"]
     assert result["kappa"] == "1"
     assert result["d"] == 2
@@ -394,7 +398,7 @@ def test_every_command_reports_through_one_runner(tmp_path, capsys, monkeypatch,
     assert report["command"] == argv[0]
     assert report["argv"] == argv
     if argv[0] == "gen":  # reads nothing: the digest is that of the emitted instance
-        emitted = json.dumps(report["result"]["instance"]).encode()
+        emitted = (json.dumps(report["result"]["instance"], indent=2) + "\n").encode()
     else:
         emitted = (tmp_path / argv[argv.index("--graph" if "--graph" in argv else "--input")
                             + 1]).read_bytes()
@@ -690,6 +694,16 @@ def test_gen_tight_refuses_more_draws_than_the_cap_at_once(capsys, k):
     assert time.monotonic() - started < 1
     assert (code, out) == (3, "")
     assert err == "error: k * 4 transversal draws exceed 2^24\n"
+
+
+def test_gen_tight_exits_1_on_m_1_and_when_the_draws_run_out(capsys, monkeypatch):
+    code, out, err = run_cli(["gen", "tight", "--m", "1"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: m = 1 has no transversal to draw; the smallest family is m = 4\n"
+    monkeypatch.setattr(approx, "span_violation", lambda m, sets, weights: 1)  # refuse every draw
+    code, out, err = run_cli(["gen", "tight", "--m", "4", "--seed", "5"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: no valid transversal draw within 64 attempts (m=4, k=2, seed=5)\n"
 
 
 def test_wtransform_refuses_a_short_table_at_a_huge_m_at_once(tmp_path, capsys):

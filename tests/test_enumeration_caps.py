@@ -12,16 +12,13 @@ from coverext.gadgets import (
     check_cut_membership,
     check_span_membership,
     densest_cut_report,
-    equalize_coloring,
     fractional_chromatic,
 )
 from coverext.norm import norm_extension_approx, norm_opt_exact, verify_dual_feasible
 from coverext.setfun import (
     PartialFunction,
     TotalSetFunction,
-    WCoefficients,
     is_coverage,
-    w_roundtrip_check,
     w_transform,
 )
 
@@ -63,9 +60,7 @@ GATED = {
     "verify_dual_feasible": lambda n, cap: verify_dual_feasible(singletons(n), (F(0),) * n, cap),
     "w_transform": lambda n, cap: w_transform(cardinality(n), cap),
     "is_coverage": lambda n, cap: is_coverage(cardinality(n), cap),
-    "w_roundtrip_check": lambda n, cap: w_roundtrip_check(WCoefficients(n, ((1, F(1)),)), cap),
     "fractional_chromatic": lambda n, cap: fractional_chromatic(path(n, 0), cap),
-    "equalize_coloring": lambda n, cap: equalize_coloring(Graph(n, ()), n, cap),
     "densest_cut_report": lambda n, cap: densest_cut_report(path(n, 0), 1, cap),
     "check_cut_membership": lambda n, cap: check_cut_membership(path(n, F(-1, 2)), cap),
     "check_span_membership": lambda n, cap: check_span_membership(path(n, F(-1, 2)), cap),

@@ -21,7 +21,6 @@ from coverext.gadgets import (
     cut_to_span_gadget,
     densest_cut_gadget,
     densest_cut_report,
-    equalize_coloring,
     fractional_chromatic,
     setcover_membership_gadget,
 )
@@ -84,24 +83,29 @@ def test_fractional_chromatic_anchors():
     # duals pin the anchors: weight 1 per K3 vertex fits every independent
     # set (all singletons), weight 1/2 per C5 vertex fits every independent
     # set (at most two vertices), so 3 and 5/2 are optimal, not just feasible.
-    chi3, coloring3 = fractional_chromatic(K3)
-    assert chi3 == F(3)
-    chi5, coloring5 = fractional_chromatic(C5)
-    assert chi5 == F(5, 2)
+    assert fractional_chromatic(K3)[0] == F(3)
+    assert fractional_chromatic(C5)[0] == F(5, 2)
     for n in range(4, 9):  # the whole vertex set is one independent set
-        chi_free, _ = fractional_chromatic(Graph(n, ()))
-        assert chi_free == F(1)
-    for graph, coloring in ((K3, coloring3), (C5, coloring5)):
-        adj = graph.adjacency_masks()
-        for s, x in zip(coloring.independent_sets, coloring.weights):
-            assert x > 0
-            for v in range(1, graph.num_vertices + 1):
-                if s >> (v - 1) & 1:
-                    assert not (adj[v] & s)
-        for v in range(graph.num_vertices):
-            cover = sum(x for s, x in zip(coloring.independent_sets, coloring.weights)
-                        if s >> v & 1)
-            assert cover >= 1
+        assert fractional_chromatic(Graph(n, ()))[0] == F(1)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [K3, C4, C5, Graph(5, ()), Graph(6, ((1, 2), (2, 3)))],  # the last: vertices 4-6 isolated
+)
+def test_fractional_chromatic_coloring_covers_each_vertex_once(graph):
+    chi, coloring = fractional_chromatic(graph)
+    assert sum(coloring.weights) == chi
+    adj = graph.adjacency_masks()
+    for s, x in zip(coloring.independent_sets, coloring.weights):
+        assert x > 0
+        for v in range(1, graph.num_vertices + 1):
+            if s >> (v - 1) & 1:
+                assert not (adj[v] & s)
+    for v in range(graph.num_vertices):
+        cover = sum(x for s, x in zip(coloring.independent_sets, coloring.weights)
+                    if s >> v & 1)
+        assert cover == 1
 
 
 @st.composite
@@ -126,26 +130,6 @@ def graphs_up_to_10(draw):
 def test_independent_sets_match_a_literal_scan(graph):
     assert _independent_set_masks(graph) == oracles.independent_set_masks_naive(
         graph.num_vertices, graph.edges)
-
-
-@pytest.mark.parametrize(
-    "graph,t",
-    [(K3, F(3)), (C5, F(5, 2)), (C5, F(5)), (C5, F(3)), (C4, F(3))],
-)
-def test_equalize_coloring(graph, t):
-    coloring = equalize_coloring(graph, t)
-    assert coloring.total == t
-    for v in range(graph.num_vertices):
-        cover = sum(x for s, x in zip(coloring.independent_sets, coloring.weights)
-                    if s >> v & 1)
-        assert cover == 1
-
-
-def test_equalize_coloring_range_check():
-    with pytest.raises(ValueError):
-        equalize_coloring(K3, F(2))
-    with pytest.raises(ValueError):
-        equalize_coloring(K3, F(4))
 
 
 @pytest.mark.parametrize(

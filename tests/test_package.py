@@ -22,7 +22,6 @@ SIGNATURES = {
     "verify_solution": "(lp, solution)",
     "eval_from_w": "(w, subset)",
     "is_coverage": "(f, cap=24)",
-    "w_roundtrip_check": "(w, cap=24)",
     "w_transform": "(f, cap=24)",
     "decide_extension": "(pf, cap=24)",
     "extension_program": "(pf, columns)",
@@ -45,7 +44,6 @@ SIGNATURES = {
     "cut_to_span_gadget": "(graph, enforce_box=True)",
     "densest_cut_gadget": "(graph, density)",
     "densest_cut_report": "(graph, density, cap=24)",
-    "equalize_coloring": "(graph, t, cap=24)",
     "fractional_chromatic": "(graph, cap=24)",
     "setcover_membership_gadget": "(universe_size, family, k)",
 }

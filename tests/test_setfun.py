@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coverext.errors import CapExceededError
 from coverext.setfun import (
     PartialFunction,
     TotalSetFunction,
@@ -16,7 +15,6 @@ from coverext.setfun import (
     mask_from_elements,
     mask_to_elements,
     span_sums,
-    w_roundtrip_check,
     w_transform,
 )
 
@@ -88,18 +86,6 @@ def test_eval_from_w():
     assert eval_from_w(w, 0) == F(0)
     w2 = WCoefficients(2, ((0b01, F(1)), (0b10, F(1))))
     assert eval_from_w(w2, 0b11) == F(2)
-
-
-def test_roundtrip_examples():
-    assert w_roundtrip_check(WCoefficients(3, ()))
-    assert w_roundtrip_check(WCoefficients(2, ((0b11, F(1)),)))
-
-
-def test_roundtrip_property_small():
-    rng = random.Random(411)
-    for _ in range(200):
-        w = oracles.random_wcoeffs(rng, max_m=8, max_support=6)
-        assert w_roundtrip_check(w)
 
 
 def test_transform_matches_naive_oracle():
@@ -204,11 +190,3 @@ def test_partial_function_derived_quantities():
     assert pf.n == 3
     assert pf.d == 3
     assert pf.total_value == F(7, 2)
-
-
-def test_enumeration_cap_enforced():
-    w = WCoefficients(30, ((1, F(1)),))
-    with pytest.raises(CapExceededError):
-        w_roundtrip_check(w)
-    with pytest.raises(CapExceededError):
-        w_roundtrip_check(WCoefficients(5, ((1, F(1)),)), cap=4)
