@@ -88,6 +88,29 @@ def test_eval_from_w():
     assert eval_from_w(w2, 0b11) == F(2)
 
 
+def test_roundtrip_examples():
+    # w -> table -> w through the public pair, including the zero function,
+    # whose support is empty (criterion 01 draws at least one set)
+    for w in (WCoefficients(3, ()), WCoefficients(2, ((0b11, F(1)),))):
+        table = tuple(eval_from_w(w, mask) for mask in range(1 << w.m))
+        assert w_transform(TotalSetFunction(w.m, table)) == w
+
+
+def test_roundtrip_property_small():
+    # table -> w -> table: most random tables are not coverage functions, so
+    # this pins the inverse on signed coefficients too, unlike criterion 01
+    rng = random.Random(411)
+    signed = 0
+    for _ in range(200):
+        m = rng.randint(1, 8)
+        values = [oracles.random_fraction(rng) for _ in range(1 << m)]
+        values[0] = F(0)
+        w = w_transform(TotalSetFunction(m, tuple(values)))
+        signed += any(x < 0 for _, x in w.support)
+        assert [eval_from_w(w, mask) for mask in range(1 << m)] == values
+    assert signed >= 100
+
+
 def test_transform_matches_naive_oracle():
     rng = random.Random(412)
     for _ in range(60):
