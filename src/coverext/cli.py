@@ -308,26 +308,28 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_cap(p):
+    def add_cap(p, bounds):
         p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
-                       help="exhaustive-enumeration cap on the ground set size")
+                       help=f"exhaustive-enumeration cap on {bounds}")
 
     def add_graph(p):  # read through args.input, like every other input file
         p.add_argument("--graph", required=True, dest="input", metavar="GRAPH")
 
-    def instance_command(name, blurb):
+    def instance_command(name, blurb, cap_bounds):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--input", required=True, help="instance file, directory, or - for stdin")
-        instance_parsers.append(p)
+        instance_parsers.append((p, cap_bounds))
         return p
 
     instance_parsers = []
     p = instance_command("extend", "decide coverage extendibility; emit a witness "
-                                   "(weighted universe) or a refuting certificate")
+                                   "(weighted universe) or a refuting certificate",
+                         "the ground set size m")
     p.add_argument("--certify", action="store_true",
                    help="report that the witness/certificate passed verification")
     p = instance_command("approx", "bracket the least multiplicative stretch alpha* "
-                                   "via the replacement ratio")
+                                   "via the replacement ratio",
+                         "min(d, n-1) for --mode exact and on m for --alpha-star")
     p.add_argument("--mode", choices=["exact", "greedy"], default="exact",
                    help="exact kappa reaches up to 2^min(d, n-1) unions per point, "
                         "so --cap also bounds min(d, n-1)")
@@ -335,18 +337,19 @@ def _build_parser() -> _Parser:
                    help="also solve the exact stretch optimum (one column per hit "
                         "pattern, at most 2^min(m, n) - 1; --cap bounds m)")
     p = instance_command("norm", "minimize total absolute error with singleton "
-                                 "universe elements; certified additive guarantee")
+                                 "universe elements; certified additive guarantee",
+                         "the ground set size m, for --exact only")
     p.add_argument("--exact", action="store_true",
                    help="also solve the unrestricted optimum (one column per hit "
                         "pattern, at most 2^min(m, n) - 1; --cap bounds m)")
-    for p in instance_parsers:  # after each command's own flags, the order --help shows
+    for p, cap_bounds in instance_parsers:  # after each command's own flags, in --help order
         p.add_argument("--jobs", type=int, default=1, help="parallel workers for a directory input")
-        add_cap(p)
+        add_cap(p, cap_bounds)
 
     p = sub.add_parser("wtransform", help="transform a full value table to universe "
                                           "weights and test coverage validity")
     p.add_argument("--input", required=True)
-    add_cap(p)
+    add_cap(p, "the ground set size m")
 
     p = sub.add_parser("gadget", help="build a reduction instance")
     gsub = p.add_subparsers(dest="kind", required=True)
@@ -358,7 +361,7 @@ def _build_parser() -> _Parser:
     g.add_argument("--chi", action="store_true",
                    help="also compute the fractional chromatic number")
     g.add_argument("--out", help="write the instance here; - for stdout")
-    add_cap(g)
+    add_cap(g, "the vertex count, for --chi only")
 
     g = gsub.add_parser("setcover", help="set-cover question as a coverage membership "
                                          "point with a +/- 1/(2L) margin")
@@ -377,24 +380,25 @@ def _build_parser() -> _Parser:
     add_graph(g)
     g.add_argument("--density", type=_rational_arg, required=True)
     g.add_argument("--out", help="write the gadget graph here; - for stdout")
-    add_cap(g)
+    add_cap(g, "the vertex count")
 
     p = sub.add_parser("gen", help="generate a validated instance family")
     gsub = p.add_subparsers(dest="kind", required=True)
     g = gsub.add_parser("tight", help="blocks-vs-transversals family with unit "
                                       "replacement ratio, validated over all subsets")
-    g.add_argument("--m", type=int, required=True, help="ground set size (perfect square)")
+    g.add_argument("--m", type=int, required=True,
+                   help="ground set size: a perfect square, at least 4")
     g.add_argument("--k", type=int, default=2, help="transversal multiplier")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", help="write the instance here; - for stdout")
-    add_cap(g)
+    add_cap(g, "m; at most 2^cap transversal draws")
 
     p = sub.add_parser("check", help="brute-force polytope membership of a weighted graph")
     csub = p.add_subparsers(dest="kind", required=True)
     for kind, blurb in (("cut", "all cut sums <= 0"), ("span", "all span sums <= 0")):
         c = csub.add_parser(kind, help=f"{blurb}, plus the unit box")
         add_graph(c)
-        add_cap(c)
+        add_cap(c, "the vertex count")
 
     return parser
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
+from .errors import CapExceededError
 from .lp import EQUAL, FEASIBLE, LinearProgram, solve
 from .setfun import (
     DEFAULT_ENUMERATION_CAP,
@@ -239,6 +240,9 @@ def setcover_membership_gadget(
         raise ValueError("k must be at least 1")
     if not family:
         raise ValueError("family must be nonempty")
+    points = len(family) + 1 + universe_size
+    if points > 1 << DEFAULT_ENUMERATION_CAP:  # read here, not bound as a default
+        raise CapExceededError(f"{points} points exceed 2^{DEFAULT_ENUMERATION_CAP}")
     scale = Fraction(k * universe_size - k) - Fraction(1, 2)
 
     m = len(family)

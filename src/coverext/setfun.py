@@ -76,9 +76,15 @@ def mask_from_elements(elements: Iterable[int], m: int) -> Mask:
 
 
 def mask_to_elements(mask: Mask) -> list[int]:
-    """Sorted 1-based element labels of a bitmask, in time linear in its bit length."""
-    bits = bin(mask)[:1:-1]  # lowest bit first, without the "0b"
-    return [j for j, bit in enumerate(bits, 1) if bit == "1"]
+    """Sorted 1-based element labels of a bitmask, in Python time per element, not per bit."""
+    bits = bin(mask)
+    end = len(bits)  # the lowest bit sits at bits[end - 1]
+    labels = []
+    j = bits.rfind("1", 2)  # str.rfind skips the zero bits in C; 2 skips the "0b"
+    while j >= 0:
+        labels.append(end - j)
+        j = bits.rfind("1", 2, j)
+    return labels
 
 
 def _coerce_value(v: ExactLike, what: str, error: type[ValueError] = ValueError) -> Fraction:

@@ -175,11 +175,40 @@ MUTANTS = [
          "test_span_violation_is_the_first_positive_span_in_ascending_order",),
     ),
     Mutant(
+        "gadget setcover builds any universe",
+        "gadgets.py",
+        "    if points > 1 << DEFAULT_ENUMERATION_CAP:  # read here, not bound as a default\n"
+        '        raise CapExceededError(f"{points} points exceed 2^{DEFAULT_ENUMERATION_CAP}")\n',
+        "",
+        ("tests/test_enumeration_caps.py::test_setcover_points_are_bounded_by_2_to_the_cap",),
+    ),
+    Mutant(
         "fractional_chromatic leaves __all__",
         "__init__.py",
         '"fractional_chromatic", ',
         "",
         ("tests/test_package.py::test_library_signatures_and_members_are_pinned",),
+    ),
+    Mutant(
+        "the package's __getattr__ returns the module, not the name",
+        "__init__.py",
+        "value = globals()[name] = getattr(module, name)",
+        "value = globals()[name] = module",
+        ("tests/test_package.py::test_every_public_name_is_its_modules_object",),
+    ),
+    Mutant(
+        "verify_solution filed under setfun",
+        "__init__.py",
+        '"verify_solution"),\n    "setfun": ("DEFAULT_ENUMERATION_CAP", ',
+        '),\n    "setfun": ("verify_solution", "DEFAULT_ENUMERATION_CAP", ',
+        ("tests/test_package.py::test_every_public_name_is_its_modules_object",),
+    ),
+    Mutant(
+        "the package's __dir__ dropped",
+        "__init__.py",
+        "def __dir__():",
+        "def _dir():",
+        ("tests/test_package.py::test_dir_lists_every_public_name_before_use",),
     ),
 ]
 

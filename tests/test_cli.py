@@ -241,6 +241,16 @@ def test_gadget_setcover(tmp_path, capsys):
     assert result["delta"] == {"coefficient": "1/2", "radicand": 4}
 
 
+def test_gadget_setcover_refuses_a_universe_past_the_cap_at_once(tmp_path, capsys):
+    sc = write(tmp_path, "sc.json", {"universe": 1 << 24, "family": [[1], [2]], "k": 1})
+    started = time.monotonic()
+    code, out, err = run_cli(["gadget", "setcover", "--input", sc], capsys)
+    assert time.monotonic() - started < 1
+    assert code == 3
+    assert out == ""
+    assert err == "error: 16777219 points exceed 2^24\n"
+
+
 @pytest.mark.parametrize("kind, flag", [("chromatic", "--k"), ("densest", "--density")])
 def test_rational_arguments_are_usage_errors(tmp_path, capsys, kind, flag):
     graph = write(tmp_path, "k3.json", K3_GRAPH)

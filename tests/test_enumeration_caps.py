@@ -7,12 +7,14 @@ import pytest
 from coverext.approx import alpha_bounds, alpha_star_exact, generate_tight_instance
 from coverext.errors import CapExceededError
 from coverext.extension import decide_extension, verify_certificate
+from coverext import gadgets
 from coverext.gadgets import (
     Graph,
     check_cut_membership,
     check_span_membership,
     densest_cut_report,
     fractional_chromatic,
+    setcover_membership_gadget,
 )
 from coverext.norm import norm_extension_approx, norm_opt_exact, verify_dual_feasible
 from coverext.setfun import (
@@ -101,3 +103,13 @@ def test_tight_draws_are_bounded_by_2_to_the_cap():
     with pytest.raises(CapExceededError) as info:
         generate_tight_instance(4, k=5, cap=4)
     assert str(info.value) == "k * 4 transversal draws exceed 2^4"
+
+
+def test_setcover_points_are_bounded_by_2_to_the_cap(monkeypatch):
+    # the point has one entry per family member, one for the whole index set
+    # and one per universe element: 2 + 1 + 5 = 2^3 builds, one more refuses
+    monkeypatch.setattr(gadgets, "DEFAULT_ENUMERATION_CAP", CAP)
+    assert len(setcover_membership_gadget(5, [[1], [2]], 1).point) == 1 << CAP
+    with pytest.raises(CapExceededError) as info:
+        setcover_membership_gadget(6, [[1], [2]], 1)
+    assert str(info.value) == "9 points exceed 2^3"

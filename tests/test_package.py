@@ -1,9 +1,16 @@
 """The package's public names."""
 
 import inspect
+import json
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import coverext
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def test_all_lists_public_objects_not_modules():
@@ -72,3 +79,99 @@ def test_library_signatures_and_members_are_pinned():
         own = {*vars(cls), *cls.__annotations__}  # fields without a default are not in vars
         members[name] = sorted(n for n in own if not n.startswith("_"))
     assert members == MEMBERS
+
+
+# Each library module and the public names it defines; __all__ lists them in this order.
+EXPORTS = {
+    "errors": ["CapExceededError", "CoverextError", "InstanceParseError",
+               "MalformedProgramError", "SeedExhaustedError"],
+    "lp": ["EQUAL", "FEASIBLE", "GREATER_EQUAL", "INFEASIBLE", "LESS_EQUAL", "UNBOUNDED",
+           "LinearProgram", "LpOutcome", "solve", "verify_farkas", "verify_solution"],
+    "setfun": ["DEFAULT_ENUMERATION_CAP", "CoverageCheck", "PartialFunction", "TotalSetFunction",
+               "WCoefficients", "eval_from_w", "is_coverage", "w_transform"],
+    "extension": ["ExtensionVerdict", "decide_extension", "extension_program",
+                  "verify_certificate", "verify_witness"],
+    "approx": ["AlphaBounds", "alpha_bounds", "alpha_star_exact", "ceil_two_thirds",
+               "generate_tight_instance", "harmonic", "replacement_ratio_exact",
+               "replacement_ratio_greedy"],
+    "norm": ["NormResult", "norm_extension_approx", "norm_opt_exact", "verify_dual_feasible"],
+    "gadgets": ["DeltaSpec", "DensestCutReport", "FractionalColoring", "Graph", "MembershipCheck",
+                "MembershipInstance", "check_cut_membership", "check_span_membership",
+                "chromatic_gadget", "coverage_span_sums", "cut_to_span_gadget",
+                "densest_cut_gadget", "densest_cut_report", "fractional_chromatic",
+                "setcover_membership_gadget"],
+}
+
+
+def fresh(code):
+    """Run code in a new interpreter after `import coverext`; return what it prints, as JSON.
+
+    The code reads EXPORTS as `exports` and prints through `out`.
+    """
+    prelude = ("import importlib, json, sys\n"
+               "import coverext\n"
+               "exports = json.loads(sys.argv[1])\n"
+               "def out(value): print(json.dumps(value))\n")
+    done = subprocess.run([sys.executable, "-c", prelude + code, json.dumps(EXPORTS)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_import_loads_each_module_on_first_use():
+    loaded = "sorted(m for m in sys.modules if m.startswith('coverext.'))"
+    before, after, cached, same = fresh(
+        f"before = {loaded}\n"
+        "solve = coverext.solve\n"
+        f"out([before, {loaded}, 'solve' in vars(coverext), solve is coverext.lp.solve])"
+    )
+    assert before == []
+    assert after == ["coverext.errors", "coverext.lp", "coverext.setfun"]
+    assert cached and same
+
+
+def test_all_lists_every_name_once_in_table_order():
+    listed = fresh("out(coverext.__all__)")
+    assert len(listed) == 56
+    assert listed == [name for names in EXPORTS.values() for name in names]
+
+
+def test_every_public_name_is_its_modules_object():
+    wrong = fresh(
+        "out([name for module, names in exports.items() for name in names\n"
+        "     if getattr(coverext, name) is not\n"
+        "        getattr(importlib.import_module('coverext.' + module), name)])"
+    )
+    assert wrong == []
+
+
+def test_the_library_modules_resolve_after_a_bare_import():
+    names, elements = fresh(
+        "out([[getattr(coverext, m).__name__ for m in exports],\n"
+        "     coverext.setfun.mask_to_elements(0b101)])"
+    )
+    assert names == ["coverext." + m for m in EXPORTS]
+    assert elements == [1, 3]
+
+
+def test_dir_lists_every_public_name_before_use():
+    assert fresh("out(sorted(set(coverext.__all__) - set(dir(coverext))))") == []
+
+
+def test_an_unknown_name_raises_attribute_error():
+    message = fresh(
+        "try:\n"
+        "    coverext.nope\n"
+        "except AttributeError as exc:\n"
+        "    out(str(exc))"
+    )
+    assert message == "module 'coverext' has no attribute 'nope'"
+
+
+def test_star_import_binds_every_public_name():
+    missing = fresh(
+        "names = {}\n"
+        "exec('from coverext import *', names)\n"
+        "out([n for n in coverext.__all__ if names.get(n) is not getattr(coverext, n)])"
+    )
+    assert missing == []

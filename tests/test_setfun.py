@@ -1,6 +1,7 @@
 """W-transform, its inverse, and the coverage characterization."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,13 @@ def test_mask_helpers():
 @example((1 << 4000) - 1)
 def test_mask_to_elements_matches_the_shifting_loop(mask):
     assert mask_to_elements(mask) == oracles.mask_to_elements_naive(mask)
+
+
+def test_mask_to_elements_skips_zero_bits_in_c():
+    # a Python step per bit position took about 2 s at this length
+    started = time.monotonic()
+    assert mask_to_elements((1 << (4 * 10**7 - 1)) | 1) == [1, 4 * 10**7]
+    assert time.monotonic() - started < 1
 
 
 def test_transform_two_element_coverage():
