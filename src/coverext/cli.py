@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -79,22 +78,34 @@ def _read_json(path: str):
         return json.loads(raw, parse_int=lambda text: serialize.parse_int(text, path)), digest
     except json.JSONDecodeError as exc:
         raise InstanceParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise InstanceParseError(f"{path}: invalid JSON: nested too deeply") from exc
+    except UnicodeDecodeError as exc:
+        raise InstanceParseError(f"{path}: invalid JSON encoding: {exc}") from exc
 
 
 def _emit(report, artifact, out):
     """Route the report and the artifact's JSON text between stdout, stderr, and files."""
     text = json.dumps(report, indent=2)
-    if out is None:
-        print(text)
-    elif out == "-":
-        sys.stdout.write(artifact)
-        print(text, file=sys.stderr)
-    else:
+    if out not in (None, "-"):
         try:
             Path(out).write_text(artifact)
         except OSError as exc:
             raise _UsageError(f"cannot write {out}: {exc}") from exc
-        print(text)
+    try:
+        if out == "-":
+            sys.stdout.write(artifact)
+        else:
+            print(text)
+        sys.stdout.flush()  # here, where a closed stdout is still an error to report
+    except OSError as exc:
+        import os  # here, not at the top: only a failed write needs it
+
+        # Python flushes stdout once more at exit; devnull takes that flush instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise _UsageError(f"cannot write stdout: {exc}") from exc
+    if out == "-":
+        print(text, file=sys.stderr)
 
 
 # --- command bodies: (args, parsed input) -> (payload, artifact, exit code) --------
@@ -259,11 +270,7 @@ def _run(args, argv, path):
 
 def _batch_paths(args):
     """The *.json files when an instance command is given a directory, else None."""
-    if not hasattr(args, "jobs"):
-        return None
-    if args.jobs < 1:
-        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
-    if args.input == "-" or not Path(args.input).is_dir():
+    if not args.batch or args.input == "-" or not Path(args.input).is_dir():
         return None
     paths = sorted(str(f) for f in Path(args.input).glob("*.json"))
     if not paths:
@@ -271,33 +278,23 @@ def _batch_paths(args):
     return paths
 
 
-def _pool_worker(job):
-    """One batch entry: its run report, or an error record, and its exit code.
+def _run_batch(args, argv, paths):
+    """Run the files one at a time; returns the worst exit code in the batch.
 
     Every exception becomes an error record, so one instance cannot abort
     the batch.
     """
-    args, argv, path = job
-    try:
-        report, _, code = _run(args, argv, path)
-        return report, code
-    except Exception as exc:
-        error, code = _failure(exc)
-    return {"command": args.command, "input": path, "error": error}, code
-
-
-def _run_batch(args, argv, paths):
-    jobs = [(args, argv, path) for path in paths]
-    workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
-    if workers > 1:
-        import multiprocessing  # here, not at the top: only a parallel batch needs it
-
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_pool_worker, jobs)
-    else:
-        results = [_pool_worker(job) for job in jobs]
-    _emit([report for report, _ in results], None, None)
-    return max(code for _, code in results)  # the worst outcome in the batch
+    reports, worst = [], EXIT_OK
+    for path in paths:
+        try:
+            report, _, code = _run(args, argv, path)
+        except Exception as exc:
+            error, code = _failure(exc)
+            report = {"command": args.command, "input": path, "error": error}
+        reports.append(report)
+        worst = max(worst, code)
+    _emit(reports, None, None)
+    return worst
 
 
 # --- parser -----------------------------------------------------------------------
@@ -306,6 +303,7 @@ def _run_batch(args, argv, paths):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="coverext", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.set_defaults(batch=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_cap(p, bounds):
@@ -318,6 +316,7 @@ def _build_parser() -> _Parser:
     def instance_command(name, blurb, cap_bounds):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--input", required=True, help="instance file, directory, or - for stdin")
+        p.set_defaults(batch=True)
         instance_parsers.append((p, cap_bounds))
         return p
 
@@ -343,7 +342,6 @@ def _build_parser() -> _Parser:
                    help="also solve the unrestricted optimum (one column per hit "
                         "pattern, at most 2^min(m, n) - 1; --cap bounds m)")
     for p, cap_bounds in instance_parsers:  # after each command's own flags, in --help order
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers for a directory input")
         add_cap(p, cap_bounds)
 
     p = sub.add_parser("wtransform", help="transform a full value table to universe "

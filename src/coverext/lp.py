@@ -304,8 +304,7 @@ class _Simplex:
 
 # Per-process accounting for run reports. Purely observational: cli._run
 # resets it before each run and snapshots it after, so a report counts its
-# own run only, also in a parallel batch, whose pool workers each run many
-# instances in turn.
+# own run only, also in a directory batch, which runs many instances in turn.
 _COUNTERS = {"solves": 0, "pivots": 0, "rows": 0, "vars": 0}
 
 

@@ -61,9 +61,31 @@ MUTANTS = [
     Mutant(
         "a batch exits with its last file's code",
         "cli.py",
-        "return max(code for _, code in results)",
-        "return results[-1][1]",
+        "worst = max(worst, code)",
+        "worst = code",
         ("tests/test_cli.py::test_batch_exit_code_is_the_worst_not_the_last",),
+    ),
+    Mutant(
+        "a batch stops at its first failing file",
+        "cli.py",
+        "        worst = max(worst, code)\n",
+        "        worst = max(worst, code)\n        if code:\n            break\n",
+        ("tests/test_cli.py::test_internal_error_in_one_file_does_not_abort_the_batch",),
+    ),
+    Mutant(
+        "over-deep JSON escapes as a RecursionError",
+        "cli.py",
+        "    except RecursionError as exc:\n",
+        "    except ZeroDivisionError as exc:\n",
+        ("tests/test_cli.py::test_unparseable_json_exits_1_naming_the_file",),
+    ),
+    Mutant(
+        "a closed stdout escapes as a BrokenPipeError",
+        "cli.py",
+        "        sys.stdout.flush()  # here, where a closed stdout is still an error to report\n"
+        "    except OSError as exc:\n",
+        "        sys.stdout.flush()\n    except ZeroDivisionError as exc:\n",
+        ("tests/test_cli.py::test_a_closed_stdout_exits_1_with_one_line",),
     ),
     Mutant(
         "InstanceParseError is no ValueError",

@@ -4,7 +4,6 @@ import argparse
 import hashlib
 import io
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -281,6 +280,35 @@ def test_unreadable_or_invalid_input_is_a_usage_error(tmp_path, capsys):
     assert err == f"error: {broken}: invalid JSON at line 2: Expecting value\n"
 
 
+# Nested deeper than the C JSON decoder's recursion limit on every supported Python
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+@pytest.mark.parametrize(
+    "raw, error",
+    [
+        (DEEP_JSON, "invalid JSON: nested too deeply"),
+        (b"\xff\xfe{", "invalid JSON encoding: 'utf-16-le' codec can't decode byte 0x7b "
+                       "in position 2: truncated data"),
+    ],
+    ids=["deep", "undecodable"],
+)
+def test_unparseable_json_exits_1_naming_the_file(tmp_path, capsys, batch, raw, error):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(raw)
+    if batch:
+        write(tmp_path, "a.json", ADDITIVE)
+    code, out, err = run_cli(["extend", "--input", str(tmp_path if batch else bad)], capsys)
+    assert code == 1
+    if batch:
+        assert err == ""
+        assert json.loads(out)[1] == {"command": "extend", "input": str(bad),
+                                      "error": f"{bad}: {error}"}
+    else:
+        assert (out, err) == ("", f"error: {bad}: {error}\n")
+
+
 def test_check_refuses_an_unweighted_graph(tmp_path, capsys):
     graph = write(tmp_path, "k3.json", K3_GRAPH)
     code, out, err = run_cli(["check", "span", "--graph", graph], capsys)
@@ -297,54 +325,21 @@ def test_check_names_the_edge_outside_the_box(tmp_path, capsys, kind):
     assert json.loads(out)["result"] == {"kind": kind, "inside": False, "box_edge": [2, 3]}
 
 
-def test_directory_batch_with_jobs(tmp_path, capsys):
+def test_directory_batch_reports_each_verdict(tmp_path, capsys):
     write(tmp_path, "a.json", ADDITIVE)
     write(tmp_path, "b.json", SUPERADDITIVE)
-    code, out, _ = run_cli(["extend", "--input", str(tmp_path), "--jobs", "2"], capsys)
+    code, out, _ = run_cli(["extend", "--input", str(tmp_path)], capsys)
     assert code == 2  # worst result in the batch
     reports = json.loads(out)
-    assert len(reports) == 2
-    statuses = {r["result"]["status"] for r in reports}
-    assert statuses == {"extendible", "not_extendible"}
+    assert [r["result"]["status"] for r in reports] == ["extendible", "not_extendible"]
 
 
-
-def test_jobs_below_one_is_a_usage_error(tmp_path, capsys):
+def test_jobs_is_an_unrecognized_argument(tmp_path, capsys):
     write(tmp_path, "a.json", ADDITIVE)
-    code, out, err = run_cli(["extend", "--input", str(tmp_path), "--jobs", "0"], capsys)
-    assert code == 1
-    assert out == ""
-    assert "--jobs" in err
+    code, out, err = run_cli(["extend", "--input", str(tmp_path), "--jobs", "2"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: unrecognized arguments: --jobs 2\n"
 
-
-def test_jobs_clamped_to_batch_and_cpus(tmp_path, capsys, monkeypatch):
-    requested = []
-
-    class RecordingPool:
-        def __init__(self, size):
-            requested.append(size)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return [fn(item) for item in items]
-
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    for name in ("a.json", "b.json", "c.json"):
-        write(tmp_path, name, ADDITIVE)
-    for cpus, want in ((8, 3), (2, 2)):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        code, out, _ = run_cli(["extend", "--input", str(tmp_path), "--jobs", "5000"], capsys)
-        assert code == 0
-        assert len(json.loads(out)) == 3
-        assert requested[-1] == want
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    run_cli(["extend", "--input", str(tmp_path), "--jobs", "5000"], capsys)
-    assert len(requested) == 2  # one usable CPU: the batch runs in this process
 
 def test_stdin_pipeline_subprocess(tmp_path):
     # the real pipe: gadget chromatic --out - | extend --input -
@@ -362,14 +357,6 @@ def test_stdin_pipeline_subprocess(tmp_path):
     assert extend.returncode == 0
     report = json.loads(extend.stdout)
     assert report["result"]["status"] == "extendible"
-
-
-def test_importing_the_cli_leaves_multiprocessing_out():
-    # only a directory batch with --jobs > 1 needs a process pool
-    probe = "import sys, coverext.cli; print('multiprocessing' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=SRC), check=True)
-    assert done.stdout == "False\n"
 
 
 REPORT_KEYS = ["command", "argv", "input_digest", "result", "wall_time_ms", "solver"]
@@ -602,6 +589,34 @@ def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
     assert err.startswith(f"error: cannot write {missing}: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extend", "--input", "{instance}"],
+        ["extend", "--input", "{batch}"],
+        ["gadget", "chromatic", "--graph", "{graph}", "--k", "3", "--out", "-"],
+    ],
+    ids=["report", "batch", "artifact"],
+)
+def test_a_closed_stdout_exits_1_with_one_line(tmp_path, argv):
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    files = {"instance": write(batch, "add.json", ADDITIVE), "batch": str(batch),
+             "graph": write(tmp_path, "k3.json", K3_GRAPH)}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # so the child's first write to stdout fails with EPIPE
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "coverext.cli", *(arg.format(**files) for arg in argv)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (
+        1, "error: cannot write stdout: [Errno 32] Broken pipe\n")
+
+
 def test_exact_kappa_over_the_cap_exits_3(tmp_path, capsys):
     # d = 3 and n - 1 = 3: the cover DP bound min(d, n-1) = 3 exceeds --cap 2
     star = {"m": 3, "points": [{"set": [1, 2, 3], "value": "6"}]
@@ -731,16 +746,13 @@ def test_wtransform_refuses_a_short_table_at_a_huge_m_at_once(tmp_path, capsys):
 OPTIONS = [
     ("extend", "--input", None),
     ("extend", "--certify", False),
-    ("extend", "--jobs", 1),
     ("extend", "--cap", 24),
     ("approx", "--input", None),
     ("approx", "--mode", "exact"),
     ("approx", "--alpha-star", False),
-    ("approx", "--jobs", 1),
     ("approx", "--cap", 24),
     ("norm", "--input", None),
     ("norm", "--exact", False),
-    ("norm", "--jobs", 1),
     ("norm", "--cap", 24),
     ("wtransform", "--input", None),
     ("wtransform", "--cap", 24),
