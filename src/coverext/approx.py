@@ -192,15 +192,16 @@ def alpha_bounds(
     cap gates the exact kappa (on min(d, n-1)) and alpha* (on m); greedy
     kappa is polynomial and ignores it.
     """
+    if mode not in ("exact", "greedy"):
+        raise ValueError(f"unknown mode {mode!r}")
+    # alpha* first: since d <= m, its gate on m refuses wherever kappa's would, at no cost
+    star = alpha_star_exact(pf, cap=cap) if include_alpha_star else None
     if mode == "exact":
         kappa = replacement_ratio_exact(pf, cap=cap)
-    elif mode == "greedy":
-        kappa = replacement_ratio_greedy(pf)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        kappa = replacement_ratio_greedy(pf)
 
     factor = min(pf.d, ceil_two_thirds(pf.m))
-    star = alpha_star_exact(pf, cap=cap) if include_alpha_star else None
 
     if kappa == math.inf:
         # nothing replaceable anywhere: fall back to the universal bounds

@@ -37,7 +37,8 @@ from .gadgets import (
     setcover_membership_gadget,
 )
 from .norm import norm_extension_approx
-from .setfun import DEFAULT_ENUMERATION_CAP, coverage_check, mask_to_elements, w_transform
+from .setfun import DEFAULT_ENUMERATION_CAP, coverage_check, mask_to_elements
+from .setfun import require_enumerable, w_transform
 from .setfun import is_coverage  # unused here, but perfbench's command probes wrap it by name
 
 EXIT_OK = 0
@@ -117,8 +118,6 @@ def _emit(report, artifact, out):
 def _extend(args, data):
     verdict = decide_extension(serialize.partial_function_from_json(data), cap=args.cap)
     payload = serialize.verdict_to_json(verdict)
-    if args.certify:  # decide_extension returns only what it has verified
-        payload["verified"] = True
     return payload, None, EXIT_OK if verdict.extendible else EXIT_NEGATIVE
 
 
@@ -162,6 +161,8 @@ def _gadget(args, data):
         return {"kind": kind, "instance": artifact}, artifact, EXIT_OK
     graph = serialize.graph_from_json(data)
     if kind == "chromatic":
+        if args.chi:  # chi's cap, before the gadget builds its n-bit point masks
+            require_enumerable(graph.num_vertices, args.cap)
         artifact = serialize.partial_function_to_json(chromatic_gadget(graph, args.k))
         payload = {"kind": kind, "k": serialize.format_rational(args.k), "instance": artifact}
         if args.chi:
@@ -313,36 +314,30 @@ def _build_parser() -> _Parser:
     def add_graph(p):  # read through args.input, like every other input file
         p.add_argument("--graph", required=True, dest="input", metavar="GRAPH")
 
-    def instance_command(name, blurb, cap_bounds):
+    def instance_command(name, blurb):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--input", required=True, help="instance file, directory, or - for stdin")
         p.set_defaults(batch=True)
-        instance_parsers.append((p, cap_bounds))
         return p
 
-    instance_parsers = []
     p = instance_command("extend", "decide coverage extendibility; emit a witness "
-                                   "(weighted universe) or a refuting certificate",
-                         "the ground set size m")
-    p.add_argument("--certify", action="store_true",
-                   help="report that the witness/certificate passed verification")
+                                   "(weighted universe) or a refuting certificate")
+    add_cap(p, "the ground set size m")
     p = instance_command("approx", "bracket the least multiplicative stretch alpha* "
-                                   "via the replacement ratio",
-                         "min(d, n-1) for --mode exact and on m for --alpha-star")
+                                   "via the replacement ratio")
     p.add_argument("--mode", choices=["exact", "greedy"], default="exact",
                    help="exact kappa reaches up to 2^min(d, n-1) unions per point, "
                         "so --cap also bounds min(d, n-1)")
     p.add_argument("--alpha-star", action="store_true", dest="alpha_star",
                    help="also solve the exact stretch optimum (one column per hit "
                         "pattern, at most 2^min(m, n) - 1; --cap bounds m)")
+    add_cap(p, "min(d, n-1) for --mode exact and on m for --alpha-star")
     p = instance_command("norm", "minimize total absolute error with singleton "
-                                 "universe elements; certified additive guarantee",
-                         "the ground set size m, for --exact only")
+                                 "universe elements; certified additive guarantee")
     p.add_argument("--exact", action="store_true",
                    help="also solve the unrestricted optimum (one column per hit "
                         "pattern, at most 2^min(m, n) - 1; --cap bounds m)")
-    for p, cap_bounds in instance_parsers:  # after each command's own flags, in --help order
-        add_cap(p, cap_bounds)
+    add_cap(p, "the ground set size m, for --exact only")
 
     p = sub.add_parser("wtransform", help="transform a full value table to universe "
                                           "weights and test coverage validity")

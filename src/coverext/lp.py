@@ -376,39 +376,38 @@ def _solve(lp: LinearProgram) -> LpOutcome:
     sx = _Simplex(tab, list(init_col), ncols + 1)
 
     # Phase 1: minimize the artificial total.
-    if ncols > art_base:
-        sx.set_costs([0] * art_base + [1] * (ncols - art_base))
-        status = sx.run(ncols)
-        if status != "optimal":
-            raise AssertionError("phase 1 cannot be unbounded")
-        d, cost = sx.d, sx.tab[-1]
-        if cost[-1] < 0:  # the artificial total is -cost[-1] / d > 0
-            ray = [_ZERO] * lp.num_rows
-            for i, s, ic in zip(orig, sigma, init_col):
-                y = (d if ic >= art_base else 0) - cost[ic]  # d * (phase-1 cost - reduced cost)
-                ray[i] = Fraction(-s * y, d)
-            if not verify_farkas(lp, ray):
-                raise AssertionError("internal error: extracted Farkas ray failed verification")
-            return LpOutcome(INFEASIBLE, None, None, tuple(ray), None, sx.pivots)
-        # Drive basic artificials out; delete rows that turned out redundant.
-        drop = []
-        for p, b in enumerate(sx.basis):
-            if b < art_base:
-                continue
-            row = sx.tab[p]
-            if row[-1] != 0:
-                raise AssertionError("basic artificial with nonzero value at phase-1 optimum")
-            pc = next((j for j in range(art_base) if row[j]), -1)
-            if pc < 0:
-                drop.append(p)
-                continue
-            if row[pc] < 0:
-                # The rhs is zero, so negating the row keeps it valid; the
-                # pivot entry turns positive and d stays positive.
-                sx.tab[p] = [-v for v in row]
-            sx.pivot(p, pc)
-        for p in reversed(drop):
-            del sx.tab[p], sx.basis[p], orig[p], sigma[p], init_col[p]
+    sx.set_costs([0] * art_base + [1] * (ncols - art_base))
+    status = sx.run(ncols)
+    if status != "optimal":
+        raise AssertionError("phase 1 cannot be unbounded")
+    d, cost = sx.d, sx.tab[-1]
+    if cost[-1] < 0:  # the artificial total is -cost[-1] / d > 0
+        ray = [_ZERO] * lp.num_rows
+        for i, s, ic in zip(orig, sigma, init_col):
+            y = (d if ic >= art_base else 0) - cost[ic]  # d * (phase-1 cost - reduced cost)
+            ray[i] = Fraction(-s * y, d)
+        if not verify_farkas(lp, ray):
+            raise AssertionError("internal error: extracted Farkas ray failed verification")
+        return LpOutcome(INFEASIBLE, None, None, tuple(ray), None, sx.pivots)
+    # Drive basic artificials out; delete rows that turned out redundant.
+    drop = []
+    for p, b in enumerate(sx.basis):
+        if b < art_base:
+            continue
+        row = sx.tab[p]
+        if row[-1] != 0:
+            raise AssertionError("basic artificial with nonzero value at phase-1 optimum")
+        pc = next((j for j in range(art_base) if row[j]), -1)
+        if pc < 0:
+            drop.append(p)
+            continue
+        if row[pc] < 0:
+            # The rhs is zero, so negating the row keeps it valid; the
+            # pivot entry turns positive and d stays positive.
+            sx.tab[p] = [-v for v in row]
+        sx.pivot(p, pc)
+    for p in reversed(drop):
+        del sx.tab[p], sx.basis[p], orig[p], sigma[p], init_col[p]
 
     # Phase 2: the objective on the structural columns, zero elsewhere.
     sx.set_costs(costs + [0] * (ncols - nv))

@@ -43,6 +43,22 @@ MUTANTS = [
          "tests/test_cli.py::test_gen_tight_exits_1_on_m_1_and_when_the_draws_run_out"),
     ),
     Mutant(
+        "alpha_bounds computes kappa before alpha*",
+        "approx.py",
+        "    star = alpha_star_exact(pf, cap=cap) if include_alpha_star else None\n"
+        '    if mode == "exact":\n'
+        "        kappa = replacement_ratio_exact(pf, cap=cap)\n"
+        "    else:\n"
+        "        kappa = replacement_ratio_greedy(pf)\n",
+        '    if mode == "exact":\n'
+        "        kappa = replacement_ratio_exact(pf, cap=cap)\n"
+        "    else:\n"
+        "        kappa = replacement_ratio_greedy(pf)\n"
+        "    star = alpha_star_exact(pf, cap=cap) if include_alpha_star else None\n",
+        ("tests/test_cli.py::test_alpha_star_cap_refuses_before_the_kappa_dp",
+         "tests/test_cli.py::test_exact_kappa_over_the_cap_exits_3"),
+    ),
+    Mutant(
         "stretch upper bound drops the m^(2/3) factor",
         "approx.py",
         "factor = min(pf.d, ceil_two_thirds(pf.m))",
@@ -71,6 +87,20 @@ MUTANTS = [
         "        worst = max(worst, code)\n",
         "        worst = max(worst, code)\n        if code:\n            break\n",
         ("tests/test_cli.py::test_internal_error_in_one_file_does_not_abort_the_batch",),
+    ),
+    Mutant(
+        "gadget chromatic --chi builds the gadget before its cap gate",
+        "cli.py",
+        "            require_enumerable(graph.num_vertices, args.cap)\n",
+        "            pass\n",
+        ("tests/test_cli.py::test_chi_cap_refuses_before_the_gadget_is_built",),
+    ),
+    Mutant(
+        "gadget cut2span ignores --allow-wide-weights",
+        "cli.py",
+        "enforce_box=not args.allow_wide_weights",
+        "enforce_box=True",
+        ("tests/test_cli.py::test_gadget_cut2span_allow_wide_weights",),
     ),
     Mutant(
         "over-deep JSON escapes as a RecursionError",

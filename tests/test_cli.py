@@ -57,11 +57,10 @@ K3_GRAPH = {"vertices": 3, "edges": [[1, 2], [2, 3], [1, 3]]}
 
 def test_extend_positive(tmp_path, capsys):
     path = write(tmp_path, "inst.json", ADDITIVE)
-    code, out, _ = run_cli(["extend", "--input", path, "--certify"], capsys)
+    code, out, _ = run_cli(["extend", "--input", path], capsys)
     assert code == 0
     report = json.loads(out)
     assert report["result"]["status"] == "extendible"
-    assert report["result"]["verified"] is True
     assert len(report["result"]["witness"]) <= 3
     assert report["solver"]["pivots"] > 0
     assert report["command"] == "extend"
@@ -69,11 +68,10 @@ def test_extend_positive(tmp_path, capsys):
 
 def test_extend_negative(tmp_path, capsys):
     path = write(tmp_path, "inst.json", SUPERADDITIVE)
-    code, out, _ = run_cli(["extend", "--input", path, "--certify"], capsys)
+    code, out, _ = run_cli(["extend", "--input", path], capsys)
     assert code == 2
     report = json.loads(out)
     assert report["result"]["status"] == "not_extendible"
-    assert report["result"]["verified"] is True
     assert len(report["result"]["certificate"]) == 3
 
 
@@ -222,6 +220,39 @@ def test_gadget_cut2span_pipeline(tmp_path, capsys):
     assert code == 2  # positive cut in the input becomes a span violation
 
 
+# The paper's 4-cycle: its weights lie outside the unit box until scaled.
+WIDE_CYCLE = {"vertices": 4, "edges": [[1, 2], [2, 3], [3, 4], [1, 4]],
+              "weights": ["5", "-7", "1", "-3"]}
+
+
+def test_gadget_cut2span_allow_wide_weights(tmp_path, capsys):
+    graph = write(tmp_path, "c4.json", WIDE_CYCLE)
+    code, out, err = run_cli(["gadget", "cut2span", "--graph", graph], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: input weights must lie in [-1, 1]\n"
+    code, out, _ = run_cli(["gadget", "cut2span", "--graph", graph, "--allow-wide-weights"],
+                           capsys)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["scale"] == "24"
+    hub = [w for (u, v), w in zip(result["graph"]["edges"], result["graph"]["weights"])
+           if 5 in (u, v)]
+    assert hub == ["-1/24", "1/24", "1/8", "1/24", "-1"]
+
+
+@pytest.mark.parametrize("argv, payload, key", [
+    (["gadget", "setcover", "--input"], {"universe": 3, "family": [[1, 2], [2, 3]], "k": 1},
+     "instance"),
+    (["gadget", "densest", "--density", "1", "--graph"], K3_GRAPH, "graph"),
+], ids=["setcover", "densest"])
+def test_gadget_out_writes_the_embedded_artifact(tmp_path, capsys, argv, payload, key):
+    path = write(tmp_path, "in.json", payload)
+    out_file = tmp_path / "artifact.json"
+    code, out, _ = run_cli(argv + [path, "--out", str(out_file)], capsys)
+    assert code == 0
+    assert out_file.read_text() == json.dumps(json.loads(out)["result"][key], indent=2) + "\n"
+
+
 def test_gadget_densest_boundary_flag(tmp_path, capsys):
     graph = write(tmp_path, "edge.json", {"vertices": 2, "edges": [[1, 2]]})
     code, out, _ = run_cli(["gadget", "densest", "--graph", graph, "--density", "1"], capsys)
@@ -339,6 +370,14 @@ def test_jobs_is_an_unrecognized_argument(tmp_path, capsys):
     code, out, err = run_cli(["extend", "--input", str(tmp_path), "--jobs", "2"], capsys)
     assert (code, out) == (1, "")
     assert err == "error: unrecognized arguments: --jobs 2\n"
+
+
+def test_certify_is_an_unrecognized_argument(tmp_path, capsys):
+    # every extend run verifies its witness or certificate; a failure exits 4
+    path = write(tmp_path, "inst.json", ADDITIVE)
+    code, out, err = run_cli(["extend", "--input", path, "--certify"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: unrecognized arguments: --certify\n"
 
 
 def test_stdin_pipeline_subprocess(tmp_path):
@@ -628,6 +667,71 @@ def test_exact_kappa_over_the_cap_exits_3(tmp_path, capsys):
     code, out, _ = run_cli(["approx", "--input", path, "--mode", "greedy", "--cap", "2"], capsys)
     assert code == 0
     assert json.loads(out)["result"]["kappa"] == "1/2"
+    # m = 3 exceeds the cap too, and alpha*'s gate on m is checked first
+    code, out, err = run_cli(["approx", "--input", path, "--alpha-star", "--cap", "2"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: ground set size 3 exceeds enumeration cap 2\n"
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("work done before the cap was checked")
+
+
+def test_alpha_star_cap_refuses_before_the_kappa_dp(tmp_path, capsys, monkeypatch):
+    # min(d, n-1) = 3 passes --cap 3, m = 4 does not: the cover DP must not run first
+    star = {"m": 4, "points": [{"set": [1, 2, 3], "value": "3"}]
+                              + [{"set": [j], "value": "1"} for j in (1, 2, 3)]}
+    path = write(tmp_path, "star.json", star)
+    monkeypatch.setattr(approx, "cheapest_unions", _refuse)
+    code, out, err = run_cli(["approx", "--input", path, "--alpha-star", "--cap", "3"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: ground set size 4 exceeds enumeration cap 3\n"
+
+
+def test_chi_cap_refuses_before_the_gadget_is_built(tmp_path, capsys, monkeypatch):
+    graph = write(tmp_path, "k3.json", K3_GRAPH)
+    chromatic = ["gadget", "chromatic", "--graph", graph, "--chi"]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "chromatic_gadget", _refuse)
+        code, out, err = run_cli(chromatic + ["--k", "2", "--cap", "2"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: ground set size 3 exceeds enumeration cap 2\n"
+    # a bad k: over the cap the cap is named, within it k is, before any LP runs
+    assert run_cli(chromatic + ["--k", "5", "--cap", "2"], capsys)[0] == 3
+    monkeypatch.setattr(cli, "fractional_chromatic", _refuse)
+    code, out, err = run_cli(chromatic + ["--k", "5"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: k = 5 outside [1, 3]\n"
+
+
+# One run per --cap option in OPTIONS, with the flag that makes the cap bind.
+CAP_CASES = {
+    "extend": ["extend", "--input", "pf.json"],
+    "approx": ["approx", "--input", "pf.json", "--alpha-star"],
+    "norm": ["norm", "--input", "pf.json", "--exact"],
+    "wtransform": ["wtransform", "--input", "table.json"],
+    "gadget-chromatic": ["gadget", "chromatic", "--graph", "graph.json", "--k", "2", "--chi"],
+    "gadget-densest": ["gadget", "densest", "--graph", "graph.json", "--density", "1"],
+    "gen-tight": ["gen", "tight", "--m", "4"],
+    "check-cut": ["check", "cut", "--graph", "graph.json"],
+    "check-span": ["check", "span", "--graph", "graph.json"],
+}
+
+
+@pytest.mark.parametrize("argv", CAP_CASES.values(), ids=CAP_CASES.keys())
+def test_every_cap_refuses_one_past_it(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "pf.json", {"m": 3, "points": [{"set": [1], "value": "1"},
+                                                   {"set": [1, 2, 3], "value": "2"}]})
+    write(tmp_path, "table.json",
+          {"m": 3, "values": [{"set": [j + 1 for j in range(3) if mask >> j & 1],
+                               "value": str(min(mask, 1))} for mask in range(8)]})
+    write(tmp_path, "graph.json", {**K3_GRAPH, "weights": ["-1/2", "-1/2", "-1/2"]})
+    size = 4 if argv[0] == "gen" else 3
+    code, out, err = run_cli(argv + ["--cap", str(size - 1)], capsys)
+    assert (code, out) == (3, "")
+    assert err == f"error: ground set size {size} exceeds enumeration cap {size - 1}\n"
+    assert run_cli(argv + ["--cap", str(size)], capsys)[0] in (0, 2)
 
 
 # Values 1/(10^2200 + 1) and 1/(10^2200 + 3): exact answers carry denominators
@@ -745,7 +849,6 @@ def test_wtransform_refuses_a_short_table_at_a_huge_m_at_once(tmp_path, capsys):
 # shows up here as a reviewed edit.
 OPTIONS = [
     ("extend", "--input", None),
-    ("extend", "--certify", False),
     ("extend", "--cap", 24),
     ("approx", "--input", None),
     ("approx", "--mode", "exact"),

@@ -54,8 +54,8 @@ INPUTS = {
 }
 
 CASES = {
-    "extend_extendible": ["extend", "--input", "ext.json", "--certify"],
-    "extend_refutable": ["extend", "--input", "ref.json", "--certify"],
+    "extend_extendible": ["extend", "--input", "ext.json"],
+    "extend_refutable": ["extend", "--input", "ref.json"],
     "approx_exact": ["approx", "--input", "ref.json", "--mode", "exact", "--alpha-star"],
     "approx_greedy": ["approx", "--input", "ext.json", "--mode", "greedy", "--alpha-star"],
     "norm_exact": ["norm", "--input", "ref.json", "--exact"],
