@@ -400,6 +400,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _build_parser().parse_args(argv)
+        if getattr(args, "cap", 0) < 0:  # before any input is read
+            raise _UsageError(f"argument --cap: must be nonnegative, got {args.cap}")
         paths = _batch_paths(args)
         if paths is not None:
             return _run_batch(args, argv, paths)

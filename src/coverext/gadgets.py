@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -35,6 +34,7 @@ from .setfun import (
     ExactLike,
     Mask,
     PartialFunction,
+    _checked_make,
     _coerce_value,
     _is_int,
     _require_positive_int,
@@ -49,20 +49,19 @@ from .setfun import (
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple("Graph", [("num_vertices", int), ("edges", tuple[tuple[int, int], ...]),
+                                 ("weights", Optional[tuple[Fraction, ...]])])):
     """Simple undirected graph on 1-based vertices, optionally edge-weighted."""
 
-    num_vertices: int
-    edges: tuple[tuple[int, int], ...]
-    weights: Optional[tuple[Fraction, ...]] = None
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self):
-        n = self.num_vertices
+    def __new__(cls, num_vertices, edges, weights=None):
+        n = num_vertices
         _require_positive_int(n, "num_vertices")
         seen = set()
         norm = []
-        for u, v in self.edges:
+        for u, v in edges:
             if not (_is_int(u) and _is_int(v) and 1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"edge ({u},{v}) out of range")
             if u == v:
@@ -72,12 +71,11 @@ class Graph:
                 raise ValueError(f"duplicate edge {e}")
             seen.add(e)
             norm.append(e)
-        object.__setattr__(self, "edges", tuple(norm))
-        if self.weights is not None:
-            if len(self.weights) != len(self.edges):
+        if weights is not None:
+            if len(weights) != len(norm):
                 raise ValueError("weights length does not match edges")
-            weights = tuple(_coerce_value(w, "weight") for w in self.weights)
-            object.__setattr__(self, "weights", weights)
+            weights = tuple(_coerce_value(w, "weight") for w in weights)
+        return super().__new__(cls, n, tuple(norm), weights)
 
     def require_weights(self) -> tuple[Fraction, ...]:
         if self.weights is None:
@@ -191,31 +189,27 @@ class DeltaSpec(NamedTuple):
     radicand: int
 
 
-@dataclass(frozen=True)
-class MembershipInstance:
+class MembershipInstance(NamedTuple("MembershipInstance", [
+        ("point", tuple[Fraction, ...]), ("delta", DeltaSpec), ("family_m", int),
+        ("family_sets", tuple[Mask, ...])])):
     """A point to test against the coverage polytope of a set family.
 
     Coverage-only: point[i] is the value at family_sets[i], a subset of
     [family_m], and the point is inside when every span sum is <= 0.
     """
 
-    point: tuple[Fraction, ...]
-    delta: DeltaSpec
-    family_m: int
-    family_sets: tuple[Mask, ...]
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self):
-        m = self.family_m
-        _require_positive_int(m, "family_m")
-        if len(self.point) != len(self.family_sets):
-            raise ValueError(
-                f"{len(self.point)} point entries but {len(self.family_sets)} family sets"
-            )
-        for mask in self.family_sets:
-            if not (_is_int(mask) and mask >= 0 and mask.bit_length() <= m):
-                raise ValueError(f"family set mask {mask} not a subset of [{m}]")
-        point = tuple(_coerce_value(v, "point entry") for v in self.point)
-        object.__setattr__(self, "point", point)
+    def __new__(cls, point, delta, family_m, family_sets):
+        _require_positive_int(family_m, "family_m")
+        if len(point) != len(family_sets):
+            raise ValueError(f"{len(point)} point entries but {len(family_sets)} family sets")
+        for mask in family_sets:
+            if not (_is_int(mask) and mask >= 0 and mask.bit_length() <= family_m):
+                raise ValueError(f"family set mask {mask} not a subset of [{family_m}]")
+        point = tuple(_coerce_value(v, "point entry") for v in point)
+        return super().__new__(cls, point, delta, family_m, tuple(family_sets))
 
 
 def setcover_membership_gadget(

@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -35,6 +34,7 @@ Mask = int
 ExactLike = Union[int, Fraction]
 
 _ZERO = Fraction(0)
+_checked_make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs __new__'s checks
 
 
 def require_enumerable(
@@ -96,8 +96,8 @@ def _coerce_value(v: ExactLike, what: str, error: type[ValueError] = ValueError)
     raise error(f"{what} must be an int or Fraction, got {type(v).__name__}")
 
 
-@dataclass(frozen=True)
-class TotalSetFunction:
+class TotalSetFunction(NamedTuple("TotalSetFunction", [("m", int),
+                                                       ("values", tuple[Fraction, ...])])):
     """A nonnegative set function given on all 2^m subsets, with f(empty) = 0.
 
     The empty-set value is pinned to zero at construction: the inverse
@@ -105,25 +105,25 @@ class TotalSetFunction:
     consistent and would poison the transform silently.
     """
 
-    m: int
-    values: tuple[Fraction, ...]  # indexed by mask
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self):
-        _require_positive_int(self.m, "m")
-        need = _table_size_mismatch(len(self.values), self.m)
+    def __new__(cls, m, values):  # values[mask] is f(mask)
+        _require_positive_int(m, "m")
+        need = _table_size_mismatch(len(values), m)
         if need:
-            raise ValueError(f"need {need} values, got {len(self.values)}")
-        vals = tuple(_coerce_value(v, "set function value") for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if vals[0] != 0:
+            raise ValueError(f"need {need} values, got {len(values)}")
+        values = tuple(_coerce_value(v, "set function value") for v in values)
+        if values[0] != 0:
             raise ValueError("f(empty set) must be 0 for coverage candidacy")
-        for mask, v in enumerate(vals):
+        for mask, v in enumerate(values):
             if v < 0:
                 raise ValueError(f"negative value at mask {mask}")
+        return super().__new__(cls, m, values)
 
 
-@dataclass(frozen=True)
-class WCoefficients:
+class WCoefficients(NamedTuple("WCoefficients", [("m", int),
+                                                 ("support", tuple[tuple[Mask, Fraction], ...])])):
     """Sparse W-coefficients: nonzero weights on nonempty subsets of [m].
 
     Stored sorted by mask so equal coefficient sets compare equal. All
@@ -131,44 +131,44 @@ class WCoefficients:
     adds on top (see is_coverage).
     """
 
-    m: int
-    support: tuple[tuple[Mask, Fraction], ...]
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self):
-        _require_positive_int(self.m, "m")
+    def __new__(cls, m, support):
+        _require_positive_int(m, "m")
         items = []
         seen = set()
-        for mask, weight in self.support:
-            if not (_is_int(mask) and mask > 0 and mask.bit_length() <= self.m):
-                raise ValueError(f"support mask {mask} not a nonempty subset of [{self.m}]")
+        for mask, weight in support:
+            if not (_is_int(mask) and mask > 0 and mask.bit_length() <= m):
+                raise ValueError(f"support mask {mask} not a nonempty subset of [{m}]")
             if mask in seen:
                 raise ValueError(f"duplicate support mask {mask}")
             seen.add(mask)
             w = _coerce_value(weight, "weight")
             if w != 0:
                 items.append((mask, w))
-        object.__setattr__(self, "support", tuple(sorted(items)))
+        return super().__new__(cls, m, tuple(sorted(items)))
 
 
-@dataclass(frozen=True)
-class PartialFunction:
+class PartialFunction(NamedTuple("PartialFunction", [("m", int),
+                                                     ("points", tuple[tuple[Mask, Fraction], ...])])):
     """The input data: distinct nonempty defined sets T_i with values f_i >= 0.
 
     Point order is preserved; certificates and dual vectors index into it.
     """
 
-    m: int
-    points: tuple[tuple[Mask, Fraction], ...]
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self):
-        _require_positive_int(self.m, "m")
-        if not self.points:
+    def __new__(cls, m, points):
+        _require_positive_int(m, "m")
+        if not points:
             raise ValueError("a partial function needs at least one point")
         seen = set()
         norm = []
-        for mask, value in self.points:
-            if not (_is_int(mask) and mask > 0 and mask.bit_length() <= self.m):
-                raise ValueError(f"defined set mask {mask} not a nonempty subset of [{self.m}]")
+        for mask, value in points:
+            if not (_is_int(mask) and mask > 0 and mask.bit_length() <= m):
+                raise ValueError(f"defined set mask {mask} not a nonempty subset of [{m}]")
             if mask in seen:
                 raise ValueError(f"duplicate defined set {mask_to_elements(mask)}")
             seen.add(mask)
@@ -176,7 +176,7 @@ class PartialFunction:
             if v < 0:
                 raise ValueError(f"negative value at set {mask_to_elements(mask)}")
             norm.append((mask, v))
-        object.__setattr__(self, "points", tuple(norm))
+        return super().__new__(cls, m, tuple(norm))
 
     @property
     def n(self) -> int:

@@ -262,6 +262,36 @@ MUTANTS = [
         "def _dir():",
         ("tests/test_package.py::test_dir_lists_every_public_name_before_use",),
     ),
+    Mutant(
+        "PartialFunction._replace skips the checks",
+        "setfun.py",
+        "    _make = _checked_make\n\n    def __new__(cls, m, points):",
+        "\n    def __new__(cls, m, points):",
+        ("tests/test_records.py::"
+         "test_replacing_a_field_runs_the_constructors_checks[PartialFunction]",),
+    ),
+    Mutant(
+        "Graph instances get a __dict__",
+        "gadgets.py",
+        "    __slots__ = ()\n    _make = _checked_make\n\n    def __new__(cls, num_vertices,",
+        "    _make = _checked_make\n\n    def __new__(cls, num_vertices,",
+        ("tests/test_records.py::test_input_types_take_no_new_attributes[Graph]",),
+    ),
+    Mutant(
+        "MembershipInstance keeps the caller's family_sets object",
+        "gadgets.py",
+        "delta, family_m, tuple(family_sets))",
+        "delta, family_m, family_sets)",
+        ("tests/test_gadgets.py::"
+         "test_membership_instance_keeps_its_own_copy_of_the_family_sets",),
+    ),
+    Mutant(
+        "a negative --cap is accepted",
+        "cli.py",
+        'if getattr(args, "cap", 0) < 0:',
+        "if False:",
+        ("tests/test_cli.py::test_a_negative_cap_is_a_usage_error_before_any_input_is_read",),
+    ),
 ]
 
 

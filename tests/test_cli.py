@@ -734,6 +734,18 @@ def test_every_cap_refuses_one_past_it(tmp_path, capsys, monkeypatch, argv):
     assert run_cli(argv + ["--cap", str(size)], capsys)[0] in (0, 2)
 
 
+@pytest.mark.parametrize("argv", CAP_CASES.values(), ids=CAP_CASES.keys())
+def test_a_negative_cap_is_a_usage_error_before_any_input_is_read(tmp_path, capsys,
+                                                                   monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # no input file exists: reading one would be a parse error
+    code, out, err = run_cli(argv + ["--cap", "-1"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: argument --cap: must be nonnegative, got -1\n"
+    assert run_cli(argv + ["--cap", "abc"], capsys) == (
+        1, "", "error: argument --cap: invalid int value: 'abc'\n")
+    assert "--cap" not in run_cli(argv + ["--cap", "0"], capsys)[2]  # 0 stays a valid cap
+
+
 # Values 1/(10^2200 + 1) and 1/(10^2200 + 3): exact answers carry denominators
 # of about 4400 digits, past Python's default int-string limit of 4300.
 LONG_DIGITS = {

@@ -312,6 +312,15 @@ def test_membership_instance_validated_at_construction():
         MembershipInstance((F(1),), DELTA, 2, (1.0,))
 
 
+def test_membership_instance_keeps_its_own_copy_of_the_family_sets():
+    sets = [1, 2]
+    inst = MembershipInstance([F(1), F(1)], DELTA, 2, sets)
+    same = MembershipInstance((F(1), F(1)), DELTA, 2, (1, 2))
+    assert inst == same and hash(inst) == hash(same)
+    sets.append(1 << 40)  # an unchecked mask must not reach the validated instance
+    assert inst.family_sets == (1, 2) and inst == same
+
+
 def test_setcover_gadget_margins_random():
     rng = random.Random(911)
     for _ in range(30):

@@ -76,7 +76,7 @@ def test_library_signatures_and_members_are_pinned():
     members = {}
     for name in MEMBERS:
         cls = getattr(coverext, name)
-        own = {*vars(cls), *cls.__annotations__}  # fields without a default are not in vars
+        own = {*vars(cls), *cls._fields}  # the fields live on the named tuple base, not in vars
         members[name] = sorted(n for n in own if not n.startswith("_"))
     assert members == MEMBERS
 
@@ -128,6 +128,14 @@ def test_import_loads_each_module_on_first_use():
     assert before == []
     assert after == ["coverext.errors", "coverext.lp", "coverext.setfun"]
     assert cached and same
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    # -S: no site-packages, whose .pth files may import either module on their own
+    code = (f"import sys; sys.path.insert(0, {SRC!r}); import coverext.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_all_lists_every_name_once_in_table_order():
