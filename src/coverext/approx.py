@@ -31,7 +31,6 @@ so that every subset meets at least as many transversals as blocks.
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
@@ -44,7 +43,7 @@ from .setfun import (
     cheapest_unions,
     require_enumerable,
     span_columns,
-    span_row,
+    span_rows,
     span_violation,
 )
 
@@ -137,13 +136,12 @@ def alpha_star_program(pf: PartialFunction) -> LinearProgram:
     """
     columns = span_columns(pf.m, pf.masks())
     beta = len(columns)  # last variable
-    objective = [0] * beta + [1]
+    spans, scale = span_rows(columns, pf.points, GREATER_EQUAL)
     rows = []
-    for mask_i, value in pf.points:
-        span = span_row(columns, mask_i)
-        rows.append((span, GREATER_EQUAL, value))
-        rows.append(({**span, beta: -value}, LESS_EQUAL, value))
-    return LinearProgram(beta + 1, objective=objective, rows=rows)
+    for idx, coeffs, relation, rhs in spans:
+        rows.append((idx, coeffs, relation, rhs))
+        rows.append((idx + (beta,), coeffs + (-rhs,), LESS_EQUAL, rhs))
+    return LinearProgram._stored(beta + 1, (_ZERO,) * beta + (_ONE,), rows, scale)
 
 
 def alpha_star_exact(pf: PartialFunction, cap: int = DEFAULT_ENUMERATION_CAP) -> Ratio:
@@ -254,6 +252,8 @@ def generate_tight_instance(
     # the bit-length test keeps a huge cap from building 2^cap
     if count.bit_length() > cap and count > 1 << cap:
         raise CapExceededError(f"k * {root * log_factor} transversal draws exceed 2^{cap}")
+
+    import random  # only gen tight draws, so no other command loads it
 
     rng = random.Random(seed)
     for _ in range(_MAX_ATTEMPTS):

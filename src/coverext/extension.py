@@ -34,7 +34,7 @@ from .setfun import (
     eval_from_w,
     require_enumerable,
     span_columns,
-    span_row,
+    span_rows,
     span_violation,
 )
 
@@ -47,14 +47,14 @@ class ExtensionVerdict(NamedTuple):
     certificate: Optional[tuple[Fraction, ...]] = None
 
 
-def extension_program(pf: PartialFunction, columns: Sequence[Mask]) -> LinearProgram:
+def extension_program(pf: PartialFunction, columns: Sequence[tuple[Mask, Mask]]) -> LinearProgram:
     """Feasibility program over one coefficient per distinct hit pattern.
 
-    Variable c carries w(columns[c]), columns = span_columns(pf.m, pf.masks());
+    Variable c carries w(S), (S, pattern) = columns[c] from span_columns;
     every point contributes the equality row: weight on sets meeting T_i = f_i.
     """
-    rows = [(span_row(columns, mask_i), EQUAL, value) for mask_i, value in pf.points]
-    return LinearProgram(len(columns), rows=rows)
+    rows, scale = span_rows(columns, pf.points, EQUAL)
+    return LinearProgram._stored(len(columns), (_ZERO,) * len(columns), rows, scale)
 
 
 def decide_extension(pf: PartialFunction, cap: int = DEFAULT_ENUMERATION_CAP) -> ExtensionVerdict:
@@ -63,7 +63,7 @@ def decide_extension(pf: PartialFunction, cap: int = DEFAULT_ENUMERATION_CAP) ->
     columns = span_columns(pf.m, pf.masks())
     outcome = solve(extension_program(pf, columns))
     if outcome.status == FEASIBLE:
-        support = tuple((columns[c], v) for c, v in enumerate(outcome.solution) if v)
+        support = tuple((s, v) for (s, _), v in zip(columns, outcome.solution) if v)
         witness = WCoefficients(pf.m, support)
         if len(witness.support) > pf.n:
             raise AssertionError("basic solution exceeded the support bound")

@@ -42,7 +42,7 @@ from .setfun import (
     hit_patterns,
     mask_from_elements,
     require_enumerable,
-    span_row,
+    span_rows,
     span_sums,
 )
 
@@ -128,9 +128,10 @@ def _independent_set_masks(graph: Graph) -> list[Mask]:
 
 
 def _coloring_program(graph: Graph, sets: Sequence[Mask]) -> LinearProgram:
-    """The independent sets are the columns and the vertices the points, each covered once."""
-    rows = [(span_row(sets, 1 << v), EQUAL, 1) for v in range(graph.num_vertices)]
-    return LinearProgram(len(sets), objective=[1] * len(sets), rows=rows)
+    """The vertices are the points, each covered once; each independent set is its own pattern."""
+    vertices = [(1 << v, 1) for v in range(graph.num_vertices)]
+    rows, scale = span_rows(zip(sets, sets), vertices, EQUAL)
+    return LinearProgram._stored(len(sets), (_ONE,) * len(sets), rows, scale)
 
 
 def fractional_chromatic(

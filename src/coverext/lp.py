@@ -23,10 +23,11 @@ of the program, so it is bit-for-bit deterministic.
 
 A program keeps its rows in one integer form (LinearProgram.rows): every
 row times the least common denominator S of all coefficients and
-right-hand sides (LinearProgram.scale). The solver and both verifiers
-read that form alone. The solver divides the rows it keeps by their
-common factor, so the tableau is scaled by the least common denominator
-of the kept rows alone.
+right-hand sides (LinearProgram.scale). The library builds its own
+programs in that form directly (setfun.span_rows), and the solver and
+both verifiers read that form alone. The solver divides the rows it
+keeps by their common factor, so the tableau is scaled by the least
+common denominator of the kept rows alone.
 
 Programs are in standard form: minimize c'x over sparse rows (<=, =, >=)
 with every variable x_j >= 0 and no other per-variable bound; any other
@@ -126,6 +127,13 @@ class LinearProgram:
             (tuple(j for j, _ in items), tuple(itertools.islice(nums, len(items))), relation, rhs)
             for (items, relation, _), rhs in zip(checked, nums)
         )
+
+    @classmethod
+    def _stored(cls, num_vars: int, objective: tuple[Fraction, ...], rows: list, scale: int):
+        """A program whose objective and rows are already in the stored form; nothing is checked."""
+        lp = object.__new__(cls)
+        lp.num_vars, lp.objective, lp.rows, lp.scale = num_vars, objective, tuple(rows), scale
+        return lp
 
     @property
     def num_rows(self) -> int:

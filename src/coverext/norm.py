@@ -27,10 +27,10 @@ from .setfun import (
     PartialFunction,
     WCoefficients,
     eval_from_w,
-    mask_to_elements,
+    hit_patterns,
     require_enumerable,
     span_columns,
-    span_row,
+    span_rows,
     span_violation,
 )
 
@@ -48,29 +48,22 @@ class NormResult(NamedTuple):
     opt_exact: Optional[Fraction] = None
 
 
-def _held_singletons(pf: PartialFunction) -> list[Mask]:
-    """The singleton of every element some point holds, ascending.
+def _held_singletons(pf: PartialFunction) -> list[tuple[Mask, Mask]]:
+    """The singleton of every element some point holds, with its hit pattern, ascending.
 
     Any other singleton is an all-zero column, which never enters.
     """
-    held = 0
-    for mask in pf.masks():
-        held |= mask
-    return [1 << (e - 1) for e in mask_to_elements(held)]
+    return [(1 << j, hit) for j, hit in enumerate(hit_patterns(pf.m, pf.masks())) if hit]
 
 
-def _norm_program(pf: PartialFunction, columns: Sequence[Mask]) -> LinearProgram:
+def _norm_program(pf: PartialFunction, columns: Sequence[tuple[Mask, Mask]]) -> LinearProgram:
     """min sum(eps+ + eps-) with (weight on columns meeting T_i) - f_i = eps+_i - eps-_i."""
     nw = len(columns)
-    nv = nw + 2 * pf.n
-    objective = [0] * nw + [1] * (2 * pf.n)
-    rows = []
-    for i, (mask_i, value) in enumerate(pf.points):
-        coeffs = span_row(columns, mask_i)
-        coeffs[nw + 2 * i] = -1      # eps+_i
-        coeffs[nw + 2 * i + 1] = 1   # eps-_i
-        rows.append((coeffs, EQUAL, value))
-    return LinearProgram(nv, objective=objective, rows=rows)
+    spans, scale = span_rows(columns, pf.points, EQUAL)
+    rows = [(idx + (nw + 2 * i, nw + 2 * i + 1), coeffs + (-scale, scale), relation, rhs)
+            for i, (idx, coeffs, relation, rhs) in enumerate(spans)]  # then eps+_i, eps-_i
+    objective = (_ZERO,) * nw + (_ONE,) * (2 * pf.n)
+    return LinearProgram._stored(nw + 2 * pf.n, objective, rows, scale)
 
 
 def norm_extension_approx(
@@ -87,7 +80,7 @@ def norm_extension_approx(
     outcome = solve(_norm_program(pf, singletons))
     if outcome.status != FEASIBLE:
         raise AssertionError("restricted norm program is always feasible")
-    support = [(s, v) for s, v in zip(singletons, outcome.solution) if v]
+    support = [(s, v) for (s, _), v in zip(singletons, outcome.solution) if v]
     witness = WCoefficients(pf.m, tuple(support))
     errors = tuple(eval_from_w(witness, mask) - value for mask, value in pf.points)
     opt_restricted = outcome.objective_value

@@ -322,15 +322,15 @@ def span_violation(m: int, sets: Sequence[Mask], weights: Sequence[ExactLike]) -
     return min(itertools.compress(smallest.values(), [total > 0 for total in sums]), default=None)
 
 
-def span_columns(m: int, points: Sequence[Mask]) -> list[Mask]:
-    """One LP column per distinct hit pattern: the smallest set of each, ascending.
+def span_columns(m: int, points: Sequence[Mask]) -> list[tuple[Mask, Mask]]:
+    """One LP column per distinct hit pattern: (smallest set, pattern) pairs, ascending.
 
-    A set S enters the extension, stretch and norm programs only through
-    the points it meets, so sets with the same pattern are the same
-    column, and _smallest_sets gives each pattern its smallest set in
-    time and memory that follow the number of patterns, not 2^m. The
-    empty pattern is left out: a set meeting no point is an all-zero
-    column.
+    Bit i of a pattern is set exactly when its sets meet points[i]. A set
+    S enters the extension, stretch and norm programs only through the
+    points it meets, so sets with the same pattern are the same column,
+    and _smallest_sets gives each pattern its smallest set in time and
+    memory that follow the number of patterns, not 2^m. The empty pattern
+    is left out: a set meeting no point is an all-zero column.
 
     Keeping only the smallest copy changes no simplex outcome: copies keep
     equal reduced costs and tableau entries under every pivot, so they tie
@@ -338,16 +338,22 @@ def span_columns(m: int, points: Sequence[Mask]) -> list[Mask]:
     index, and the smallest copy is the one that enters; a zero column
     never enters.
     """
-    return sorted(s for pattern, s in _smallest_sets(m, points).items() if pattern)
+    return sorted((s, pattern) for pattern, s in _smallest_sets(m, points).items() if pattern)
 
 
-def span_row(columns: Sequence[Mask], point: Mask) -> dict[int, int]:
-    """LP row over set columns: coefficient 1 on every column whose set meets point.
+def span_rows(columns: Iterable[tuple[Mask, Mask]], points: Sequence[tuple[Mask, ExactLike]],
+              relation: str) -> tuple[list[tuple], int]:
+    """Rows over (set, pattern) columns in LinearProgram's stored form, and their scale S.
 
-    The extension, stretch and norm programs all price a defined set T_i
-    this way; columns[c] is the set carried by variable c.
+    Row i puts S on every column whose pattern holds bit i (whose sets
+    meet point i), and S * value_i, with relation, on the right; S is the
+    least common denominator of the values.
     """
-    return {c: 1 for c, s in enumerate(columns) if s & point}
+    patterns = [p for _, p in columns]
+    nums, scale = _scaled([v for _, v in points])
+    spans = [tuple(itertools.compress(range(len(patterns)), map((1 << i).__and__, patterns)))
+             for i in range(len(nums))]
+    return [(idx, (scale,) * len(idx), relation, rhs) for idx, rhs in zip(spans, nums)], scale
 
 
 def _w_values(table: list[int], scale: int, m: int) -> list[tuple[Mask, Fraction]]:
@@ -371,8 +377,9 @@ def w_transform(f: TotalSetFunction, cap: int = DEFAULT_ENUMERATION_CAP) -> WCoe
 
 
 def eval_from_w(w: WCoefficients, subset: Mask) -> Fraction:
-    """Recovered function value: total weight on sets meeting the subset."""
-    return sum((weight for mask, weight in w.support if mask & subset), _ZERO)
+    """Recovered function value: total weight on sets meeting the subset, over one denominator."""
+    nums, scale = _scaled([weight for mask, weight in w.support if mask & subset])
+    return Fraction(sum(nums), scale)
 
 
 class CoverageCheck(NamedTuple):

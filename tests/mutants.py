@@ -1,13 +1,14 @@
 """Mutation check: each mutant breaks src/coverext in one place, and named tests must catch it.
 
 Run from anywhere with `python tests/mutants.py` (needs pytest, like the suite).
-The source and the tests are copied to a temporary directory once. The named
-tests must pass there first, or a failure under a mutant would prove nothing.
-Then each mutant replaces its snippet, which must occur exactly once in its
-file, runs only its named tests against the copy and restores the file. The
-run exits 1 if a snippet is missing or repeated, or if any named test passes
-under its mutant. A named test that is parametrized counts as caught when one
-of its cases fails.
+The source and the tests are copied to two temporary directories once. The
+named tests must pass in the first copy, or a failure under a mutant would
+prove nothing. Then two mutants run at a time, never more, one in each copy:
+each replaces its snippet, which must occur exactly once in its file, runs
+only its named tests against its copy and restores the file. The results
+print in the order of MUTANTS. The run exits 1 if a snippet is missing or
+repeated, or if any named test passes under its mutant. A named test that is
+parametrized counts as caught when one of its cases fails.
 
 Pytest does not collect this file (its name has no test_ prefix). When a
 change to the tests is meant to catch a new fault, add the fault here.
@@ -16,11 +17,13 @@ change to the tests is meant to catch a new fault, add the fault here.
 from __future__ import annotations
 
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -292,16 +295,39 @@ MUTANTS = [
         "if False:",
         ("tests/test_cli.py::test_a_negative_cap_is_a_usage_error_before_any_input_is_read",),
     ),
+    Mutant(
+        "span_rows reads the next pattern bit",
+        "setfun.py",
+        "map((1 << i).__and__, patterns)",
+        "map((2 << i).__and__, patterns)",
+        ("tests/test_span_rows.py::test_builders_store_the_reference_program[extension]",
+         "tests/test_span_rows.py::test_coloring_builder_stores_the_reference_program"),
+    ),
+    Mutant(
+        "the norm program drops the scale from its error coefficients",
+        "norm.py",
+        "coeffs + (-scale, scale)",
+        "coeffs + (-1, 1)",
+        ("tests/test_span_rows.py::test_builders_store_the_reference_program[exact-norm]",
+         "tests/test_span_rows.py::test_builders_store_the_reference_program[restricted-norm]"),
+    ),
 ]
+
+#: Mutants that run at once, each in its own copy of the source and the tests.
+_COPIES = 2
 
 
 def _failures(root: Path, tests) -> set[str]:
     """The ids among tests (or their cases) that fail or error when run against root."""
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
+    # Only hypothesis's plugin is loaded, and by name: a plugin found by autoload
+    # has its whole package assert-rewritten, which with bytecode writing off
+    # takes about a second in every run.
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1",
+               PYTEST_DISABLE_PLUGIN_AUTOLOAD="1")
     done = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "--tb=no", "-rfE", "-p", "no:cacheprovider",
-         *tests],
+         "-p", "hypothesispytest", *tests],
         cwd=root, env=env, capture_output=True, text=True,
     )
     shutil.rmtree(root / ".hypothesis", ignore_errors=True)  # no replay across mutants
@@ -315,41 +341,51 @@ def _caught(test: str, failed: set[str]) -> bool:
     return any(f == test or f.startswith(test + "[") for f in failed)
 
 
+def _verdict(mutant: Mutant, copies: queue.Queue) -> str:
+    """Run one mutant in a free copy, restore the copy, and give the line to print."""
+    root = copies.get()
+    try:
+        path = root / "src" / "coverext" / mutant.file
+        original = path.read_text()
+        count = original.count(mutant.snippet)
+        if count != 1:
+            return f"BAD SNIPPET  {mutant.name}: found {count} times in {mutant.file}"
+        path.write_text(original.replace(mutant.snippet, mutant.replacement))
+        try:
+            failed = _failures(root, mutant.tests)
+        finally:
+            path.write_text(original)
+    finally:
+        copies.put(root)
+    survivors = [t for t in mutant.tests if not _caught(t, failed)]
+    if survivors:
+        return "\n  ".join([f"SURVIVED     {mutant.name}: passed", *survivors])
+    return f"killed       {mutant.name}"
+
+
 def main() -> int:
     repo = Path(__file__).resolve().parent.parent
     started = time.monotonic()
     with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        for part in ("src", "tests"):
-            shutil.copytree(repo / part, root / part,
-                            ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy(repo / "pyproject.toml", root)
+        copies = queue.Queue()
+        for k in range(_COPIES):
+            root = Path(tmp) / str(k)
+            for part in ("src", "tests"):
+                shutil.copytree(repo / part, root / part,
+                                ignore=shutil.ignore_patterns("__pycache__"))
+            shutil.copy(repo / "pyproject.toml", root)
+            copies.put(root)
 
-        failed = _failures(root, sorted({t for m in MUTANTS for t in m.tests}))
+        failed = _failures(Path(tmp) / "0", sorted({t for m in MUTANTS for t in m.tests}))
         if failed:
             print("named tests fail on the unmutated source:", *sorted(failed), sep="\n  ")
             return 1
 
         bad = 0
-        for mutant in MUTANTS:
-            path = root / "src" / "coverext" / mutant.file
-            original = path.read_text()
-            count = original.count(mutant.snippet)
-            if count != 1:
-                print(f"BAD SNIPPET  {mutant.name}: found {count} times in {mutant.file}")
-                bad += 1
-                continue
-            path.write_text(original.replace(mutant.snippet, mutant.replacement))
-            try:
-                failed = _failures(root, mutant.tests)
-            finally:
-                path.write_text(original)
-            survivors = [t for t in mutant.tests if not _caught(t, failed)]
-            if survivors:
-                print(f"SURVIVED     {mutant.name}: passed", *survivors, sep="\n  ")
-                bad += 1
-            else:
-                print(f"killed       {mutant.name}")
+        with ThreadPoolExecutor(max_workers=_COPIES) as pool:
+            for line in pool.map(_verdict, MUTANTS, [copies] * len(MUTANTS)):
+                print(line, flush=True)
+                bad += not line.startswith("killed")
     print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed "
           f"in {time.monotonic() - started:.1f} s")
     return 1 if bad else 0

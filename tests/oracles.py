@@ -24,7 +24,7 @@ from coverext.lp import (
     LpOutcome,
 )
 from coverext.errors import MalformedProgramError
-from coverext.setfun import PartialFunction, WCoefficients, _coerce_value, eval_from_w, span_row
+from coverext.setfun import PartialFunction, WCoefficients, _coerce_value, eval_from_w
 
 ZERO = Fraction(0)
 
@@ -73,13 +73,16 @@ def span_sum_naive(sets, weights, smask):
 # --- coverage programs with one column per nonempty subset -------------------
 
 def span_columns_naive(m, points):
-    """Smallest set of each nonempty hit pattern, grouping every S by the points it meets."""
+    """(smallest set, pattern) of each nonempty hit pattern, grouping every S by the points it meets.
+
+    The pattern is returned as a mask with bit i for points[i].
+    """
     smallest = {}
     for s in range(1, 1 << m):
         pattern = frozenset(i for i, t in enumerate(points) if s & t)
         if pattern:
             smallest.setdefault(pattern, s)
-    return sorted(smallest.values())
+    return sorted((s, sum(1 << i for i in pattern)) for pattern, s in smallest.items())
 
 
 def cheapest_unions_naive(parts):
@@ -95,16 +98,24 @@ def cheapest_unions_naive(parts):
     return best
 
 
-def full_extension_program(pf):
-    """Feasibility rows over all 2^m - 1 subsets; variable S - 1 carries w(S)."""
-    columns = range(1, 1 << pf.m)
+def span_row(columns, point):
+    """LP row over set columns: coefficient 1 on every column whose set meets point."""
+    return {c: 1 for c, s in enumerate(columns) if s & point}
+
+
+# The reference builders write each program through the public LinearProgram
+# constructor, one dict row per point from span_row; columns[c] is the set
+# carried by variable c. The library builds the same programs directly in the
+# stored integer form from the hit patterns.
+
+def reference_extension_program(pf, columns):
+    """Feasibility rows: weight on the columns meeting T_i equals f_i."""
     rows = [(span_row(columns, mask), EQUAL, value) for mask, value in pf.points]
     return LinearProgram(len(columns), rows=rows)
 
 
-def full_alpha_star_program(pf):
-    """Stretch program over all subsets; the last variable is beta = alpha - 1."""
-    columns = range(1, 1 << pf.m)
+def reference_alpha_star_program(pf, columns):
+    """Stretch rows f_i <= span <= alpha * f_i; the last variable is beta = alpha - 1."""
     beta = len(columns)
     rows = []
     for mask, value in pf.points:
@@ -114,9 +125,8 @@ def full_alpha_star_program(pf):
     return LinearProgram(beta + 1, objective=[0] * beta + [1], rows=rows)
 
 
-def full_norm_program(pf):
-    """L1 error program over all subsets, then eps+_i, eps-_i for each point."""
-    columns = range(1, 1 << pf.m)
+def reference_norm_program(pf, columns):
+    """L1 error rows over the columns, then eps+_i, eps-_i for each point."""
     nw = len(columns)
     rows = []
     for i, (mask, value) in enumerate(pf.points):
@@ -127,15 +137,35 @@ def full_norm_program(pf):
     return LinearProgram(nw + 2 * pf.n, objective=[0] * nw + [1] * (2 * pf.n), rows=rows)
 
 
+def reference_coloring_program(num_vertices, sets):
+    """Each vertex covered exactly once by the independent sets, at total weight minimized."""
+    rows = [(span_row(sets, 1 << v), EQUAL, 1) for v in range(num_vertices)]
+    return LinearProgram(len(sets), objective=[1] * len(sets), rows=rows)
+
+
+def held_singletons_naive(pf):
+    """{j} for every element j that some defined set holds, ascending."""
+    return [1 << j for j in range(pf.m) if any(mask >> j & 1 for mask in pf.masks())]
+
+
+def full_extension_program(pf):
+    """Feasibility rows over all 2^m - 1 subsets; variable S - 1 carries w(S)."""
+    return reference_extension_program(pf, range(1, 1 << pf.m))
+
+
+def full_alpha_star_program(pf):
+    """Stretch program over all subsets; the last variable is beta = alpha - 1."""
+    return reference_alpha_star_program(pf, range(1, 1 << pf.m))
+
+
+def full_norm_program(pf):
+    """L1 error program over all subsets, then eps+_i, eps-_i for each point."""
+    return reference_norm_program(pf, range(1, 1 << pf.m))
+
+
 def all_singletons_norm_program(pf):
     """Restricted L1 error program with one column per singleton {j}, j = 1..m."""
-    rows = []
-    for i, (mask, value) in enumerate(pf.points):
-        coeffs = {j: 1 for j in range(pf.m) if mask >> j & 1}
-        coeffs[pf.m + 2 * i] = -1
-        coeffs[pf.m + 2 * i + 1] = 1
-        rows.append((coeffs, EQUAL, value))
-    return LinearProgram(pf.m + 2 * pf.n, objective=[0] * pf.m + [1] * (2 * pf.n), rows=rows)
+    return reference_norm_program(pf, [1 << j for j in range(pf.m)])
 
 
 # --- replacement ratio by full enumeration -----------------------------------

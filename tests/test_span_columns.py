@@ -1,11 +1,12 @@
 """One LP column per distinct hit pattern, against the all-subset programs.
 
 The extension, stretch and norm programs keep only the smallest set of
-each hit pattern. The full programs below carry every nonempty subset as
-its own column; both must solve to the same pivots, rays and duals, and
-the full solution must be the deduplicated one placed at S - 1. The
-columns come from the least-cost union DP, which is pinned here against
-a minimum over every subset of its parts.
+each hit pattern; span_columns returns it together with the pattern. The
+full programs below carry every nonempty subset as its own column; both
+must solve to the same pivots, rays and duals, and the full solution
+must be the deduplicated one placed at S - 1. The columns come from the
+least-cost union DP, which is pinned here against a minimum over every
+subset of its parts.
 """
 
 import random
@@ -28,16 +29,18 @@ PROPERTY = settings(max_examples=40, deadline=None, database=None)
 
 
 def test_span_columns_examples():
-    assert span_columns(1, [0b1]) == [0b1]
+    # each column is (smallest set, pattern), bit i of the pattern for point i
+    assert span_columns(1, [0b1]) == [(0b1, 0b1)]
     # {2} meets nothing; {1, 2} meets {1} just as {1} does
-    assert span_columns(2, [0b01]) == [0b01]
+    assert span_columns(2, [0b01]) == [(0b01, 0b1)]
     # {1} meets T_0 only, {3} T_1 only, {2} both; every larger set meets both
-    assert span_columns(3, [0b011, 0b110]) == [0b001, 0b010, 0b100]
+    assert span_columns(3, [0b011, 0b110]) == [(0b001, 0b01), (0b010, 0b11), (0b100, 0b10)]
     # disjoint points: one column per nonempty union of them
-    assert span_columns(3, [0b001, 0b110]) == [0b001, 0b010, 0b011]
+    assert span_columns(3, [0b001, 0b110]) == [(0b001, 0b01), (0b010, 0b10), (0b011, 0b11)]
 
 
 def test_span_columns_match_bruteforce_grouping():
+    # the smallest set and the pattern of every column, against grouping all 2^m sets
     rng = random.Random(5)
     for _ in range(200):
         m = rng.randint(1, 7)
@@ -46,7 +49,7 @@ def test_span_columns_match_bruteforce_grouping():
         columns = span_columns(m, points)
         assert columns == oracles.span_columns_naive(m, points)
         assert columns == sorted(set(columns))
-        assert all(any(s & t for t in points) for s in columns)
+        assert all(any(s & t for t in points) for s, _ in columns)
 
 
 # Masks from a 4-bit range, so empty, repeated and overlapping parts are common.
@@ -71,7 +74,9 @@ def test_cheapest_unions_keep_the_least_cost_not_the_first():
 def test_span_columns_follow_the_patterns_not_the_ground_set():
     # three single-element points far apart: 2^3 - 1 patterns, whatever m is
     a, b, c = 1, 1 << 39, 1 << 59
-    assert span_columns(60, [a, b, c]) == [a, b, a | b, c, a | c, b | c, a | b | c]
+    assert span_columns(60, [a, b, c]) == [
+        (a, 0b001), (b, 0b010), (a | b, 0b011), (c, 0b100), (a | c, 0b101), (b | c, 0b110),
+        (a | b | c, 0b111)]
 
 
 def test_span_columns_memory_follows_the_patterns():
@@ -83,22 +88,23 @@ def test_span_columns_memory_follows_the_patterns():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert columns == sorted(set(columns)) and columns[0] == 1
+    assert columns == sorted(set(columns)) and columns[0][0] == 1
     assert peak < 2 * 1024 * 1024  # a 2^20 table of ints alone takes about 8 MB
 
 
-def _expand(columns, solution, m):
-    """A deduplicated solution in the full layout: column c goes to columns[c] - 1."""
+def _expand(sets, solution, m):
+    """A deduplicated solution in the full layout: column c goes to sets[c] - 1."""
     full = [F(0)] * ((1 << m) - 1)
-    for s, v in zip(columns, solution):
+    for s, v in zip(sets, solution):
         full[s - 1] = v
-    return tuple(full) + tuple(solution[len(columns):])
+    return tuple(full) + tuple(solution[len(sets):])
 
 
 @PROPERTY
 @given(oracles.partial_functions())
 def test_deduplicated_programs_solve_like_full_ones(pf):
     columns = span_columns(pf.m, pf.masks())
+    sets = [s for s, _ in columns]
     pairs = [
         (extension_program(pf, columns), oracles.full_extension_program(pf)),
         (alpha_star_program(pf), oracles.full_alpha_star_program(pf)),
@@ -110,4 +116,4 @@ def test_deduplicated_programs_solve_like_full_ones(pf):
         assert (got.status, got.pivots, got.objective_value, got.farkas_ray, got.row_duals) == (
             want.status, want.pivots, want.objective_value, want.farkas_ray, want.row_duals)
         if got.solution is not None:
-            assert _expand(columns, got.solution, pf.m) == want.solution
+            assert _expand(sets, got.solution, pf.m) == want.solution
