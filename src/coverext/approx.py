@@ -141,7 +141,7 @@ def alpha_star_program(pf: PartialFunction) -> LinearProgram:
     for idx, coeffs, relation, rhs in spans:
         rows.append((idx, coeffs, relation, rhs))
         rows.append((idx + (beta,), coeffs + (-rhs,), LESS_EQUAL, rhs))
-    return LinearProgram._stored(beta + 1, (_ZERO,) * beta + (_ONE,), rows, scale)
+    return LinearProgram._make((beta + 1, (_ZERO,) * beta + (_ONE,), tuple(rows), scale))
 
 
 def alpha_star_exact(pf: PartialFunction, cap: int = DEFAULT_ENUMERATION_CAP) -> Ratio:

@@ -54,7 +54,7 @@ def extension_program(pf: PartialFunction, columns: Sequence[tuple[Mask, Mask]])
     every point contributes the equality row: weight on sets meeting T_i = f_i.
     """
     rows, scale = span_rows(columns, pf.points, EQUAL)
-    return LinearProgram._stored(len(columns), (_ZERO,) * len(columns), rows, scale)
+    return LinearProgram._make((len(columns), (_ZERO,) * len(columns), tuple(rows), scale))
 
 
 def decide_extension(pf: PartialFunction, cap: int = DEFAULT_ENUMERATION_CAP) -> ExtensionVerdict:

@@ -131,7 +131,7 @@ def _coloring_program(graph: Graph, sets: Sequence[Mask]) -> LinearProgram:
     """The vertices are the points, each covered once; each independent set is its own pattern."""
     vertices = [(1 << v, 1) for v in range(graph.num_vertices)]
     rows, scale = span_rows(zip(sets, sets), vertices, EQUAL)
-    return LinearProgram._stored(len(sets), (_ONE,) * len(sets), rows, scale)
+    return LinearProgram._make((len(sets), (_ONE,) * len(sets), tuple(rows), scale))
 
 
 def fractional_chromatic(

@@ -24,10 +24,10 @@ of the program, so it is bit-for-bit deterministic.
 A program keeps its rows in one integer form (LinearProgram.rows): every
 row times the least common denominator S of all coefficients and
 right-hand sides (LinearProgram.scale). The library builds its own
-programs in that form directly (setfun.span_rows), and the solver and
-both verifiers read that form alone. The solver divides the rows it
-keeps by their common factor, so the tableau is scaled by the least
-common denominator of the kept rows alone.
+programs in that form directly (setfun.span_rows, unchecked through
+LinearProgram._make), and the solver and both verifiers read that form
+alone. The solver divides the rows it keeps by their common factor, so
+the tableau is scaled by the least common denominator of the kept rows.
 
 Programs are in standard form: minimize c'x over sparse rows (<=, =, >=)
 with every variable x_j >= 0 and no other per-variable bound; any other
@@ -65,7 +65,9 @@ _ZERO = Fraction(0)
 _STALL_LIMIT = 50
 
 
-class LinearProgram:
+class LinearProgram(NamedTuple("LinearProgram", [("num_vars", int),
+                                                 ("objective", tuple[Fraction, ...]),
+                                                 ("rows", tuple[tuple, ...]), ("scale", int)])):
     """Immutable standard-form program: min objective'x, sparse rows, x >= 0.
 
     Input rows are (coeffs, relation, rhs) where coeffs is a mapping from
@@ -75,20 +77,16 @@ class LinearProgram:
     The rows are stored once, in integer form: scale is the least common
     denominator S of every coefficient and rhs, and rows[k] is
     (indices, S * coefficients, relation, S * rhs), sorted by index,
-    which holds exactly where input row k does.
+    which holds exactly where input row k does. The constructor checks
+    its input; _make and _replace check only the count of stored fields.
     """
 
-    __slots__ = ("num_vars", "objective", "rows", "scale")
+    __slots__ = ()
 
-    def __init__(
-        self,
-        num_vars: int,
-        objective: Optional[Sequence[ExactLike]] = None,
-        rows: Iterable[tuple] = (),
-    ):
+    def __new__(cls, num_vars: int, objective: Optional[Sequence[ExactLike]] = None,
+                rows: Iterable[tuple] = ()):
         if not _is_int(num_vars) or num_vars < 1:
             raise MalformedProgramError(f"num_vars must be a positive int, got {num_vars!r}")
-        self.num_vars = num_vars
 
         if objective is None:
             obj = (_ZERO,) * num_vars
@@ -99,7 +97,6 @@ class LinearProgram:
                 )
             what = "objective coefficient"
             obj = tuple(_coerce_value(c, what, MalformedProgramError) for c in objective)
-        self.objective = obj
 
         checked = []  # (sorted (index, coefficient) pairs, relation, rhs) per row
         for k, row in enumerate(rows):
@@ -120,20 +117,17 @@ class LinearProgram:
             rhs = _coerce_value(rhs, f"row {k} rhs", MalformedProgramError)
             checked.append((sorted(coeffs.items()), relation, rhs))
 
-        nums, self.scale = _scaled([v for items, _, rhs in checked
-                                    for v in (rhs, *(c for _, c in items))])
+        nums, scale = _scaled([v for items, _, rhs in checked
+                               for v in (rhs, *(c for _, c in items))])
         nums = iter(nums)  # each row's rhs, then its coefficients
-        self.rows = tuple(
+        rows = tuple(
             (tuple(j for j, _ in items), tuple(itertools.islice(nums, len(items))), relation, rhs)
             for (items, relation, _), rhs in zip(checked, nums)
         )
+        return super().__new__(cls, num_vars, obj, rows, scale)
 
-    @classmethod
-    def _stored(cls, num_vars: int, objective: tuple[Fraction, ...], rows: list, scale: int):
-        """A program whose objective and rows are already in the stored form; nothing is checked."""
-        lp = object.__new__(cls)
-        lp.num_vars, lp.objective, lp.rows, lp.scale = num_vars, objective, tuple(rows), scale
-        return lp
+    def __reduce__(self):  # copies rebuild the stored form; __new__ takes input rows
+        return tuple.__new__, (type(self), tuple(self))
 
     @property
     def num_rows(self) -> int:

@@ -60,10 +60,10 @@ def _norm_program(pf: PartialFunction, columns: Sequence[tuple[Mask, Mask]]) -> 
     """min sum(eps+ + eps-) with (weight on columns meeting T_i) - f_i = eps+_i - eps-_i."""
     nw = len(columns)
     spans, scale = span_rows(columns, pf.points, EQUAL)
-    rows = [(idx + (nw + 2 * i, nw + 2 * i + 1), coeffs + (-scale, scale), relation, rhs)
-            for i, (idx, coeffs, relation, rhs) in enumerate(spans)]  # then eps+_i, eps-_i
+    rows = tuple((idx + (nw + 2 * i, nw + 2 * i + 1), coeffs + (-scale, scale), relation, rhs)
+                 for i, (idx, coeffs, relation, rhs) in enumerate(spans))  # then eps+_i, eps-_i
     objective = (_ZERO,) * nw + (_ONE,) * (2 * pf.n)
-    return LinearProgram._stored(nw + 2 * pf.n, objective, rows, scale)
+    return LinearProgram._make((nw + 2 * pf.n, objective, rows, scale))
 
 
 def norm_extension_approx(

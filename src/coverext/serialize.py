@@ -10,13 +10,10 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
-from .approx import AlphaBounds
 from .errors import InstanceParseError
-from .extension import ExtensionVerdict
-from .gadgets import Graph, MembershipInstance
-from .norm import NormResult
+from .gadgets import Graph
 from .setfun import (
     PartialFunction,
     TotalSetFunction,
@@ -26,6 +23,12 @@ from .setfun import (
     mask_from_elements,
     mask_to_elements,
 )
+
+if TYPE_CHECKING:  # result types appear in annotations only
+    from .approx import AlphaBounds
+    from .extension import ExtensionVerdict
+    from .gadgets import MembershipInstance
+    from .norm import NormResult
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # ASCII digits; \d takes any Unicode digit
 _DEFAULT_DIGIT_LIMIT = getattr(sys.int_info, "default_max_str_digits", 4300)

@@ -311,6 +311,21 @@ MUTANTS = [
         ("tests/test_span_rows.py::test_builders_store_the_reference_program[exact-norm]",
          "tests/test_span_rows.py::test_builders_store_the_reference_program[restricted-norm]"),
     ),
+    Mutant(
+        "extension_program hands _make the list from span_rows",
+        "extension.py",
+        "(_ZERO,) * len(columns), tuple(rows), scale))",
+        "(_ZERO,) * len(columns), rows, scale))",
+        ("tests/test_records.py::test_programs_built_alike_compare_and_hash_equal",),
+    ),
+    Mutant(
+        "LinearProgram copies through __new__",
+        "lp.py",
+        "    def __reduce__(self):  # copies rebuild the stored form; __new__ takes input rows\n"
+        "        return tuple.__new__, (type(self), tuple(self))\n",
+        "",
+        ("tests/test_records.py::test_programs_survive_pickle_and_copies",),
+    ),
 ]
 
 #: Mutants that run at once, each in its own copy of the source and the tests.

@@ -61,6 +61,7 @@ MEMBERS = {
     "Graph": ["adjacency_masks", "cut_weight", "edges", "num_vertices", "require_weights",
               "weights"],
     "MembershipInstance": ["delta", "family_m", "family_sets", "point"],
+    "LinearProgram": ["num_rows", "num_vars", "objective", "rows", "scale"],
 }
 
 
@@ -134,6 +135,15 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect():
     # -S: no site-packages, whose .pth files may import either module on their own
     code = (f"import sys; sys.path.insert(0, {SRC!r}); import coverext.cli\n"
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_serialize_imports_no_solver_module():
+    # the result types it writes appear in its annotations only
+    code = (f"import sys; sys.path.insert(0, {SRC!r}); import coverext.serialize\n"
+            "print(sorted({'coverext.approx', 'coverext.extension', 'coverext.norm'}"
+            " & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 

@@ -4,7 +4,9 @@ Each record returned by the library, and each input type that checks its
 fields, keeps its field names, order and defaults, refuses assignment,
 prints as Name(first_field=...), and hashes equal values equally. The
 input types also run their checks again when a copy is made with a field
-replaced, or when one is unpickled or deep-copied.
+replaced, or when one is unpickled or deep-copied. A LinearProgram's
+constructor takes input rows, not its stored fields, so it has checks of
+its own here.
 """
 
 import copy
@@ -42,6 +44,8 @@ from coverext import (
     solve,
     w_transform,
 )
+from coverext.extension import extension_program
+from coverext.setfun import span_columns
 
 REQUIRED = inspect.Parameter.empty
 
@@ -174,3 +178,46 @@ def test_input_types_survive_pickle_and_deepcopy(cls):
     value = MAKERS[cls]()
     for clone in pickle.loads(pickle.dumps(value)), copy.deepcopy(value):
         assert type(clone) is cls and clone == value and clone is not value
+
+
+# a program from the public constructor, and one the library builds in stored form
+PROGRAMS = {
+    "constructor": lambda: LinearProgram(2, [1, F(1, 2)],
+                                         [({1: F(1, 3), 0: 1}, ">=", 2), ({0: 1}, "<=", 5)]),
+    "extension_program": lambda: extension_program(PF, span_columns(PF.m, PF.masks())),
+}
+
+
+@pytest.mark.parametrize("make", PROGRAMS.values(), ids=PROGRAMS)
+def test_programs_refuse_assignment_and_new_attributes(make):
+    program = make()
+    assert LinearProgram._fields == ("num_vars", "objective", "rows", "scale")
+    for name in LinearProgram._fields:
+        with pytest.raises(AttributeError):
+            setattr(program, name, getattr(program, name))
+    with pytest.raises(AttributeError):
+        program.extra = 1
+    assert repr(program).startswith("LinearProgram(num_vars=")
+
+
+@pytest.mark.parametrize("make", PROGRAMS.values(), ids=PROGRAMS)
+def test_programs_built_alike_compare_and_hash_equal(make):
+    first, second = make(), make()  # a built program hashes: its rows are tuples, not a list
+    assert first == second and first is not second
+    assert hash(first) == hash(second)
+
+
+@pytest.mark.parametrize("make", PROGRAMS.values(), ids=PROGRAMS)
+def test_programs_survive_pickle_and_copies(make):
+    program = make()
+    for clone in pickle.loads(pickle.dumps(program)), copy.copy(program), copy.deepcopy(program):
+        assert type(clone) is LinearProgram and clone == program
+        assert solve(clone) == solve(program)
+
+
+def test_program_make_and_replace_check_only_the_field_count():
+    program = PROGRAMS["constructor"]()
+    assert LinearProgram._make(tuple(program)) == program
+    assert program._replace(scale=1).rows == program.rows  # the stored rows are taken as they are
+    with pytest.raises(TypeError, match="^Expected 4 arguments, got 3$"):
+        LinearProgram._make(tuple(program)[:3])
