@@ -53,7 +53,8 @@ def _held_singletons(pf: PartialFunction) -> list[tuple[Mask, Mask]]:
 
     Any other singleton is an all-zero column, which never enters.
     """
-    return [(1 << j, hit) for j, hit in enumerate(hit_patterns(pf.m, pf.masks())) if hit]
+    top = max(pf.masks()).bit_length()  # the highest held element; past it every column is zero
+    return [(1 << j, hit) for j, hit in enumerate(hit_patterns(top, pf.masks())) if hit]
 
 
 def _norm_program(pf: PartialFunction, columns: Sequence[tuple[Mask, Mask]]) -> LinearProgram:
@@ -76,6 +77,7 @@ def norm_extension_approx(
     The restricted program has one column per held singleton; only
     with_exact builds one per hit pattern.
     """
+    exact = norm_opt_exact(pf, cap=cap) if with_exact else None  # its cap gate refuses first
     singletons = _held_singletons(pf)
     outcome = solve(_norm_program(pf, singletons))
     if outcome.status != FEASIBLE:
@@ -94,9 +96,7 @@ def norm_extension_approx(
         raise AssertionError("internal error: dual value disagrees with the optimum")
     d = pf.d
     rounded = tuple(y if y <= 0 else y / d for y in dual)
-
     bound = (_ONE - Fraction(1, d)) * pf.total_value
-    exact = norm_opt_exact(pf, cap=cap) if with_exact else None
     return NormResult(opt_restricted, witness, errors, tuple(dual), rounded, bound, exact)
 
 

@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 from .errors import InstanceParseError
-from .gadgets import Graph
 from .setfun import (
     PartialFunction,
     TotalSetFunction,
@@ -24,10 +23,10 @@ from .setfun import (
     mask_to_elements,
 )
 
-if TYPE_CHECKING:  # result types appear in annotations only
+if TYPE_CHECKING:  # these types appear in annotations only
     from .approx import AlphaBounds
     from .extension import ExtensionVerdict
-    from .gadgets import MembershipInstance
+    from .gadgets import Graph, MembershipInstance
     from .norm import NormResult
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # ASCII digits; \d takes any Unicode digit
@@ -259,6 +258,7 @@ def graph_from_json(data: Any) -> Graph:
         if not isinstance(raw, list) or len(raw) != len(edges):
             raise InstanceParseError("field 'weights' must match the edge list")
         weights = tuple(parse_rational(w, f"weights[{i}]") for i, w in enumerate(raw))
+    from .gadgets import Graph  # here, so that parsing anything else loads no solver
     try:
         return Graph(n, tuple(edges), weights)
     except ValueError as exc:

@@ -1,6 +1,6 @@
 """Mutation check: each mutant breaks src/coverext in one place, and named tests must catch it.
 
-Run from anywhere with `python tests/mutants.py` (needs pytest, like the suite).
+Run from anywhere with `python tests/mutants.py` (needs pytest>=8.4, like the suite).
 The source and the tests are copied to two temporary directories once. The
 named tests must pass in the first copy, or a failure under a mutant would
 prove nothing. Then two mutants run at a time, never more, one in each copy:
@@ -326,6 +326,31 @@ MUTANTS = [
         "",
         ("tests/test_records.py::test_programs_survive_pickle_and_copies",),
     ),
+    Mutant(
+        "serialize imports Graph at module level again",
+        "serialize.py",
+        "from .errors import InstanceParseError\n",
+        "from .errors import InstanceParseError\nfrom .gadgets import Graph\n",
+        ("tests/test_package.py::test_serialize_imports_no_solver_module",),
+    ),
+    Mutant(
+        "norm_extension_approx computes exact after the restricted solve",
+        "norm.py",
+        "    exact = norm_opt_exact(pf, cap=cap) if with_exact else None  # its cap gate refuses first\n"
+        "    singletons = _held_singletons(pf)\n"
+        "    outcome = solve(_norm_program(pf, singletons))\n",
+        "    singletons = _held_singletons(pf)\n"
+        "    outcome = solve(_norm_program(pf, singletons))\n"
+        "    exact = norm_opt_exact(pf, cap=cap) if with_exact else None\n",
+        ("tests/test_cli.py::test_norm_exact_over_the_cap_refuses_before_any_program_is_built",),
+    ),
+    Mutant(
+        "_held_singletons scans every element below m",
+        "norm.py",
+        "hit_patterns(top, pf.masks())",
+        "hit_patterns(pf.m, pf.masks())",
+        ("tests/test_norm.py::test_held_singletons_scan_no_element_past_the_highest_held_one",),
+    ),
 ]
 
 #: Mutants that run at once, each in its own copy of the source and the tests.
@@ -335,14 +360,9 @@ _COPIES = 2
 def _failures(root: Path, tests) -> set[str]:
     """The ids among tests (or their cases) that fail or error when run against root."""
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    # Only hypothesis's plugin is loaded, and by name: a plugin found by autoload
-    # has its whole package assert-rewritten, which with bytecode writing off
-    # takes about a second in every run.
-    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1",
-               PYTEST_DISABLE_PLUGIN_AUTOLOAD="1")
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "--tb=no", "-rfE", "-p", "no:cacheprovider",
-         "-p", "hypothesispytest", *tests],
+        [sys.executable, "-m", "pytest", "-q", "--tb=no", "-rfE", "-p", "no:cacheprovider", *tests],
         cwd=root, env=env, capture_output=True, text=True,
     )
     shutil.rmtree(root / ".hypothesis", ignore_errors=True)  # no replay across mutants

@@ -688,6 +688,18 @@ def test_alpha_star_cap_refuses_before_the_kappa_dp(tmp_path, capsys, monkeypatc
     assert err == "error: ground set size 4 exceeds enumeration cap 3\n"
 
 
+def test_norm_exact_over_the_cap_refuses_before_any_program_is_built(tmp_path, capsys,
+                                                                     monkeypatch):
+    # at m = 10^7 the restricted program took about 10 s before --exact refused
+    pair = {"m": 10**7, "points": [{"set": [1], "value": "1"}, {"set": [1, 2], "value": "2"}]}
+    path = write(tmp_path, "pair.json", pair)
+    monkeypatch.setattr("coverext.norm._held_singletons", _refuse)
+    monkeypatch.setattr("coverext.norm.solve", _refuse)
+    code, out, err = run_cli(["norm", "--input", path, "--exact"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: ground set size 10000000 exceeds enumeration cap 24\n"
+
+
 def test_chi_cap_refuses_before_the_gadget_is_built(tmp_path, capsys, monkeypatch):
     graph = write(tmp_path, "k3.json", K3_GRAPH)
     chromatic = ["gadget", "chromatic", "--graph", graph, "--chi"]

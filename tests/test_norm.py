@@ -6,8 +6,9 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from coverext import norm
 from coverext.lp import solve
-from coverext.setfun import PartialFunction, eval_from_w
+from coverext.setfun import PartialFunction, eval_from_w, hit_patterns
 from coverext.norm import (
     _held_singletons,
     _norm_program,
@@ -124,3 +125,18 @@ def test_restricted_program_memory_follows_the_points_not_m():
         tracemalloc.stop()
     assert peak < 1_000_000
     assert result.opt_restricted == 0
+
+
+def test_held_singletons_scan_no_element_past_the_highest_held_one(monkeypatch):
+    # {1} and {1, 2} at m = 10^7: a scan of every element took seconds
+    asked = []
+
+    def spy(m, sets):
+        asked.append(m)
+        return hit_patterns(m, sets) if m <= 2 else []  # a longer scan fails below, at once
+
+    monkeypatch.setattr(norm, "hit_patterns", spy)
+    got = _held_singletons(PartialFunction(10**7, ((1, 1), (3, 2))))
+    assert asked == [2]
+    # the m = 2 columns: {1} meets both points, {2} the second
+    assert got == [(0b01, 0b11), (0b10, 0b10)]

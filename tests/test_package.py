@@ -140,12 +140,22 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect():
 
 
 def test_serialize_imports_no_solver_module():
-    # the result types it writes appear in its annotations only
-    code = (f"import sys; sys.path.insert(0, {SRC!r}); import coverext.serialize\n"
-            "print(sorted({'coverext.approx', 'coverext.extension', 'coverext.norm'}"
-            " & set(sys.modules)))")
+    # the result types it writes appear in its annotations only, and Graph is
+    # imported by the one function that builds one
+    code = (f"import sys; sys.path.insert(0, {SRC!r}); import coverext.serialize as s\n"
+            "print(sorted({'coverext.approx', 'coverext.extension', 'coverext.norm',"
+            " 'coverext.gadgets', 'coverext.lp'} & set(sys.modules)))\n"
+            "graph = s.graph_from_json({'vertices': 2, 'edges': [[1, 2]]})\n"
+            "import coverext.gadgets; print(type(graph) is coverext.gadgets.Graph)")
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\nTrue\n", "")
+
+
+def test_pytest_loads_hypothesis_plugin_alone(pytestconfig):
+    # pyproject.toml turns plugin autoload off and names hypothesis's plugin:
+    # an autoloaded plugin has its whole package assert-rewritten at every start
+    plugins = pytestconfig.pluginmanager.list_plugin_distinfo()
+    assert [dist.metadata["name"] for _, dist in plugins] == ["hypothesis"]
 
 
 def test_all_lists_every_name_once_in_table_order():
