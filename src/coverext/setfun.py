@@ -3,8 +3,9 @@
 Subsets of [m] are plain Python ints used as bitmasks: bit j-1 stands for
 element j, so elements are 1-based externally and the full ground set is
 (1 << m) - 1. A total set function is a table of 2^m exact rationals
-indexed by mask. Its W-transform assigns to every nonempty S the signed
-sum
+indexed by mask, stored as integer numerators over one common scale so
+that the transforms below run on it without rescaling. Its W-transform
+assigns to every nonempty S the signed sum
 
     w(S) = sum over T with S u T = [m] of (-1)^(|S and T| + 1) f(T),
 
@@ -97,29 +98,50 @@ def _coerce_value(v: ExactLike, what: str, error: type[ValueError] = ValueError)
 
 
 class TotalSetFunction(NamedTuple("TotalSetFunction", [("m", int),
-                                                       ("values", tuple[Fraction, ...])])):
+                                                       ("numerators", tuple[int, ...]),
+                                                       ("scale", int)])):
     """A nonnegative set function given on all 2^m subsets, with f(empty) = 0.
 
-    The empty-set value is pinned to zero at construction: the inverse
-    W-transform always produces 0 there, so any other value could never be
-    consistent and would poison the transform silently.
+    Built from its values and stored once in integer form: f(mask) is
+    numerators[mask] / scale, with scale the least common denominator of
+    the values, so equal functions store equal fields. The empty-set value
+    is pinned to zero at construction: the inverse W-transform always
+    produces 0 there, so any other value could never be consistent and
+    would poison the transform silently.
     """
 
     __slots__ = ()
-    _make = _checked_make
 
     def __new__(cls, m, values):  # values[mask] is f(mask)
         _require_positive_int(m, "m")
         need = _table_size_mismatch(len(values), m)
         if need:
             raise ValueError(f"need {need} values, got {len(values)}")
-        values = tuple(_coerce_value(v, "set function value") for v in values)
-        if values[0] != 0:
+        kinds = set(map(type, values))
+        if not kinds <= {int, Fraction}:  # names the first inexact value; subclasses pass
+            for v in values:
+                _coerce_value(v, "set function value")
+        numerators, scale = (values, 1) if kinds == {int} else _scaled(values)
+        if numerators[0]:
             raise ValueError("f(empty set) must be 0 for coverage candidacy")
-        for mask, v in enumerate(values):
-            if v < 0:
-                raise ValueError(f"negative value at mask {mask}")
-        return super().__new__(cls, m, values)
+        if min(numerators) < 0:
+            first = next(mask for mask, n in enumerate(numerators) if n < 0)
+            raise ValueError(f"negative value at mask {first}")
+        return super().__new__(cls, m, tuple(numerators), scale)
+
+    @classmethod
+    def _make(cls, fields):  # _replace and copy.replace pass the stored fields
+        m, numerators, scale = fields
+        _require_positive_int(scale, "scale")
+        return cls(m, [_coerce_value(n, "set function value") / scale for n in numerators])
+
+    def __getnewargs__(self):  # pickle and copy rebuild through __new__'s checks
+        return self.m, self.values
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """f(mask) for every mask, as Fractions rebuilt from the stored integers."""
+        return tuple(Fraction(n, self.scale) for n in self.numerators)
 
 
 class WCoefficients(NamedTuple("WCoefficients", [("m", int),
@@ -274,7 +296,14 @@ def cheapest_unions(parts: Iterable[tuple[Mask, ExactLike]]) -> dict[Mask, Exact
 
 def hit_patterns(m: int, sets: Sequence[Mask]) -> list[Mask]:
     """hit[j] for j < m: the sets holding element j + 1, as a mask (bit i: sets[i])."""
-    return [sum(1 << i for i, t in enumerate(sets) if t >> j & 1) for j in range(m)]
+    hit = [0] * m
+    for i, t in enumerate(sets):
+        t &= (1 << m) - 1
+        while t:  # one step per element of the set, not per bit below its highest
+            low = t & -t
+            hit[low.bit_length() - 1] |= 1 << i
+            t ^= low
+    return hit
 
 
 def _smallest_sets(m: int, sets: Sequence[Mask]) -> dict[Mask, Mask]:
@@ -373,7 +402,7 @@ def _w_values(table: list[int], scale: int, m: int) -> list[tuple[Mask, Fraction
 def w_transform(f: TotalSetFunction, cap: int = DEFAULT_ENUMERATION_CAP) -> WCoefficients:
     """W-coefficients of f; zero coefficients are omitted from the support."""
     require_enumerable(f.m, cap)
-    return WCoefficients(f.m, tuple(_w_values(*_scaled(f.values), f.m)))
+    return WCoefficients(f.m, tuple(_w_values(list(f.numerators), f.scale, f.m)))
 
 
 def eval_from_w(w: WCoefficients, subset: Mask) -> Fraction:
@@ -395,7 +424,7 @@ def is_coverage(f: TotalSetFunction, cap: int = DEFAULT_ENUMERATION_CAP) -> Cove
     so reruns and tests see the same witness).
     """
     require_enumerable(f.m, cap)
-    return coverage_check(_w_values(*_scaled(f.values), f.m))
+    return coverage_check(_w_values(list(f.numerators), f.scale, f.m))
 
 
 def coverage_check(support: Iterable[tuple[Mask, Fraction]]) -> CoverageCheck:

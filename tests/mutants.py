@@ -216,10 +216,36 @@ MUTANTS = [
     Mutant(
         "hit patterns read the next element",
         "setfun.py",
-        "if t >> j & 1) for j in range(m)]",
-        "if t >> (j + 1) & 1) for j in range(m)]",
+        "hit[low.bit_length() - 1] |= 1 << i",
+        "hit[low.bit_length() - 2] |= 1 << i",
         ("tests/test_span_kernel.py::"
-         "test_span_violation_is_the_first_positive_span_in_ascending_order",),
+         "test_span_violation_is_the_first_positive_span_in_ascending_order",
+         "tests/test_span_kernel.py::test_hit_patterns_match_a_literal_loop"),
+    ),
+    Mutant(
+        "scale not least",
+        "setfun.py",
+        "return super().__new__(cls, m, tuple(numerators), scale)",
+        "return super().__new__(cls, m, tuple(2 * n for n in numerators), scale * 2)",
+        ("tests/test_setfun.py::"
+         "test_stored_integers_are_the_values_over_their_least_common_denominator",),
+    ),
+    Mutant(
+        "negativity check skipped",
+        "setfun.py",
+        "        if min(numerators) < 0:\n",
+        "        if False:\n",
+        ("tests/test_setfun.py::test_constructor_refusals_keep_their_text",
+         "tests/test_setfun.py::"
+         "test_replacing_pickling_and_copying_a_stored_table_run_the_checks"),
+    ),
+    Mutant(
+        "values ignores scale",
+        "setfun.py",
+        "Fraction(n, self.scale) for n in self.numerators",
+        "Fraction(n) for n in self.numerators",
+        ("tests/test_setfun.py::"
+         "test_stored_integers_are_the_values_over_their_least_common_denominator",),
     ),
     Mutant(
         "span_violation returns the largest violating set",

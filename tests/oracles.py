@@ -72,6 +72,16 @@ def span_sum_naive(sets, weights, smask):
 
 # --- coverage programs with one column per nonempty subset -------------------
 
+def hit_patterns_naive(m, sets):
+    """hit[j] for j < m: bit i set when element j + 1 is among the labels of sets[i]."""
+    hit = [0] * m
+    for j in range(m):
+        for i, t in enumerate(sets):
+            if j + 1 in mask_to_elements_naive(t):
+                hit[j] |= 1 << i
+    return hit
+
+
 def span_columns_naive(m, points):
     """(smallest set, pattern) of each nonempty hit pattern, grouping every S by the points it meets.
 

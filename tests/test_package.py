@@ -57,7 +57,7 @@ SIGNATURES = {
 MEMBERS = {
     "PartialFunction": ["d", "m", "masks", "n", "points", "total_value"],
     "WCoefficients": ["m", "support"],
-    "TotalSetFunction": ["m", "values"],
+    "TotalSetFunction": ["m", "numerators", "scale", "values"],
     "Graph": ["adjacency_masks", "cut_weight", "edges", "num_vertices", "require_weights",
               "weights"],
     "MembershipInstance": ["delta", "family_m", "family_sets", "point"],

@@ -141,22 +141,26 @@ def test_equal_records_hash_equal(cls, fields, make):
     assert hash(first) == hash(second)
 
 
-# input type, a field, a value the constructor refuses for it, and its message
+# input type, a stored field, a value the constructor refuses for it, and its message
 BAD_FIELDS = [
     (PartialFunction, "m", 0, "m must be a positive int, got 0"),
     (WCoefficients, "support", ((0, F(1)),), "support mask 0 not a nonempty subset of [2]"),
-    (TotalSetFunction, "values", (1, 1, 1, 1), "f(empty set) must be 0 for coverage candidacy"),
+    (TotalSetFunction, "numerators", (1, 1, 1, 1),
+     "f(empty set) must be 0 for coverage candidacy"),
     (Graph, "edges", ((1, 1),), "self-loop at 1"),
     (MembershipInstance, "family_m", 0, "family_m must be a positive int, got 0"),
 ]
 MAKERS = {cls: make for cls, _, make in INPUTS}
+# the constructor's arguments for a type whose stored fields are not its parameters
+ARGUMENTS = {TotalSetFunction: lambda m, numerators, scale: {
+    "m": m, "values": [F(n, scale) for n in numerators]}}
 
 
 @pytest.mark.parametrize("cls, field, bad, message", BAD_FIELDS, ids=INPUT_IDS)
 def test_replacing_a_field_runs_the_constructors_checks(cls, field, bad, message):
     value = MAKERS[cls]()
     with pytest.raises(ValueError) as direct:
-        cls(**{**value._asdict(), field: bad})
+        cls(**ARGUMENTS.get(cls, dict)(**{**value._asdict(), field: bad}))
     assert str(direct.value) == message
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         value._replace(**{field: bad})

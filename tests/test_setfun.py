@@ -1,5 +1,8 @@
 """W-transform, its inverse, and the coverage characterization."""
 
+import copy
+import math
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -200,12 +203,74 @@ def test_constructor_rejections():
          "defined set mask 1.0 not a nonempty subset of [2]"),
         (lambda: PartialFunction(2, ((True, F(1)),)),
          "defined set mask True not a nonempty subset of [2]"),
+        # a table's checks run in order: types, then f(empty), then the first negative mask
+        (lambda: TotalSetFunction(2, (F(1), 0, 0, 1.5)),
+         "set function value must be an int or Fraction, got float"),
+        (lambda: TotalSetFunction(2, (0, True, 1, 1)),
+         "set function value must be an int or Fraction, got bool"),
+        (lambda: TotalSetFunction(2, (-1, 1, -1, 1)),
+         "f(empty set) must be 0 for coverage candidacy"),
+        (lambda: TotalSetFunction(2, (0, 1, F(-1, 2), -1)), "negative value at mask 2"),
     ],
 )
 def test_constructor_refusals_keep_their_text(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == message
+
+
+exact_values = st.one_of(st.integers(0, 20), st.builds(F, st.integers(0, 20), st.integers(1, 6)))
+
+
+@st.composite
+def value_tables(draw):
+    """m <= 6 and a value for every mask, f(empty) = 0; ints and Fractions mixed."""
+    m = draw(st.integers(1, 6))
+    size = (1 << m) - 1
+    return m, [0] + draw(st.lists(exact_values, min_size=size, max_size=size))
+
+
+INTEGER_FORM = settings(max_examples=60, deadline=None, database=None)
+
+
+@INTEGER_FORM
+@given(value_tables())
+@example((2, [0, F(1, 2), F(1, 3), 1]))
+def test_stored_integers_are_the_values_over_their_least_common_denominator(table):
+    m, values = table
+    f = TotalSetFunction(m, values)
+    assert f.m == m and len(f.numerators) == 1 << m
+    assert all(type(n) is int for n in f.numerators) and type(f.scale) is int
+    assert f.values == tuple(F(v) for v in values)
+    for s in range(1 << m):
+        assert F(f.numerators[s], f.scale) == f.values[s]
+    assert f.scale == math.lcm(*(F(v).denominator for v in values))
+    # the same function from Fractions only, and with every whole value an int
+    for twin in ([F(v) for v in values], [int(v) if F(v).denominator == 1 else v for v in values]):
+        other = TotalSetFunction(m, twin)
+        assert other == f and hash(other) == hash(f)
+        assert (other.numerators, other.scale) == (f.numerators, f.scale)
+
+
+@INTEGER_FORM
+@given(value_tables(), st.data())
+def test_replacing_pickling_and_copying_a_stored_table_run_the_checks(table, data):
+    m, values = table
+    f = TotalSetFunction(m, values)
+    mask = data.draw(st.integers(1, (1 << m) - 1))
+    negative = f.numerators[:mask] + (-1,) + f.numerators[mask + 1:]
+    message = f"^negative value at mask {mask}$"
+    with pytest.raises(ValueError, match=message):
+        f._replace(numerators=negative)
+    with pytest.raises(ValueError, match="^scale must be a positive int, got 0$"):
+        f._replace(scale=0)
+    assert f._replace(scale=2 * f.scale).values == tuple(F(v) / 2 for v in values)
+    # a stored form no constructor would return: every way of copying it refuses
+    forged = tuple.__new__(TotalSetFunction, (m, negative, f.scale))
+    for clone in (lambda g: pickle.loads(pickle.dumps(g)), copy.copy, copy.deepcopy):
+        assert clone(f) == f
+        with pytest.raises(ValueError, match=message):
+            clone(forged)
 
 
 def test_support_masks_are_ints():

@@ -5,6 +5,7 @@ full ascending enumeration written straight from the definitions.
 """
 
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from coverext.gadgets import (
     densest_cut_report,
 )
 from coverext.norm import verify_dual_feasible
-from coverext.setfun import PartialFunction, span_sums, span_violation
+from coverext.setfun import PartialFunction, hit_patterns, span_sums, span_violation
 
 import oracles
 
@@ -117,6 +118,21 @@ def test_span_violation_is_the_first_positive_span_in_ascending_order(family):
     want = next((s for s in range(1, 1 << m)
                  if oracles.span_sum_naive(sets, weights, s) > 0), None)
     assert span_violation(m, sets, weights) == want
+
+
+@PROPERTY
+@given(st.integers(1, 8), st.lists(st.integers(0, (1 << 10) - 1), max_size=12))
+@example(3, [0b1010, 0b111, 0])  # element 4 lies past m = 3 and holds no pattern bit
+def test_hit_patterns_match_a_literal_loop(m, sets):
+    assert hit_patterns(m, sets) == oracles.hit_patterns_naive(m, sets)
+
+
+def test_hit_patterns_pay_per_element_not_per_height():
+    # a shift of the whole set per element below the highest took about 2.6 s here
+    h = 3 * 10**5
+    started = time.monotonic()
+    assert hit_patterns(h, [1, 1 << (h - 1)])[::h - 1] == [0b01, 0b10]
+    assert time.monotonic() - started < 1
 
 
 def test_span_violation_memory_follows_the_patterns():
