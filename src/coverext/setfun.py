@@ -23,8 +23,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import CapExceededError
 
@@ -226,13 +227,44 @@ def _scaled(values: Sequence[ExactLike]) -> tuple[list[int], int]:
     return [p * (scale // q) for p, q in pairs], scale
 
 
-def _subset_pass(table: list[int], m: int, sign: int) -> None:
-    """In place: table[S] becomes the sum of sign^|S - R| * table[R] over R subset of S.
+def _subset_pass(table: Sequence[int], m: int, sign: int) -> list[int]:
+    """A new list holding, at every S, the sum of sign^|S - R| * table[R] over R subset of S.
 
     sign +1 is the zeta (subset-sum) transform and -1 its Mobius inverse.
-    The masks holding bit b form b strided runs or 2^m / 2b contiguous
+    No sum exceeds max|v| * 2^m in size, so the table packs into one int,
+    entry S in the lane at bit S * bits, with lanes of the smallest of 1,
+    2, 4 or 8 bytes that hold (max|v|).bit_length() + m + 1 bits. A lane
+    holds its entry plus 2^(bits - 1) (its top bit flipped), so none goes
+    negative and no borrow or carry crosses lanes. Each bit i, highest
+    first, is then one shift, mask and add over all lanes: every lane S
+    in held (the masks holding bit i, got from the previous bit's by one
+    shift) adds sign * lane S - 2^i and drops the second excess.
+
+    Values too wide for 8-byte lanes run the slice loop instead, as do
+    big-endian hosts (their arrays order a lane's bytes the other way):
+    the masks holding bit b form b strided runs or 2^m / 2b contiguous
     ones; taking the fewer keeps the slice count near 2^(m/2).
     """
+    from array import array  # here: a module-level import would slow every CLI start
+
+    peak = max(max(table), -min(table))
+    width = (peak.bit_length() + m + 8) // 8  # bytes for peak * 2^m and a sign bit
+    code = next((c for c in "bhiq" if array(c).itemsize >= width), None)
+    if code is not None and sys.byteorder == "little":  # lane S must sit at bit S * bits
+        lanes = array(code, table)
+        bits = 8 * lanes.itemsize
+        top = int.from_bytes((bytes(lanes.itemsize - 1) + b"\x80") * len(lanes), "little")
+        x = int.from_bytes(lanes.tobytes(), "little") ^ top
+        held = (1 << bits * len(lanes)) - 1  # every lane; then those holding bit i
+        for i in reversed(range(m)):
+            s = bits << i
+            held ^= held >> s
+            if sign > 0:
+                x = x + ((x << s) & held) - (top & held)
+            else:
+                x = x - ((x << s) & held) + (top & held)
+        return array(code, (x ^ top).to_bytes(len(lanes) * lanes.itemsize, "little")).tolist()
+    table = list(table)
     combine = operator.add if sign > 0 else operator.sub
     size = 1 << m
     for i in range(m):
@@ -244,6 +276,7 @@ def _subset_pass(table: list[int], m: int, sign: int) -> None:
         else:
             for hi in range(bit, size, step):
                 table[hi:hi + bit] = map(combine, table[hi:hi + bit], table[hi - bit:hi])
+    return table
 
 
 def _scaled_weights(sets: Sequence[Mask], weights: Sequence[ExactLike]) -> tuple[list[int], int]:
@@ -271,7 +304,7 @@ def span_sums(
     table[0] = sum(ints)
     for mask, w in zip(sets, ints):
         table[mask] -= w
-    _subset_pass(table, m, 1)
+    table = _subset_pass(table, m, 1)
     table.reverse()
     return table, scale
 
@@ -385,24 +418,25 @@ def span_rows(columns: Iterable[tuple[Mask, Mask]], points: Sequence[tuple[Mask,
     return [(idx, (scale,) * len(idx), relation, rhs) for idx, rhs in zip(spans, nums)], scale
 
 
-def _w_values(table: list[int], scale: int, m: int) -> list[tuple[Mask, Fraction]]:
-    """All nonzero W-coefficients of a value table given as integers over scale.
+def _w_values(f: TotalSetFunction) -> Iterator[tuple[Mask, int]]:
+    """(S, -w(S) * f.scale) for every S with w(S) nonzero, ascending, from one Mobius pass.
 
-    table[T] / scale is f(T); the table is consumed (reversed and
-    transformed in place). Rearranging the defining sum: the T with
-    S u T = [m] are exactly (complement of S) u R over R subset of S, so
-    w(S) is an inclusion-exclusion over the complement table, which one
-    in-place subset (Mobius) pass computes for all S in m * 2^m steps.
+    Rearranging the defining sum: the T with S u T = [m] are exactly
+    (complement of S) u R over R subset of S, so w(S) is an
+    inclusion-exclusion over the complement table, the numerators
+    reversed, which one subset (Mobius) pass computes for all S in
+    m * 2^m steps.
     """
-    table.reverse()  # table[S] = f(full ^ S) * scale
-    _subset_pass(table, m, -1)
-    return [(mask, Fraction(-table[mask], scale)) for mask in range(1, 1 << m) if table[mask]]
+    table = _subset_pass(f.numerators[::-1], f.m, -1)  # [S] = f(full ^ S) * scale
+    nonzero = table[1:]
+    return zip(itertools.compress(range(1, 1 << f.m), nonzero), filter(None, nonzero))
 
 
 def w_transform(f: TotalSetFunction, cap: int = DEFAULT_ENUMERATION_CAP) -> WCoefficients:
     """W-coefficients of f; zero coefficients are omitted from the support."""
     require_enumerable(f.m, cap)
-    return WCoefficients(f.m, tuple(_w_values(list(f.numerators), f.scale, f.m)))
+    support = tuple((mask, Fraction(-t, f.scale)) for mask, t in _w_values(f))
+    return tuple.__new__(WCoefficients, (f.m, support))  # sorted, nonzero and in range already
 
 
 def eval_from_w(w: WCoefficients, subset: Mask) -> Fraction:
@@ -424,7 +458,8 @@ def is_coverage(f: TotalSetFunction, cap: int = DEFAULT_ENUMERATION_CAP) -> Cove
     so reruns and tests see the same witness).
     """
     require_enumerable(f.m, cap)
-    return coverage_check(_w_values(list(f.numerators), f.scale, f.m))
+    # one Fraction, for the first violation: w(S) < 0 exactly where t > 0
+    return coverage_check((mask, Fraction(-t, f.scale)) for mask, t in _w_values(f) if t > 0)
 
 
 def coverage_check(support: Iterable[tuple[Mask, Fraction]]) -> CoverageCheck:

@@ -208,10 +208,38 @@ MUTANTS = [
     Mutant(
         "W-coefficients ignore the table's scale",
         "setfun.py",
-        "Fraction(-table[mask], scale)",
-        "Fraction(-table[mask])",
+        "Fraction(-t, f.scale)) for mask, t in _w_values(f))",
+        "Fraction(-t)) for mask, t in _w_values(f))",
         ("tests/test_setfun.py::test_transform_matches_naive_oracle",
          "tests/test_acceptance.py::test_criterion_01_w_transform_roundtrip"),
+    ),
+    Mutant(
+        "is_coverage flags the first positive coefficient",
+        "setfun.py",
+        "for mask, t in _w_values(f) if t > 0)",
+        "for mask, t in _w_values(f) if t < 0)",
+        ("tests/test_setfun.py::test_is_coverage_gives_the_verdict_of_the_transforms_support",),
+    ),
+    Mutant(
+        "subset-pass lanes one bit short",
+        "setfun.py",
+        "(peak.bit_length() + m + 8) // 8",
+        "(peak.bit_length() + m + 7) // 8",
+        ("tests/test_span_kernel.py::test_subset_pass_is_exact_at_the_lane_edges",),
+    ),
+    Mutant(
+        "Mobius lanes lose their excess",
+        "setfun.py",
+        "x = x - ((x << s) & held) + (top & held)",
+        "x = x - ((x << s) & held)",
+        ("tests/test_span_kernel.py::test_subset_pass_matches_literal_subset_sums",),
+    ),
+    Mutant(
+        "lanes holding bit i derived upward",
+        "setfun.py",
+        "held ^= held >> s",
+        "held ^= held << s",
+        ("tests/test_span_kernel.py::test_subset_pass_matches_literal_subset_sums",),
     ),
     Mutant(
         "hit patterns read the next element",

@@ -61,6 +61,12 @@ def w_transform_naive(values, m):
     return {s: w_coefficient_naive(values, m, s) for s in range(1, 1 << m)}
 
 
+def subset_pass_naive(table, m, sign):
+    """At every S, the sum of sign^|S - R| * table[R] over the R inside S, from all 2^m masks."""
+    return [sum(sign ** (s ^ r).bit_count() * table[r] for r in range(1 << m) if r | s == s)
+            for s in range(1 << m)]
+
+
 def span_sum_naive(sets, weights, smask):
     """Total weight on the listed sets (repeats included) that meet the subset."""
     total = ZERO

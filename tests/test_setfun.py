@@ -14,6 +14,7 @@ from coverext.setfun import (
     PartialFunction,
     TotalSetFunction,
     WCoefficients,
+    coverage_check,
     eval_from_w,
     is_coverage,
     mask_from_elements,
@@ -271,6 +272,31 @@ def test_replacing_pickling_and_copying_a_stored_table_run_the_checks(table, dat
         assert clone(f) == f
         with pytest.raises(ValueError, match=message):
             clone(forged)
+
+
+@st.composite
+def coverage_tables(draw):
+    """m <= 6 and the table of positive W-coefficients on a few masks: a coverage function."""
+    m = draw(st.integers(1, 6))
+    masks = draw(st.lists(st.integers(1, (1 << m) - 1), max_size=6, unique=True))
+    weights = draw(st.lists(st.builds(F, st.integers(1, 9), st.integers(1, 4)),
+                            min_size=len(masks), max_size=len(masks)))
+    w = WCoefficients(m, tuple(zip(masks, weights)))
+    return m, [eval_from_w(w, mask) for mask in range(1 << m)]
+
+
+@INTEGER_FORM
+@given(st.one_of(value_tables(), coverage_tables()))
+@example((2, [0, 1, 1, 3]))  # w({1, 2}) = -1
+@example((3, [0] * 8))  # no coefficient at all
+def test_is_coverage_gives_the_verdict_of_the_transforms_support(table):
+    m, values = table
+    f = TotalSetFunction(m, values)
+    w = w_transform(f)
+    assert is_coverage(f) == coverage_check(w.support)
+    # built without the constructor's checks, yet equal to what they return
+    assert type(w) is WCoefficients and w == WCoefficients(m, w.support)
+    assert all(type(mask) is int and type(weight) is F for mask, weight in w.support)
 
 
 def test_support_masks_are_ints():

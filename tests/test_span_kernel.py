@@ -21,7 +21,13 @@ from coverext.gadgets import (
     densest_cut_report,
 )
 from coverext.norm import verify_dual_feasible
-from coverext.setfun import PartialFunction, hit_patterns, span_sums, span_violation
+from coverext.setfun import (
+    PartialFunction,
+    _subset_pass,
+    hit_patterns,
+    span_sums,
+    span_violation,
+)
 
 import oracles
 
@@ -92,6 +98,37 @@ def any_weighted_graphs(draw):
 
 def _all_spans_nonpositive(masks, weights, m):
     return all(oracles.span_sum_naive(masks, weights, s) <= 0 for s in range(1, 1 << m))
+
+
+@st.composite
+def subset_tables(draw):
+    """A signed int table over [m]: entries of a few bits, of several words, or past 8 bytes."""
+    m = draw(st.integers(1, 8))
+    bound = 1 << draw(st.sampled_from([1, 6, 13, 40, 70]))
+    return m, tuple(draw(st.lists(st.integers(-bound, bound), min_size=1 << m, max_size=1 << m)))
+
+
+@PROPERTY
+@given(subset_tables(), st.sampled_from([1, -1]))
+@example((3, (0, 1, -2, 3, 4, -5, 6, 7)), -1)
+@example((2, (1 << 70, -1, 0, 5)), 1)  # too wide for 8-byte lanes: the slice loop
+def test_subset_pass_matches_literal_subset_sums(case, sign):
+    m, table = case
+    assert _subset_pass(table, m, sign) == oracles.subset_pass_naive(table, m, sign)
+
+
+@pytest.mark.parametrize("m", [2, 5])
+@pytest.mark.parametrize("nbytes", [1, 2, 4, 8])
+def test_subset_pass_is_exact_at_the_lane_edges(nbytes, m):
+    # |v| * 2^m bounds every sum: one below 2^(8 * nbytes - 1) still fits a lane
+    # of nbytes, and 2^(8 * nbytes - 1) itself needs the next width (past 8
+    # bytes, the slice loop)
+    edge = 1 << 8 * nbytes - 1 - m
+    for v in (edge - 1, edge):
+        alternating = [v * (-1) ** r.bit_count() for r in range(1 << m)]
+        for table in ([v] * (1 << m), [-v] * (1 << m), alternating):
+            for sign in (1, -1):
+                assert _subset_pass(table, m, sign) == oracles.subset_pass_naive(table, m, sign)
 
 
 @PROPERTY
