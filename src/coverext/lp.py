@@ -3,10 +3,15 @@
 Two-phase primal simplex on a dense fraction-free (Bareiss) tableau:
 integer entries over one common denominator, the determinant of the
 current basis, so no entry needs a gcd and every division is exact. A
-pivot whose entry equals that denominator (85% of the pivots on planted
-m = 8 extension programs) keeps it and changes a row only under the pivot
-row's nonzeros, so it updates those entries in place, still exactly (by
-Sylvester's identity; see _Simplex.pivot).
+pivot whose entry equals that denominator keeps it and changes a row only
+under the pivot row's nonzeros, so it updates those entries in place, still
+exactly (by Sylvester's identity; see _Simplex.pivot). Any other pivot
+rescales every row, and a zero entry stays zero under that rescale, so a
+row the pivot column misses is rescaled at its nonzeros alone. At
+denominator 1 no pivot divides at all. On 300 planted m = 8, n = 16
+extension programs (half extendible), 69% of the 5,801 pivots ran in place
+at denominator 1, 19% in place above it and 13% rescaled (a third of those
+from denominator 1).
 Programs take int or fractions.Fraction input, and solutions and
 certificates are Fractions; there is no floating point and no tolerance
 anywhere in this module. Feasible programs yield a basic (vertex)
@@ -210,8 +215,9 @@ class _Simplex:
     (row * pv - row[c] * tab[r]) // d, which divides exactly (Sylvester's
     identity), and then sets d = pv. When pv == d that is
     row - row[c] * tab[r] // d, done in place under the nonzeros of tab[r]
-    only. Since d stays positive, every sign and every ratio comparison
-    reads as it would on the exact tableau.
+    only; otherwise a row with row[c] == 0 is row * pv // d, done in place
+    under its own nonzeros. Since d stays positive, every sign and every
+    ratio comparison reads as it would on the exact tableau.
     """
 
     def __init__(self, rows, basis, width):
@@ -221,11 +227,17 @@ class _Simplex:
         self.pivots = 0
 
     def set_costs(self, costs):
-        """Rebuild the cost row for integer column costs under the current basis."""
+        """Rebuild the cost row for integer column costs under the current basis.
+
+        Row p is subtracted costs[basis[p]] times. When every nonzero basic
+        cost is 1, as in phase 1, that is one column sum of those rows.
+        """
         cost = [self.d * c for c in costs] + [0]
-        for row, b in zip(self.tab, self.basis):
-            cb = costs[b]
-            if cb:
+        basic = [(row, costs[b]) for row, b in zip(self.tab, self.basis) if costs[b]]
+        if basic and all(cb == 1 for _, cb in basic):
+            cost = list(map(operator.sub, cost, map(sum, zip(*(row for row, _ in basic)))))
+        else:
+            for row, cb in basic:
                 cost = [v - cb * a for v, a in zip(cost, row)]
         self.tab[-1] = cost
 
@@ -237,7 +249,10 @@ class _Simplex:
         f * b is too. Then a row moves only where the pivot row is
         nonzero, and a row with f == 0 not at all, so each row is updated
         in place at those columns alone. Otherwise d changes, which
-        rescales every row, and each row is rebuilt in full.
+        rescales every row. A row with f == 0 goes to a * pv // d, and
+        0 * pv // d is 0, so it is rescaled in place at its own nonzeros;
+        a row with f != 0 is rebuilt in full. Dividing by d == 1 changes
+        nothing, so at d == 1 neither path divides.
         """
         tab, d = self.tab, self.d
         prow = tab[pr]
@@ -247,17 +262,24 @@ class _Simplex:
             for i, row in enumerate(tab):
                 f = row[pc]
                 if f and i != pr:
-                    for j in nz:
-                        row[j] -= f * prow[j] // d
+                    if d == 1:
+                        for j in nz:
+                            row[j] -= f * prow[j]
+                    else:
+                        for j in nz:
+                            row[j] -= f * prow[j] // d
         else:
             for i, row in enumerate(tab):
                 if i == pr:
                     continue
                 f = row[pc]
-                if f:
-                    tab[i] = [(a * pv - f * b) // d for a, b in zip(row, prow)]
+                if not f:
+                    for j in itertools.compress(range(len(row)), row):
+                        row[j] = row[j] * pv // d
+                elif d == 1:
+                    tab[i] = [a * pv - f * b for a, b in zip(row, prow)]
                 else:
-                    tab[i] = [a * pv // d for a in row]
+                    tab[i] = [(a * pv - f * b) // d for a, b in zip(row, prow)]
         self.d = pv
         self.basis[pr] = pc
         self.pivots += 1
@@ -347,8 +369,8 @@ def _solve(lp: LinearProgram) -> LpOutcome:
     # orders are those of the unscaled program, and pricing compares a
     # unit column's reduced cost at g / S of a structural column's.
     rows = [lp.rows[i] for i in orig]
-    g = math.gcd(lp.scale, *(v for _, coeffs, _, rhs in rows for v in (rhs, *coeffs)))
-    costs, obj_scale = _scaled(lp.objective)
+    g = math.gcd(lp.scale, *(math.gcd(rhs, *coeffs) for _, coeffs, _, rhs in rows))
+    costs, obj_scale = _scaled(lp.objective) if any(lp.objective) else ([0] * nv, 1)
 
     # Tableau layout: structural | slacks | artificials | rhs. A row is
     # negated when its rhs is negative (sigma = -1); its slack is its
@@ -365,8 +387,8 @@ def _solve(lp: LinearProgram) -> LpOutcome:
     for (idx, coeffs, _, rhs), s, t in zip(rows, sigma, slack):
         srow = [0] * (ncols + 1)
         srow[-1] = s * rhs // g
-        for j, a in zip(idx, coeffs):
-            srow[j] = s * a // g
+        for j, a in zip(idx, coeffs if s == g == 1 else [s * a // g for a in coeffs]):
+            srow[j] = a
         if t:
             ic = next(next_slack)
             srow[ic] = t
@@ -387,7 +409,8 @@ def _solve(lp: LinearProgram) -> LpOutcome:
         ray = [_ZERO] * lp.num_rows
         for i, s, ic in zip(orig, sigma, init_col):
             y = (d if ic >= art_base else 0) - cost[ic]  # d * (phase-1 cost - reduced cost)
-            ray[i] = Fraction(-s * y, d)
+            if y:
+                ray[i] = Fraction(-s * y, d)
         if not verify_farkas(lp, ray):
             raise AssertionError("internal error: extracted Farkas ray failed verification")
         return LpOutcome(INFEASIBLE, None, None, tuple(ray), None, sx.pivots)
@@ -420,7 +443,7 @@ def _solve(lp: LinearProgram) -> LpOutcome:
     d, cost = sx.d, sx.tab[-1]
     x = [_ZERO] * nv
     for row, b in zip(sx.tab, sx.basis):
-        if b < nv:
+        if b < nv and row[-1]:
             x[b] = Fraction(row[-1], d)
     # c'x from the basic rows: the costs are L * c and each rhs is d * x_b
     obj = Fraction(sum(costs[b] * row[-1] for row, b in zip(sx.tab, sx.basis) if b < nv),
@@ -430,7 +453,8 @@ def _solve(lp: LinearProgram) -> LpOutcome:
     # and the costs by L, so each dual is -reduced cost * (S / g) / L.
     duals = [_ZERO] * lp.num_rows
     for i, s, ic in zip(orig, sigma, init_col):
-        duals[i] = Fraction(-s * cost[ic] * (lp.scale // g), d * obj_scale)
+        if cost[ic]:
+            duals[i] = Fraction(-s * cost[ic] * (lp.scale // g), d * obj_scale)
 
     out = LpOutcome(FEASIBLE, tuple(x), obj, None, tuple(duals), sx.pivots)
     if not verify_solution(lp, out.solution):

@@ -227,10 +227,12 @@ def _scaled(values: Sequence[ExactLike]) -> tuple[list[int], int]:
     return [p * (scale // q) for p, q in pairs], scale
 
 
-def _subset_pass(table: Sequence[int], m: int, sign: int) -> list[int]:
+def _subset_pass(table: Sequence[int], m: int, sign: int, nonnegative: bool = False) -> list[int]:
     """A new list holding, at every S, the sum of sign^|S - R| * table[R] over R subset of S.
 
     sign +1 is the zeta (subset-sum) transform and -1 its Mobius inverse.
+    A caller whose table is known to hold no negative entry says so with
+    nonnegative, and max|v| is then max(table), found in one scan.
     No sum exceeds max|v| * 2^m in size, so the table packs into one int,
     entry S in the lane at bit S * bits, with lanes of the smallest of 1,
     2, 4 or 8 bytes that hold (max|v|).bit_length() + m + 1 bits. A lane
@@ -247,7 +249,7 @@ def _subset_pass(table: Sequence[int], m: int, sign: int) -> list[int]:
     """
     from array import array  # here: a module-level import would slow every CLI start
 
-    peak = max(max(table), -min(table))
+    peak = max(table) if nonnegative else max(max(table), -min(table))
     width = (peak.bit_length() + m + 8) // 8  # bytes for peak * 2^m and a sign bit
     code = next((c for c in "bhiq" if array(c).itemsize >= width), None)
     if code is not None and sys.byteorder == "little":  # lane S must sit at bit S * bits
@@ -427,7 +429,8 @@ def _w_values(f: TotalSetFunction) -> Iterator[tuple[Mask, int]]:
     reversed, which one subset (Mobius) pass computes for all S in
     m * 2^m steps.
     """
-    table = _subset_pass(f.numerators[::-1], f.m, -1)  # [S] = f(full ^ S) * scale
+    # [S] = f(full ^ S) * scale; the constructor refused negative values
+    table = _subset_pass(f.numerators[::-1], f.m, -1, nonnegative=True)
     nonzero = table[1:]
     return zip(itertools.compress(range(1, 1 << f.m), nonzero), filter(None, nonzero))
 

@@ -242,6 +242,13 @@ MUTANTS = [
         ("tests/test_span_kernel.py::test_subset_pass_matches_literal_subset_sums",),
     ),
     Mutant(
+        "the subset pass bounds a signed table by its max alone",
+        "setfun.py",
+        "peak = max(table) if nonnegative else max(max(table), -min(table))",
+        "peak = max(table)",
+        ("tests/test_span_kernel.py::test_subset_pass_matches_literal_subset_sums",),
+    ),
+    Mutant(
         "hit patterns read the next element",
         "setfun.py",
         "hit[low.bit_length() - 1] |= 1 << i",
@@ -371,6 +378,41 @@ MUTANTS = [
         "(_ZERO,) * len(columns), tuple(rows), scale))",
         "(_ZERO,) * len(columns), rows, scale))",
         ("tests/test_records.py::test_programs_built_alike_compare_and_hash_equal",),
+    ),
+    Mutant(
+        "the in-place pivot at d == 1 updates the pivot row too",
+        "lp.py",
+        "                if f and i != pr:\n                    if d == 1:\n",
+        "                if f and (i != pr or d == 1):\n                    if d == 1:\n",
+        ("tests/test_lp.py::test_in_place_pivot_matches_the_dense_update",),
+    ),
+    Mutant(
+        "the sparse rescale skips the rhs column",
+        "lp.py",
+        "for j in itertools.compress(range(len(row)), row):",
+        "for j in itertools.compress(range(len(row) - 1), row):",
+        ("tests/test_lp.py::test_in_place_pivot_matches_the_dense_update",),
+    ),
+    Mutant(
+        "a full pivot from d == 1 leaves the row unscaled",
+        "lp.py",
+        "tab[i] = [a * pv - f * b for a, b in zip(row, prow)]",
+        "tab[i] = [a - f * b for a, b in zip(row, prow)]",
+        ("tests/test_lp.py::test_in_place_pivot_matches_the_dense_update",),
+    ),
+    Mutant(
+        "the column-sum cost row serves basic costs other than 1",
+        "lp.py",
+        "if basic and all(cb == 1 for _, cb in basic):",
+        "if basic:",
+        ("tests/test_lp.py::test_cost_rows_match_the_loop_over_basic_rows",),
+    ),
+    Mutant(
+        "only positive reduced costs give a row dual",
+        "lp.py",
+        "        if cost[ic]:\n",
+        "        if cost[ic] > 0:\n",
+        ("tests/test_lp.py::test_coverage_programs_match_fraction_reference",),
     ),
     Mutant(
         "LinearProgram copies through __new__",

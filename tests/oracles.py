@@ -680,6 +680,18 @@ def bareiss_pivot_dense(tab, d, pr, pc):
     return tab
 
 
+def cost_row_loop(tab, basis, costs, d):
+    """The integer cost row [d * costs - sum of costs[basis[p]] * tab[p] | rhs term],
+    one basic row at a time, for any integer costs. lp's set_costs must build
+    the same row."""
+    cost = [d * c for c in costs] + [0]
+    for row, b in zip(tab, basis):
+        cb = costs[b]
+        if cb:
+            cost = [v - cb * a for v, a in zip(cost, row)]
+    return cost
+
+
 # --- random generators --------------------------------------------------------
 
 def random_fraction(rng, max_num=12, max_den=4, allow_zero=True):
@@ -707,6 +719,33 @@ def random_partial_function(rng, max_m=7, max_n=8, positive=False, force_d1=Fals
         masks = rng.sample(range(1, capacity + 1), size)
     points = [(mask, random_fraction(rng, allow_zero=not positive)) for mask in masks]
     return PartialFunction(m, tuple(points))
+
+
+def planted_partial_function(rng, m, n, extendible, denominator=1):
+    """n distinct points on [m] valued by a random universe of 2m weighted sets.
+
+    Refutable instances break subadditivity on one disjoint pair:
+    f(A u B) = f(A) + f(B) + 1. Every value is divided by denominator, which
+    keeps the answer.
+    """
+    universe = [(rng.randrange(1, 1 << m), rng.randint(1, 9)) for _ in range(2 * m)]
+
+    def value(t):
+        return sum(w for mask, w in universe if mask & t)
+
+    points = {}
+    if not extendible:
+        elements = rng.sample(range(m), m)
+        a_size = rng.randint(1, m // 2)
+        b_size = rng.randint(1, m - a_size - 1)
+        a = sum(1 << j for j in elements[:a_size])
+        b = sum(1 << j for j in elements[a_size:a_size + b_size])
+        points = {a: value(a), b: value(b), a | b: value(a) + value(b) + 1}
+    while len(points) < n:
+        t = rng.randrange(1, 1 << m)
+        points.setdefault(t, value(t))
+    scaled = ((t, v if denominator == 1 else Fraction(v, denominator)) for t, v in points.items())
+    return PartialFunction(m, tuple(scaled))
 
 
 def random_extendible_instance(rng, max_m=7, max_n=8, max_support=6):

@@ -380,9 +380,26 @@ def with_seeded_instances(test):
     return test
 
 
+# Planted-style decisions at the benchmark's size, m = 8 and n = 16: one
+# extendible and one refutable instance with integer values (scale 1, where
+# most pivots run at d == 1) and two with the values over 6 (scale 6, where
+# most pivots run at d > 1).
+_PLANTED_INSTANCES = [
+    oracles.planted_partial_function(random.Random(seed), 8, 16, extendible, denominator)
+    for seed, extendible, denominator in ((0, True, 1), (1, False, 1), (2, True, 6), (3, False, 6))
+]
+
+
+def with_planted_instances(test):
+    for pf in _PLANTED_INSTANCES:
+        test = example(pf)(test)
+    return test
+
+
 @settings(max_examples=40, deadline=None, database=None)
 @given(oracles.partial_functions())
 @with_seeded_instances
+@with_planted_instances
 def test_coverage_programs_match_fraction_reference(pf):
     columns = span_columns(pf.m, pf.masks())
     assert_matches_reference(extension_program(pf, columns))
@@ -563,12 +580,14 @@ def test_trivial_zero_rows_leave_the_path_unchanged(lp, extra):
 
 
 def test_in_place_pivot_matches_the_dense_update():
-    kinds = set()  # whether pv == d, over every pivot checked
+    # (in place, d == 1) for each pivot checked: in place when pv == d, and
+    # neither path divides when d == 1
+    kinds = set()
     library_pivot = lp_module._Simplex.pivot
 
     def checked_pivot(self, pr, pc):
         before, d = [list(row) for row in self.tab], self.d
-        kinds.add(before[pr][pc] == d)
+        kinds.add((before[pr][pc] == d, d == 1))
         library_pivot(self, pr, pc)
         assert self.tab == oracles.bareiss_pivot_dense(before, d, pr, pc)
         assert self.d == before[pr][pc]
@@ -580,6 +599,7 @@ def test_in_place_pivot_matches_the_dense_update():
 
     @settings(max_examples=15, deadline=None, database=None)
     @given(oracles.partial_functions())
+    @with_planted_instances
     def coverage(pf):
         columns = span_columns(pf.m, pf.masks())
         solve(extension_program(pf, columns))
@@ -589,6 +609,32 @@ def test_in_place_pivot_matches_the_dense_update():
     with mock.patch.object(lp_module._Simplex, "pivot", checked_pivot):
         for limit in (lp_module._STALL_LIMIT, 0):
             with mock.patch.object(lp_module, "_STALL_LIMIT", limit):
+                coverage()  # first: a broken pivot fails on a planted example, unshrunk
                 mixed()
-                coverage()
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_cost_rows_match_the_loop_over_basic_rows():
+    # whether every nonzero basic cost is 1 (phase 1, and some phase-2
+    # objectives), for each cost row checked
+    kinds = set()
+    library_set_costs = lp_module._Simplex.set_costs
+
+    def checked_set_costs(self, costs):
+        tab, basis = [list(row) for row in self.tab[:-1]], list(self.basis)
+        kinds.add(all(costs[b] in (0, 1) for b in basis))
+        library_set_costs(self, costs)
+        assert self.tab[-1] == oracles.cost_row_loop(tab, basis, costs, self.d)
+        assert self.tab[:-1] == tab and self.basis == basis
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(mixed_programs())
+    @example(LinearProgram(2, objective=[F(3), F(-2)], rows=[({0: 1, 1: 1}, EQUAL, 4)]))
+    def mixed(lp):
+        solve(lp)
+
+    with mock.patch.object(lp_module._Simplex, "set_costs", checked_set_costs):
+        mixed()
+        for pf in _PLANTED_INSTANCES:
+            solve(alpha_star_program(pf))
     assert kinds == {True, False}

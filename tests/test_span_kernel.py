@@ -112,9 +112,15 @@ def subset_tables(draw):
 @given(subset_tables(), st.sampled_from([1, -1]))
 @example((3, (0, 1, -2, 3, 4, -5, 6, 7)), -1)
 @example((2, (1 << 70, -1, 0, 5)), 1)  # too wide for 8-byte lanes: the slice loop
+@example((3, (-(1 << 20), 1, 0, 0, 0, 0, 0, 0)), 1)  # max(table) alone would fit 1-byte lanes
 def test_subset_pass_matches_literal_subset_sums(case, sign):
+    # a signed table takes its lane width from max|v|; a table its caller
+    # knows to be nonnegative (a stored set function's numerators) from max
     m, table = case
     assert _subset_pass(table, m, sign) == oracles.subset_pass_naive(table, m, sign)
+    table = tuple(map(abs, table))
+    assert (_subset_pass(table, m, sign, nonnegative=True)
+            == oracles.subset_pass_naive(table, m, sign))
 
 
 @pytest.mark.parametrize("m", [2, 5])
@@ -129,6 +135,9 @@ def test_subset_pass_is_exact_at_the_lane_edges(nbytes, m):
         for table in ([v] * (1 << m), [-v] * (1 << m), alternating):
             for sign in (1, -1):
                 assert _subset_pass(table, m, sign) == oracles.subset_pass_naive(table, m, sign)
+        for sign in (1, -1):  # the nonnegative bound at the same edges
+            assert (_subset_pass([v] * (1 << m), m, sign, nonnegative=True)
+                    == oracles.subset_pass_naive([v] * (1 << m), m, sign))
 
 
 @PROPERTY
