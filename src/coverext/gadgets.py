@@ -256,11 +256,16 @@ def setcover_membership_gadget(
 
 
 def coverage_span_sums(instance: MembershipInstance) -> dict[Mask, Fraction]:
-    """All span sums of a coverage membership instance, by full enumeration."""
+    """All span sums of a coverage membership instance, by full enumeration.
+
+    The table repeats a few values many times (the set-cover gadget's
+    2^14 entries hold under 30), so each distinct value is one Fraction.
+    """
     m = instance.family_m
     require_enumerable(m)
     sums, scale = span_sums(m, instance.family_sets, instance.point)
-    return {s: Fraction(sums[s], scale) for s in range(1, 1 << m)}
+    value = {v: Fraction(v, scale) for v in set(sums)}
+    return {s: value[sums[s]] for s in range(1, 1 << m)}
 
 
 def cut_to_span_gadget(graph: Graph, enforce_box: bool = True) -> tuple[Graph, Fraction]:

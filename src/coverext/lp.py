@@ -165,9 +165,13 @@ def verify_solution(lp: LinearProgram, solution: Sequence[ExactLike]) -> bool:
     if len(solution) != lp.num_vars:
         raise MalformedProgramError("solution length does not match num_vars")
     x = [_coerce_value(v, "solution entry", MalformedProgramError) for v in solution]
-    if any(v < 0 for v in x):
+    return _holds(lp, *_scaled(x))
+
+
+def _holds(lp: LinearProgram, xs: Sequence[int], scale: int) -> bool:
+    """True iff xs >= 0 and every integer row of lp holds at xs / scale, scale > 0."""
+    if any(v < 0 for v in xs):
         return False
-    xs, scale = _scaled(x)
     for idx, coeffs, relation, rhs in lp.rows:
         lhs = sum(map(operator.mul, coeffs, map(xs.__getitem__, idx)))
         if not _HOLDS[relation](lhs, rhs * scale):
@@ -441,10 +445,13 @@ def _solve(lp: LinearProgram) -> LpOutcome:
         return LpOutcome(status=UNBOUNDED, pivots=sx.pivots)
 
     d, cost = sx.d, sx.tab[-1]
-    x = [_ZERO] * nv
+    xs = [0] * nv  # the vertex is xs / d
     for row, b in zip(sx.tab, sx.basis):
-        if b < nv and row[-1]:
-            x[b] = Fraction(row[-1], d)
+        if b < nv:
+            xs[b] = row[-1]
+    if not _holds(lp, xs, d):
+        raise AssertionError("internal error: simplex solution failed verification")
+    x = [Fraction(v, d) if v else _ZERO for v in xs]
     # c'x from the basic rows: the costs are L * c and each rhs is d * x_b
     obj = Fraction(sum(costs[b] * row[-1] for row, b in zip(sx.tab, sx.basis) if b < nv),
                    d * obj_scale)
@@ -456,7 +463,4 @@ def _solve(lp: LinearProgram) -> LpOutcome:
         if cost[ic]:
             duals[i] = Fraction(-s * cost[ic] * (lp.scale // g), d * obj_scale)
 
-    out = LpOutcome(FEASIBLE, tuple(x), obj, None, tuple(duals), sx.pivots)
-    if not verify_solution(lp, out.solution):
-        raise AssertionError("internal error: simplex solution failed verification")
-    return out
+    return LpOutcome(FEASIBLE, tuple(x), obj, None, tuple(duals), sx.pivots)

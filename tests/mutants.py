@@ -367,8 +367,8 @@ MUTANTS = [
     Mutant(
         "the norm program drops the scale from its error coefficients",
         "norm.py",
-        "coeffs + (-scale, scale)",
-        "coeffs + (-1, 1)",
+        "coeffs + (-scale,)",
+        "coeffs + (-1,)",
         ("tests/test_span_rows.py::test_builders_store_the_reference_program[exact-norm]",
          "tests/test_span_rows.py::test_builders_store_the_reference_program[restricted-norm]"),
     ),
@@ -415,6 +415,13 @@ MUTANTS = [
         ("tests/test_lp.py::test_coverage_programs_match_fraction_reference",),
     ),
     Mutant(
+        "the solution check skips the first row",
+        "lp.py",
+        "    for idx, coeffs, relation, rhs in lp.rows:\n",
+        "    for idx, coeffs, relation, rhs in lp.rows[1:]:\n",
+        ("tests/test_lp.py::test_verify_solution_reads_every_row",),
+    ),
+    Mutant(
         "LinearProgram copies through __new__",
         "lp.py",
         "    def __reduce__(self):  # copies rebuild the stored form; __new__ takes input rows\n"
@@ -439,6 +446,45 @@ MUTANTS = [
         "    outcome = solve(_norm_program(pf, singletons))\n"
         "    exact = norm_opt_exact(pf, cap=cap) if with_exact else None\n",
         ("tests/test_cli.py::test_norm_exact_over_the_cap_refuses_before_any_program_is_built",),
+    ),
+    Mutant(
+        "norm_opt_exact drops F from OPT",
+        "norm.py",
+        "return outcome.objective_value + pf.total_value",
+        "return outcome.objective_value",
+        ("tests/test_norm.py::test_slack_form_matches_the_equality_form",
+         "tests/test_norm.py::test_triangle_instance"),
+    ),
+    Mutant(
+        "the restricted duals lose their 1 + shift",
+        "norm.py",
+        "dual = tuple(1 + u for u in outcome.row_duals)",
+        "dual = tuple(outcome.row_duals)",
+        ("tests/test_norm.py::test_slack_form_matches_the_equality_form",),
+    ),
+    Mutant(
+        "a column's objective counts 1 in place of |pattern|",
+        "norm.py",
+        "cost[p.bit_count()]",
+        "cost[1]",
+        ("tests/test_norm.py::test_slack_form_matches_the_equality_form",
+         "tests/test_span_rows.py::test_builders_store_the_reference_program[restricted-norm]"),
+    ),
+    Mutant(
+        "eps+ costs 1 in place of 2",
+        "norm.py",
+        "(_TWO,) * pf.n",
+        "(_ONE,) * pf.n",
+        ("tests/test_norm.py::test_slack_form_matches_the_equality_form",
+         "tests/test_span_rows.py::test_builders_store_the_reference_program[restricted-norm]"),
+    ),
+    Mutant(
+        "eps+ enters its row with a plus sign",
+        "norm.py",
+        "coeffs + (-scale,)",
+        "coeffs + (scale,)",
+        ("tests/test_norm.py::test_slack_form_matches_the_equality_form",
+         "tests/test_span_rows.py::test_builders_store_the_reference_program[restricted-norm]"),
     ),
     Mutant(
         "_held_singletons scans every element below m",

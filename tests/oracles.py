@@ -142,7 +142,27 @@ def reference_alpha_star_program(pf, columns):
 
 
 def reference_norm_program(pf, columns):
-    """L1 error rows over the columns, then eps+_i, eps-_i for each point."""
+    """L1 error rows span - eps+_i <= f_i over the columns, then eps+_i for each point.
+
+    eps-_i is the row's slack, so the objective is sum(eps+ + eps-) - F:
+    2 on each eps+_i and minus the number of points a column's set meets.
+    """
+    nw = len(columns)
+    rows = []
+    for i, (mask, value) in enumerate(pf.points):
+        coeffs = span_row(columns, mask)
+        coeffs[nw + i] = -1
+        rows.append((coeffs, LESS_EQUAL, value))
+    meets = [sum(1 for mask in pf.masks() if s & mask) for s in columns]
+    return LinearProgram(nw + pf.n, objective=[-k for k in meets] + [2] * pf.n, rows=rows)
+
+
+def equality_norm_program(pf, columns):
+    """The split-error form: span - eps+_i + eps-_i = f_i, min sum(eps+ + eps-).
+
+    Its optimum is OPT itself and its row duals are the y of the L1 dual;
+    the slack form must reproduce both.
+    """
     nw = len(columns)
     rows = []
     for i, (mask, value) in enumerate(pf.points):
@@ -175,7 +195,7 @@ def full_alpha_star_program(pf):
 
 
 def full_norm_program(pf):
-    """L1 error program over all subsets, then eps+_i, eps-_i for each point."""
+    """L1 error program over all subsets, then eps+_i for each point."""
     return reference_norm_program(pf, range(1, 1 << pf.m))
 
 

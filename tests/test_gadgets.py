@@ -333,7 +333,11 @@ def test_setcover_gadget_margins_random():
         k = rng.randint(1, 3)
         inst = setcover_membership_gadget(universe, family, k)
         margin = 1 / (2 * (F(k * universe - k) - F(1, 2)))
-        best = max(coverage_span_sums(inst).values())
+        sums = coverage_span_sums(inst)  # one shared Fraction per distinct value
+        sets = inst.family_sets
+        assert sums == {s: oracles.span_sum_naive(sets, inst.point, s)
+                        for s in range(1, 1 << inst.family_m)}
+        best = max(sums.values())
         if oracles.setcover_has_cover(universe, family, k):
             assert best >= margin
         else:

@@ -455,6 +455,14 @@ def test_integer_verifiers_match_fraction_references(lp, data):
             oracles.fraction_verify_farkas, lp, vector)
 
 
+def test_verify_solution_reads_every_row():
+    # (1, 0) holds all three rows, and each other point breaks one row alone
+    lp = LinearProgram(2, rows=[({0: 1}, LESS_EQUAL, 1), ({1: 1}, LESS_EQUAL, 1),
+                                ({0: 1, 1: 1}, GREATER_EQUAL, 1)])
+    points = [(1, 0), (2, 0), (0, 2), (0, 0)]
+    assert [verify_solution(lp, x) for x in points] == [True, False, False, False]
+
+
 def test_beale_degenerate_program_reaches_its_optimum():
     # Chvatal's form of Beale's example, built so that Dantzig's rule cycles
     # through degenerate pivots at the origin when the slacks come first in

@@ -4,7 +4,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coverext import norm
 from coverext.lp import solve
@@ -111,6 +111,26 @@ def test_restricted_program_solves_like_all_singletons(instance, unheld):
     assert all(want.solution[j] == 0 for j in range(instance.m) if j not in held)
     witness = {1 << j: v for j, v in enumerate(want.solution[: instance.m]) if v}
     assert dict(norm_extension_approx(instance).witness.support) == witness
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(oracles.partial_functions())
+@example(pf(3, (0b111, 1), (0b100, 1), (0b101, 1)))  # nested points: a dual at the box edge
+@example(pf(3, (0b011, 0), (0b110, F(5, 2)), (0b100, 0)))  # zero values around a fraction
+def test_slack_form_matches_the_equality_form(instance):
+    # eps- as the row slack: the same OPT_R and OPT as the split-error program,
+    # and duals y = 1 + u that keep their meaning
+    result = norm_extension_approx(instance, with_exact=True)
+    held = oracles.held_singletons_naive(instance)
+    columns = range(1, 1 << instance.m)
+    assert result.opt_restricted == solve(
+        oracles.equality_norm_program(instance, held)).objective_value
+    assert result.opt_exact == solve(
+        oracles.equality_norm_program(instance, columns)).objective_value
+    y = result.dual_restricted
+    assert all(-1 <= v <= 1 for v in y)
+    assert sum(v * yi for (_, v), yi in zip(instance.points, y)) == result.opt_restricted
+    assert verify_dual_feasible(instance, result.dual_rounded)
 
 
 def test_restricted_program_memory_follows_the_points_not_m():
