@@ -226,10 +226,11 @@ def generate_tight_instance(
     each a point of value sqrt(m); k * sqrt(m) * ceil(log2 m) random
     transversals (one uniform element per block) get value 1. A draw is
     accepted only if every nonempty subset of the ground set meets at
-    least as many transversals as blocks, checked once per hit pattern by
-    setfun.span_violation; otherwise the transversals are redrawn, up to
-    _MAX_ATTEMPTS times. More than 2^cap draws raise CapExceededError
-    before any is drawn, the budget that cap sets on enumerated objects.
+    least as many transversals as blocks, checked by setfun.span_violation
+    once per hit pattern of the draw's span_columns; otherwise the
+    transversals are redrawn, up to _MAX_ATTEMPTS times. More than 2^cap
+    draws raise CapExceededError before any is drawn, the budget that cap
+    sets on enumerated objects.
     """
     if not _is_int(m):
         raise ValueError(f"m must be an int, got {m!r}")
@@ -265,7 +266,7 @@ def generate_tight_instance(
         # Blocks weigh +1 and transversals -1, so no positive span sum
         # means every subset meets at least as many transversals as blocks.
         weights = [1] * len(blocks) + [-1] * len(trans)
-        if span_violation(m, blocks + trans, weights) is None:
+        if span_violation(span_columns(m, blocks + trans), weights) is None:
             return PartialFunction(m, tuple(points))
     raise SeedExhaustedError(
         f"no valid transversal draw within {_MAX_ATTEMPTS} attempts (m={m}, k={k}, seed={seed})"

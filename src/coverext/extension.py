@@ -14,9 +14,10 @@ l_1..l_n over the points with
 
 which refutes every candidate coverage extension at once. S enters the
 first line only through the points it meets, so the check prices each
-hit pattern once (setfun.span_violation), not every subset of [m]. Both
-artifacts are re-verified here before being returned; we never trust the
-solver's algebra blindly.
+hit pattern once (setfun.span_violation), not every subset of [m], and a
+decision prices the very columns its program was built over: one pattern
+closure per instance. Both artifacts are re-verified here before being
+returned; we never trust the solver's algebra blindly.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def decide_extension(pf: PartialFunction, cap: int = DEFAULT_ENUMERATION_CAP) ->
     if outcome.status != INFEASIBLE:
         raise AssertionError("feasibility program cannot be unbounded")
     certificate = tuple(-r for r in outcome.farkas_ray)
-    if not verify_certificate(pf, certificate, cap=cap):
+    if not _certifies(pf, columns, certificate):
         raise AssertionError("internal error: certificate failed verification")
     return ExtensionVerdict(False, certificate=certificate)
 
@@ -90,12 +91,18 @@ def verify_certificate(
 ) -> bool:
     """Check the refutation: every span sum <= 0 and a positive objective.
 
-    The span sums are priced once per hit pattern (setfun.span_violation),
-    which covers every nonempty subset of [m] without listing them.
+    The span sums are priced once per hit pattern (setfun.span_violation)
+    over the instance's span_columns, which covers every nonempty subset
+    of [m] without listing them.
     """
     require_enumerable(pf.m, cap)
     if len(certificate) != pf.n:
         return False
-    inside = span_violation(pf.m, pf.masks(), certificate) is None
+    return _certifies(pf, span_columns(pf.m, pf.masks()), certificate)
+
+
+def _certifies(pf: PartialFunction, columns: Sequence, certificate: Sequence[Fraction]) -> bool:
+    """No column of pf's span_columns has a positive span sum, and the objective is positive."""
+    inside = span_violation(columns, certificate) is None
     objective = sum((v * l for (_, v), l in zip(pf.points, certificate)), _ZERO)
     return inside and objective > 0

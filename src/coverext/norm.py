@@ -125,10 +125,11 @@ def verify_dual_feasible(
 ) -> bool:
     """Box |y_i| <= 1 plus span sums <= 0 over every nonempty subset.
 
-    The span sums are priced once per hit pattern (setfun.span_violation),
-    not once per subset of [m].
+    The span sums are priced once per hit pattern (setfun.span_violation)
+    over the instance's span_columns, not once per subset of [m].
     """
     require_enumerable(pf.m, cap)
     if len(y) != pf.n:
         return False
-    return span_violation(pf.m, pf.masks(), y) is None and all(-1 <= v <= 1 for v in y)
+    columns = span_columns(pf.m, pf.masks())
+    return span_violation(columns, y) is None and all(-1 <= v <= 1 for v in y)

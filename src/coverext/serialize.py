@@ -102,12 +102,12 @@ def _parse_set(entry, m: int, where: str) -> int:
         raise InstanceParseError(f"{where}: {exc}") from exc
 
 
-def _read_entries(entries: list, m: int, name: str, key: str, nonempty: str = "",
-                  cite_first: bool = False) -> Iterator[tuple[str, int, Fraction]]:
+def _read_entries(entries: list, m: int, name: str, key: str,
+                  nonempty: str = "") -> Iterator[tuple[str, int, Fraction]]:
     """(location, mask, value) of each {"set": [...], key: "p/q"} entry, in input order.
 
-    Locations read name[i]. A nonempty label ("defined", "coefficient")
-    refuses the empty set; cite_first names the first copy of a repeated set.
+    Locations read name[i], and a repeated set names its first copy. A
+    nonempty label ("defined", "coefficient") refuses the empty set.
     """
     first: dict[int, int] = {}
     for i, entry in enumerate(entries):
@@ -118,8 +118,8 @@ def _read_entries(entries: list, m: int, name: str, key: str, nonempty: str = ""
         if mask == 0 and nonempty:
             raise InstanceParseError(f"{where}: {nonempty} set must be nonempty")
         if mask in first:
-            cited = f" {sorted(entry['set'])} (first at {name}[{first[mask]}])"
-            raise InstanceParseError(f"{where}: duplicate set{cited if cite_first else ''}")
+            raise InstanceParseError(
+                f"{where}: duplicate set {sorted(entry['set'])} (first at {name}[{first[mask]}])")
         first[mask] = i
         yield where, mask, parse_rational(entry[key], f"{where}.{key}")
 
@@ -145,7 +145,7 @@ def partial_function_from_json(data: Any) -> PartialFunction:
     if not isinstance(points, list) or not points:
         raise InstanceParseError("field 'points' must be a nonempty list")
     parsed = []
-    entries = _read_entries(points, m, "points", "value", "defined", cite_first=True)
+    entries = _read_entries(points, m, "points", "value", "defined")
     for where, mask, value in entries:
         if value < 0:
             raise InstanceParseError(f"{where}: value must be nonnegative")

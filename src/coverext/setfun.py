@@ -253,11 +253,11 @@ def _subset_pass(table: Sequence[int], m: int, sign: int, nonnegative: bool = Fa
     width = (peak.bit_length() + m + 8) // 8  # bytes for peak * 2^m and a sign bit
     code = next((c for c in "bhiq" if array(c).itemsize >= width), None)
     if code is not None and sys.byteorder == "little":  # lane S must sit at bit S * bits
-        lanes = array(code, table)
-        bits = 8 * lanes.itemsize
-        top = int.from_bytes((bytes(lanes.itemsize - 1) + b"\x80") * len(lanes), "little")
-        x = int.from_bytes(lanes.tobytes(), "little") ^ top
-        held = (1 << bits * len(lanes)) - 1  # every lane; then those holding bit i
+        bits = 8 * array(code).itemsize
+        top = int.from_bytes((bytes(bits // 8 - 1) + b"\x80") * len(table), "little")
+        # the array lives only until x holds the table; kept, it would raise the peak
+        x = int.from_bytes(array(code, table).tobytes(), "little") ^ top
+        held = (1 << bits * len(table)) - 1  # every lane; then those holding bit i
         for i in reversed(range(m)):
             s = bits << i
             held ^= held >> s
@@ -265,7 +265,7 @@ def _subset_pass(table: Sequence[int], m: int, sign: int, nonnegative: bool = Fa
                 x = x + ((x << s) & held) - (top & held)
             else:
                 x = x - ((x << s) & held) + (top & held)
-        return array(code, (x ^ top).to_bytes(len(lanes) * lanes.itemsize, "little")).tolist()
+        return array(code, (x ^ top).to_bytes(len(table) * bits // 8, "little")).tolist()
     table = list(table)
     combine = operator.add if sign > 0 else operator.sub
     size = 1 << m
@@ -281,13 +281,6 @@ def _subset_pass(table: Sequence[int], m: int, sign: int, nonnegative: bool = Fa
     return table
 
 
-def _scaled_weights(sets: Sequence[Mask], weights: Sequence[ExactLike]) -> tuple[list[int], int]:
-    """One exact weight per set, as integers over their least common denominator."""
-    if len(sets) != len(weights):
-        raise ValueError(f"{len(sets)} sets but {len(weights)} weights")
-    return _scaled([_coerce_value(w, "weight") for w in weights])
-
-
 def span_sums(
     m: int, sets: Sequence[Mask], weights: Sequence[ExactLike]
 ) -> tuple[list[int], int]:
@@ -301,7 +294,9 @@ def span_sums(
     leaves total - sub(X) at every X; since full ^ S == full - S,
     reversing the list in place moves span(S) to S.
     """
-    ints, scale = _scaled_weights(sets, weights)
+    if len(sets) != len(weights):
+        raise ValueError(f"{len(sets)} sets but {len(weights)} weights")
+    ints, scale = _scaled([_coerce_value(w, "weight") for w in weights])
     table = [0] * (1 << m)
     table[0] = sum(ints)
     for mask, w in zip(sets, ints):
@@ -341,60 +336,19 @@ def hit_patterns(m: int, sets: Sequence[Mask]) -> list[Mask]:
     return hit
 
 
-def _smallest_sets(m: int, sets: Sequence[Mask]) -> dict[Mask, Mask]:
-    """The smallest S of every hit pattern, by pattern (bit i: S meets sets[i]).
-
-    With hit[j] the sets holding element j, the pattern of S is the union
-    of hit[j] over its elements and S is the sum of their 2^j, so
-    cheapest_unions over the parts (hit[j], 2^j) gives each pattern its
-    smallest set. The patterns are the OR-closure of the hit[j], at most
-    2^min(m, n) of them; the empty pattern maps to the empty set.
-    """
-    return cheapest_unions((hit, 1 << j) for j, hit in enumerate(hit_patterns(m, sets)))
-
-
-def span_violation(m: int, sets: Sequence[Mask], weights: Sequence[ExactLike]) -> Optional[Mask]:
-    """The smallest S with a positive span sum, or None when every span sum is <= 0.
-
-    The one span-sign test on point families: certificates, rounded norm
-    duals and the tight-family validation run it. S enters its span sum
-    only through its hit pattern, and the patterns of the nonempty S are
-    the nonzero members of the pattern closure (the empty pattern sums to
-    0). So each pattern is priced once, and the least S with a positive
-    sum is the smallest representative among the positive patterns.
-
-    A pattern's price is the total of its sets' weights, scaled to
-    integers and read from one subset-sum table per byte of set indices:
-    about n/8 lookups. The cost is O(m * closure + closure * n/8) steps
-    and O(closure + 32n) memory, not a 2^m table. A family whose closure
-    comes close to 2^m pays more than a table scan would (all singletons
-    at m = 18 peak at 45 MB traced against 12.7 MB, in about the same
-    time), but decide_extension's program over that same closure costs
-    far more.
-
-    Like the other kernels it does not gate m: its callers refuse an
-    oversized m before they call it.
-    """
-    ints, _ = _scaled_weights(sets, weights)
-    smallest = _smallest_sets(m, sets)
-    sums = [0] * len(smallest)
-    for start in range(0, len(ints), 8):
-        table = [0]  # table[x]: the total weight of the sets start + i for the bits i of x
-        for w in ints[start:start + 8]:
-            table += [t + w for t in table]
-        sums = [total + table[p >> start & 255] for total, p in zip(sums, smallest)]
-    return min(itertools.compress(smallest.values(), [total > 0 for total in sums]), default=None)
-
-
 def span_columns(m: int, points: Sequence[Mask]) -> list[tuple[Mask, Mask]]:
     """One LP column per distinct hit pattern: (smallest set, pattern) pairs, ascending.
 
     Bit i of a pattern is set exactly when its sets meet points[i]. A set
-    S enters the extension, stretch and norm programs only through the
-    points it meets, so sets with the same pattern are the same column,
-    and _smallest_sets gives each pattern its smallest set in time and
-    memory that follow the number of patterns, not 2^m. The empty pattern
-    is left out: a set meeting no point is an all-zero column.
+    S enters the programs and its span sums only through the points it
+    meets, so sets with the same pattern are the same column. With hit[j]
+    the points holding element j, the pattern of S is the union of hit[j]
+    over its elements and S is the sum of their 2^j, so cheapest_unions
+    over the parts (hit[j], 2^j) gives each pattern its smallest set in
+    O(m * closure) steps, the closure being at most 2^min(m, n) patterns.
+    The empty pattern is left out: a set meeting no point is an all-zero
+    column. This is the one builder of the closure: an instance's
+    programs and span_violation read the same list.
 
     Keeping only the smallest copy changes no simplex outcome: copies keep
     equal reduced costs and tableau entries under every pivot, so they tie
@@ -402,7 +356,38 @@ def span_columns(m: int, points: Sequence[Mask]) -> list[tuple[Mask, Mask]]:
     index, and the smallest copy is the one that enters; a zero column
     never enters.
     """
-    return sorted((s, pattern) for pattern, s in _smallest_sets(m, points).items() if pattern)
+    smallest = cheapest_unions((hit, 1 << j) for j, hit in enumerate(hit_patterns(m, points)))
+    # ascending with no sort: part j costs more than all earlier parts together, so
+    # each union enters at its least cost and in order of it; the first is empty
+    return list(zip(smallest.values(), smallest))[1:]
+
+
+def span_violation(columns: Sequence[tuple[Mask, Mask]],
+                   weights: Sequence[ExactLike]) -> Optional[Mask]:
+    """The set of the first column with a positive span sum, or None when none has one.
+
+    The one span-sign test on point families: certificates, rounded norm
+    duals and the tight-family validation run it over the span_columns of
+    their points, with weights[i] on point i. A nonempty S has a column's
+    pattern or the empty one (which sums to 0), and the columns ascend by
+    smallest set, so the first positive column names the smallest S with
+    a positive span sum.
+
+    A pattern's price is the total of its points' weights, scaled to
+    integers and read from one subset-sum table per byte of point
+    indices: about n/8 lookups, O(closure * n/8) steps and O(closure +
+    32n) memory against a closure the instance built once. A closure
+    near 2^m costs more than a table scan would, but decide_extension's
+    program over the same closure costs far more.
+    """
+    ints, _ = _scaled([_coerce_value(w, "weight") for w in weights])
+    sums = [0] * len(columns)
+    for start in range(0, len(ints), 8):
+        table = [0]  # table[x]: the total weight of the points start + i for the bits i of x
+        for w in ints[start:start + 8]:
+            table += [t + w for t in table]
+        sums = [total + table[p >> start & 255] for total, (_, p) in zip(sums, columns)]
+    return next((s for (s, _), total in zip(columns, sums) if total > 0), None)
 
 
 def span_rows(columns: Iterable[tuple[Mask, Mask]], points: Sequence[tuple[Mask, ExactLike]],

@@ -166,6 +166,20 @@ MUTANTS = [
          "[verify_certificate, wrong length]"),
     ),
     Mutant(
+        "decide_extension skips its certificate check",
+        "extension.py",
+        "if not _certifies(pf, columns, certificate):",
+        "if False:",
+        ("tests/test_extension.py::test_a_ray_with_a_positive_span_sum_is_refused",),
+    ),
+    Mutant(
+        "a decision rebuilds its closure for the check",
+        "extension.py",
+        "if not _certifies(pf, columns, certificate):",
+        "if not verify_certificate(pf, certificate, cap=cap):",
+        ("tests/test_extension.py::test_columns_are_built_once_per_decision",),
+    ),
+    Mutant(
         "verify_witness accepts negative weights",
         "extension.py",
         "if w.m != pf.m or not coverage_check(w.support).is_coverage:",
@@ -249,6 +263,13 @@ MUTANTS = [
         ("tests/test_span_kernel.py::test_subset_pass_matches_literal_subset_sums",),
     ),
     Mutant(
+        "the packed pass keeps its array through the shift loop",
+        "setfun.py",
+        'x = int.from_bytes(array(code, table).tobytes(), "little") ^ top',
+        'lanes = array(code, table)\n        x = int.from_bytes(lanes.tobytes(), "little") ^ top',
+        ("tests/test_span_kernel.py::test_packed_pass_lets_its_array_go_once_packed",),
+    ),
+    Mutant(
         "hit patterns read the next element",
         "setfun.py",
         "hit[low.bit_length() - 1] |= 1 << i",
@@ -283,10 +304,18 @@ MUTANTS = [
          "test_stored_integers_are_the_values_over_their_least_common_denominator",),
     ),
     Mutant(
-        "span_violation returns the largest violating set",
+        "span_columns feeds the union DP its highest element first",
         "setfun.py",
-        "return min(itertools.compress(smallest.values(), [total > 0 for total in sums]),",
-        "return max(itertools.compress(smallest.values(), [total > 0 for total in sums]),",
+        "smallest = cheapest_unions((hit, 1 << j) for j, hit in enumerate(hit_patterns(m, points)))",
+        "smallest = cheapest_unions(reversed([(hit, 1 << j)"
+        " for j, hit in enumerate(hit_patterns(m, points))]))",
+        ("tests/test_span_columns.py::test_span_columns_match_bruteforce_grouping",),
+    ),
+    Mutant(
+        "span_violation returns the last positive column",
+        "setfun.py",
+        "return next((s for (s, _), total in zip(columns, sums) if total > 0), None)",
+        "return ([None] + [s for (s, _), total in zip(columns, sums) if total > 0])[-1]",
         ("tests/test_span_kernel.py::"
          "test_span_violation_is_the_first_positive_span_in_ascending_order",),
     ),

@@ -258,7 +258,7 @@ def test_generate_tight_instance_rejects_bad_m():
 
 
 def test_generator_gives_up_after_its_attempts(monkeypatch):
-    monkeypatch.setattr(approx, "span_violation", lambda m, sets, weights: 1)  # refuse every draw
+    monkeypatch.setattr(approx, "span_violation", lambda columns, weights: 1)  # refuse every draw
     with pytest.raises(SeedExhaustedError) as info:
         generate_tight_instance(4, k=1, seed=3)
     assert str(info.value) == "no valid transversal draw within 64 attempts (m=4, k=1, seed=3)"

@@ -853,7 +853,7 @@ def test_gen_tight_exits_1_on_m_1_and_when_the_draws_run_out(capsys, monkeypatch
     code, out, err = run_cli(["gen", "tight", "--m", "1"], capsys)
     assert (code, out) == (1, "")
     assert err == "error: m = 1 has no transversal to draw; the smallest family is m = 4\n"
-    monkeypatch.setattr(approx, "span_violation", lambda m, sets, weights: 1)  # refuse every draw
+    monkeypatch.setattr(approx, "span_violation", lambda columns, weights: 1)  # refuse every draw
     code, out, err = run_cli(["gen", "tight", "--m", "4", "--seed", "5"], capsys)
     assert (code, out) == (1, "")
     assert err == "error: no valid transversal draw within 64 attempts (m=4, k=2, seed=5)\n"

@@ -5,10 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from coverext import extension
+from coverext import extension, setfun
 from coverext.errors import CapExceededError
-from coverext.lp import verify_solution
-from coverext.setfun import PartialFunction, WCoefficients, eval_from_w, span_columns
+from coverext.lp import INFEASIBLE, LpOutcome, verify_solution
+from coverext.setfun import (
+    PartialFunction,
+    WCoefficients,
+    cheapest_unions,
+    eval_from_w,
+    span_columns,
+)
 from coverext.extension import (
     decide_extension,
     extension_program,
@@ -52,17 +58,27 @@ def test_monotonicity_violation_is_not_extendible():
 
 @pytest.mark.parametrize("extendible", [True, False])
 def test_columns_are_built_once_per_decision(monkeypatch, extendible):
+    # the certificate check prices the columns the program was built over,
+    # so a refutation runs the closure DP no more often than a witness
     calls = []
 
-    def counting(m, points):
-        calls.append(m)
-        return span_columns(m, points)
+    def counting(parts):
+        calls.append(1)
+        return cheapest_unions(parts)
 
-    monkeypatch.setattr(extension, "span_columns", counting)
+    monkeypatch.setattr(setfun, "cheapest_unions", counting)
     values = (1, 1, 2) if extendible else (1, 1, 3)
     instance = pf(2, *zip((0b01, 0b10, 0b11), values))
     assert decide_extension(instance).extendible is extendible
-    assert calls == [2]
+    assert calls == [1]
+
+
+def test_a_ray_with_a_positive_span_sum_is_refused(monkeypatch):
+    # the negated ray (1, 0, 0) has a positive objective but spans {1} positively
+    ray = (F(-1), F(0), F(0))
+    monkeypatch.setattr(extension, "solve", lambda program: LpOutcome(INFEASIBLE, farkas_ray=ray))
+    with pytest.raises(AssertionError, match="^internal error: certificate failed verification$"):
+        decide_extension(pf(2, (0b01, 1), (0b10, 1), (0b11, 2)))
 
 
 def test_program_solution_verifies_directly():

@@ -146,11 +146,11 @@ def parse_wcoeffs_m2(data):
          "points[0]: value must be nonnegative"),
         (total_function_from_json,
          {"m": 1, "values": [{"set": [], "value": "0"}, {"set": [], "value": "x"}]},
-         "values[1]: duplicate set"),
+         "values[1]: duplicate set [] (first at values[0])"),
         (total_function_from_json, {"m": 1, "values": [{"set": []}]},
          "values[0]: need 'set' and 'value'"),
         (parse_wcoeffs_m2, [{"set": [1], "weight": "1"}, {"set": [1], "weight": "x"}],
-         "coefficients[1]: duplicate set"),
+         "coefficients[1]: duplicate set [1] (first at coefficients[0])"),
         (parse_wcoeffs_m2, [{"set": [], "weight": "x"}],
          "coefficients[0]: coefficient set must be nonempty"),
     ],

@@ -23,10 +23,14 @@ from coverext.gadgets import (
 from coverext.norm import verify_dual_feasible
 from coverext.setfun import (
     PartialFunction,
+    TotalSetFunction,
     _subset_pass,
     hit_patterns,
+    is_coverage,
+    span_columns,
     span_sums,
     span_violation,
+    w_transform,
 )
 
 import oracles
@@ -140,6 +144,24 @@ def test_subset_pass_is_exact_at_the_lane_edges(nbytes, m):
                     == oracles.subset_pass_naive([v] * (1 << m), m, sign))
 
 
+def test_packed_pass_lets_its_array_go_once_packed():
+    # at m = 18 the packed table, its lane tops and the shifted temporaries
+    # come to about 8.4 MB; an array of the lanes kept alive through the
+    # shift loop adds 1 MB to that
+    rng = random.Random(18)
+    sets = [rng.randrange(1, 1 << 18) for _ in range(14)]
+    f = TotalSetFunction(18, span_sums(18, sets, [3] * 14)[0])
+    for run in (lambda: span_sums(18, sets, [3] * 14), lambda: w_transform(f),
+                lambda: is_coverage(f)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8.9 * 1024 * 1024
+
+
 @PROPERTY
 @given(families())
 @example((1, [1], [F(-3, 2)]))
@@ -163,7 +185,7 @@ def test_span_violation_is_the_first_positive_span_in_ascending_order(family):
     m, sets, weights = family
     want = next((s for s in range(1, 1 << m)
                  if oracles.span_sum_naive(sets, weights, s) > 0), None)
-    assert span_violation(m, sets, weights) == want
+    assert span_violation(span_columns(m, sets), weights) == want
 
 
 @PROPERTY
@@ -187,7 +209,7 @@ def test_span_violation_memory_follows_the_patterns():
     weights = [F(rng.randint(-1, 1)) for _ in sets]  # first violation: S = {12}
     tracemalloc.start()
     try:
-        found = span_violation(20, sets, weights)
+        found = span_violation(span_columns(20, sets), weights)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -286,7 +308,7 @@ def test_spans_dominated_matches_hit_counts(case, data):
             want = False
             break
     weights = [1] * blocks + [-1] * (pf.n - blocks)
-    assert (span_violation(pf.m, pf.masks(), weights) is None) is want
+    assert (span_violation(span_columns(pf.m, pf.masks()), weights) is None) is want
 
 
 @PROPERTY
