@@ -14,10 +14,14 @@ l_1..l_n over the points with
 
 which refutes every candidate coverage extension at once. S enters the
 first line only through the points it meets, so the check prices each
-hit pattern once (setfun.span_violation), not every subset of [m], and a
+hit pattern once (setfun.span_violation), not every subset of [m]. A
 decision prices the very columns its program was built over: one pattern
-closure per instance. Both artifacts are re-verified here before being
-returned; we never trust the solver's algebra blindly.
+closure per instance. verify_certificate, which has no program, builds
+only the sets grown one element at a time, each element meeting a point
+of positive multiplier that the set missed; the smallest S with a
+positive span sum is among them, so the verdict is the same. Both
+artifacts are re-verified here before being returned; we never trust the
+solver's algebra blindly.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .setfun import (
     WCoefficients,
     coverage_check,
     eval_from_w,
+    positive_points,
     require_enumerable,
     span_columns,
     span_rows,
@@ -92,13 +97,15 @@ def verify_certificate(
     """Check the refutation: every span sum <= 0 and a positive objective.
 
     The span sums are priced once per hit pattern (setfun.span_violation)
-    over the instance's span_columns, which covers every nonempty subset
-    of [m] without listing them.
+    over the instance's span_columns pruned to the points of positive
+    multiplier, which answers for every nonempty subset of [m] without
+    listing them.
     """
     require_enumerable(pf.m, cap)
     if len(certificate) != pf.n:
         return False
-    return _certifies(pf, span_columns(pf.m, pf.masks()), certificate)
+    columns = span_columns(pf.m, pf.masks(), positive_points(certificate))
+    return _certifies(pf, columns, certificate)
 
 
 def _certifies(pf: PartialFunction, columns: Sequence, certificate: Sequence[Fraction]) -> bool:

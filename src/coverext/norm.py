@@ -32,6 +32,7 @@ from .setfun import (
     WCoefficients,
     eval_from_w,
     hit_patterns,
+    positive_points,
     require_enumerable,
     span_columns,
     span_rows,
@@ -125,11 +126,12 @@ def verify_dual_feasible(
 ) -> bool:
     """Box |y_i| <= 1 plus span sums <= 0 over every nonempty subset.
 
-    The span sums are priced once per hit pattern (setfun.span_violation)
-    over the instance's span_columns, not once per subset of [m].
+    The span sums are priced once per hit pattern (setfun.span_violation),
+    not once per subset of [m], over the instance's span_columns pruned to
+    the points with y_i > 0, where the smallest positive span sum lies.
     """
     require_enumerable(pf.m, cap)
     if len(y) != pf.n:
         return False
-    columns = span_columns(pf.m, pf.masks())
+    columns = span_columns(pf.m, pf.masks(), positive_points(y))
     return span_violation(columns, y) is None and all(-1 <= v <= 1 for v in y)

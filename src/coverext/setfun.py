@@ -306,21 +306,29 @@ def span_sums(
     return table, scale
 
 
-def cheapest_unions(parts: Iterable[tuple[Mask, ExactLike]]) -> dict[Mask, ExactLike]:
+def cheapest_unions(parts: Iterable[tuple[Mask, ExactLike]],
+                    keep: Mask = -1) -> dict[Mask, ExactLike]:
     """Least total cost of every union of some of the parts (costs >= 0), by mask.
 
     The exact 0/1 DP behind the LP columns, the span-sign test and the
-    exact kappa; it stores only the unions that occur.
+    exact kappa; it stores only the unions that occur. A part grows a
+    union only when it adds a bit of keep that the union lacks. With keep
+    every bit (the default) that skips only a part inside its union,
+    which a cost >= 0 never makes cheaper, so the table is that of every
+    union; a narrower keep leaves out the unions that no chain of parts,
+    each adding a new bit of keep, reaches.
     """
     cheapest = {0: 0}
     for part, cost in parts:
-        if not part:  # grows no union, and a cost >= 0 lowers none
+        new = part & keep
+        if not new:  # grows no union
             continue
         for union, total in list(cheapest.items()):
-            grown, total = union | part, total + cost
-            known = cheapest.get(grown)
-            if known is None or total < known:
-                cheapest[grown] = total
+            if new & ~union:
+                grown, total = union | part, total + cost
+                known = cheapest.get(grown)
+                if known is None or total < known:
+                    cheapest[grown] = total
     return cheapest
 
 
@@ -336,7 +344,7 @@ def hit_patterns(m: int, sets: Sequence[Mask]) -> list[Mask]:
     return hit
 
 
-def span_columns(m: int, points: Sequence[Mask]) -> list[tuple[Mask, Mask]]:
+def span_columns(m: int, points: Sequence[Mask], keep: Mask = -1) -> list[tuple[Mask, Mask]]:
     """One LP column per distinct hit pattern: (smallest set, pattern) pairs, ascending.
 
     Bit i of a pattern is set exactly when its sets meet points[i]. A set
@@ -350,16 +358,30 @@ def span_columns(m: int, points: Sequence[Mask]) -> list[tuple[Mask, Mask]]:
     column. This is the one builder of the closure: an instance's
     programs and span_violation read the same list.
 
+    keep, a mask over the points, prunes the closure for a caller that
+    only prices it with span_violation: pass the points of positive
+    weight. An element then joins a set only when it meets a point of
+    keep that the set's earlier elements miss, so the list holds the sets
+    built that way, each pattern once with its smallest such set. The
+    default keeps every point and builds the whole closure, as the
+    programs need.
+
     Keeping only the smallest copy changes no simplex outcome: copies keep
     equal reduced costs and tableau entries under every pivot, so they tie
     under both Dantzig's and Bland's entering rule, ties go to the smallest
     index, and the smallest copy is the one that enters; a zero column
     never enters.
     """
-    smallest = cheapest_unions((hit, 1 << j) for j, hit in enumerate(hit_patterns(m, points)))
+    parts = ((hit, 1 << j) for j, hit in enumerate(hit_patterns(m, points)))
+    smallest = cheapest_unions(parts, keep)
     # ascending with no sort: part j costs more than all earlier parts together, so
     # each union enters at its least cost and in order of it; the first is empty
     return list(zip(smallest.values(), smallest))[1:]
+
+
+def positive_points(weights: Sequence[ExactLike]) -> Mask:
+    """The mask of the points whose weight is positive: span_columns' keep for span_violation."""
+    return sum(1 << i for i, w in enumerate(weights) if _coerce_value(w, "weight") > 0)
 
 
 def span_violation(columns: Sequence[tuple[Mask, Mask]],
@@ -372,6 +394,19 @@ def span_violation(columns: Sequence[tuple[Mask, Mask]],
     pattern or the empty one (which sums to 0), and the columns ascend by
     smallest set, so the first positive column names the smallest S with
     a positive span sum.
+
+    The answer is the same over the columns span_columns prunes to the
+    positive points (keep = positive_points(weights)). Call a set
+    irredundant when each of its elements meets a positive point that no
+    other element meets. Dropping an element without such a private point
+    keeps every positive point met and can only unmeet negative ones, so
+    it lowers no span sum and gives a smaller set; hence the smallest S
+    with a positive span sum is irredundant. Taken in ascending order,
+    each of its elements adds its private positive point, so the pruned
+    closure holds S's pattern, at a set no larger than S, with the same
+    sum, and so at S itself. Every pruned column is a real set with its
+    real sum, the pruned list ascends too, and no positive column comes
+    before S; with no positive S, none is positive.
 
     A pattern's price is the total of its points' weights, scaled to
     integers and read from one subset-sum table per byte of point

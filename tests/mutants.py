@@ -304,11 +304,43 @@ MUTANTS = [
          "test_stored_integers_are_the_values_over_their_least_common_denominator",),
     ),
     Mutant(
+        "the union DP skips every part that holds a kept bit",
+        "setfun.py",
+        "if not new:  # grows no union",
+        "if new:  # grows no union",
+        ("tests/test_span_columns.py::test_span_columns_match_bruteforce_grouping",
+         "tests/test_span_kernel.py::test_pruned_closure_finds_the_smallest_positive_set"),
+    ),
+    Mutant(
+        "the union DP grows a union by a part that adds no kept bit",
+        "setfun.py",
+        "if new & ~union:",
+        "if new:",
+        ("tests/test_span_columns.py::test_keep_gives_the_least_cost_over_chains_of_new_kept_bits",
+         "tests/test_span_columns.py::test_a_pruned_closure_grows_sets_only_by_new_kept_points",
+         "tests/test_approx.py::test_tight_validation_prices_at_most_one_element_per_block"),
+    ),
+    Mutant(
+        "the span checks keep the negative points",
+        "setfun.py",
+        'if _coerce_value(w, "weight") > 0)',
+        'if _coerce_value(w, "weight") < 0)',
+        ("tests/test_extension.py::test_verify_certificate_examples",
+         "tests/test_norm.py::test_dual_feasibility_examples",
+         "tests/test_span_kernel.py::test_pruned_closure_finds_the_smallest_positive_set"),
+    ),
+    Mutant(
+        "gen tight prunes its closure to the transversals",
+        "approx.py",
+        "span_columns(m, blocks + trans, (1 << len(blocks)) - 1)",
+        "span_columns(m, blocks + trans, ((1 << len(trans)) - 1) << len(blocks))",
+        ("tests/test_approx.py::test_accepted_draws_pass_a_literal_scan",),
+    ),
+    Mutant(
         "span_columns feeds the union DP its highest element first",
         "setfun.py",
-        "smallest = cheapest_unions((hit, 1 << j) for j, hit in enumerate(hit_patterns(m, points)))",
-        "smallest = cheapest_unions(reversed([(hit, 1 << j)"
-        " for j, hit in enumerate(hit_patterns(m, points))]))",
+        "parts = ((hit, 1 << j) for j, hit in enumerate(hit_patterns(m, points)))",
+        "parts = reversed([(hit, 1 << j) for j, hit in enumerate(hit_patterns(m, points))])",
         ("tests/test_span_columns.py::test_span_columns_match_bruteforce_grouping",),
     ),
     Mutant(
@@ -527,13 +559,26 @@ MUTANTS = [
 #: Mutants that run at once, each in its own copy of the source and the tests.
 _COPIES = 2
 
+# A mutant needs only to know that a test fails, not its smallest failing
+# example: shrinking took up to 10 s of a mutant's run. The profile is loaded
+# before the tests are imported, so their own settings(...) inherit it.
+_PYTEST_WITHOUT_SHRINKING = (
+    "import sys, pytest\n"
+    "from hypothesis import Phase, settings\n"
+    "settings.register_profile('mutants', phases=[p for p in Phase\n"
+    "                                             if p not in (Phase.shrink, Phase.explain)])\n"
+    "settings.load_profile('mutants')\n"
+    "sys.exit(pytest.main(sys.argv[1:]))\n"
+)
+
 
 def _failures(root: Path, tests) -> set[str]:
     """The ids among tests (or their cases) that fail or error when run against root."""
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "--tb=no", "-rfE", "-p", "no:cacheprovider", *tests],
+        [sys.executable, "-c", _PYTEST_WITHOUT_SHRINKING,
+         "-q", "--tb=no", "-rfE", "-p", "no:cacheprovider", *tests],
         cwd=root, env=env, capture_output=True, text=True,
     )
     shutil.rmtree(root / ".hypothesis", ignore_errors=True)  # no replay across mutants

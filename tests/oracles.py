@@ -114,6 +114,23 @@ def cheapest_unions_naive(parts):
     return best
 
 
+def cheapest_chains_naive(parts, keep):
+    """Least total cost of each union over the subsets of the parts, in list order,
+    whose every part adds a bit of keep that the parts before it in the subset miss."""
+    best = {}
+    for size in range(len(parts) + 1):
+        for chosen in itertools.combinations(parts, size):
+            union, cost = 0, ZERO
+            for part, weight in chosen:
+                if not part & keep & ~union:
+                    break
+                union, cost = union | part, cost + weight
+            else:
+                if union not in best or cost < best[union]:
+                    best[union] = cost
+    return best
+
+
 def span_row(columns, point):
     """LP row over set columns: coefficient 1 on every column whose set meets point."""
     return {c: 1 for c, s in enumerate(columns) if s & point}

@@ -1,16 +1,18 @@
 """Replacement ratio, exact stretch optimum, bound sandwich, tight instances."""
 
+import itertools
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
-from coverext import approx
+from coverext import approx, setfun
 from coverext.errors import CapExceededError, SeedExhaustedError
-from coverext.setfun import PartialFunction
+from coverext.setfun import PartialFunction, cheapest_unions, span_columns, span_violation
 from coverext.approx import (
     alpha_bounds,
     alpha_star_exact,
@@ -242,6 +244,55 @@ def test_generate_tight_instance_m4():
         hit_b = sum(1 for b in blocks if b & s)
         hit_t = sum(1 for t in trans if t & s)
         assert hit_t >= hit_b
+
+
+def _tight_weights(instance):
+    root = math.isqrt(instance.m)
+    return [1] * root + [-1] * (instance.n - root)
+
+
+@pytest.mark.parametrize("m", [4, 9])
+def test_accepted_draws_pass_a_literal_scan(m):
+    # k = 1 draws are often refused: at m = 4, seeds 0, 3 and 7 refuse their first draw
+    for seed in range(12):
+        instance = generate_tight_instance(m, k=1, seed=seed)
+        weights = _tight_weights(instance)
+        assert all(oracles.span_sum_naive(instance.masks(), weights, s) <= 0
+                   for s in range(1, 1 << m))
+
+
+def test_tight_validation_prices_at_most_one_element_per_block(monkeypatch):
+    # a set grows only by an element of a new block: (4 + 1)^4 - 1 sets at m = 16,
+    # against a closure of about 9,000 patterns
+    sizes = []
+
+    def counting(parts, keep=-1):
+        unions = cheapest_unions(parts, keep)
+        sizes.append(len(unions) - 1)
+        return unions
+
+    monkeypatch.setattr(setfun, "cheapest_unions", counting)
+    families = [generate_tight_instance(16, seed=seed) for seed in range(4)]
+    assert sizes and max(sizes) <= 624
+    monkeypatch.undo()
+    for instance in families:
+        full = span_columns(16, instance.masks())
+        assert len(full) > 624 and span_violation(full, _tight_weights(instance)) is None
+
+
+def test_tight_family_at_m_25_is_drawn_quickly_and_dominated():
+    # drawing took 2.35 s and 223 MB while every draw built the whole closure
+    started = time.monotonic()
+    instance = generate_tight_instance(25, k=2, seed=0, cap=25)
+    assert time.monotonic() - started < 1
+    # Another element of a block S already meets adds transversals and no block,
+    # so the least of (transversals - blocks) met lies on a set holding at most
+    # one element per block; a literal scan of those 6^5 - 1 sets stands in for
+    # the whole closure (1,005,840 patterns, 2.2 s and 223 MB to build).
+    blocks, trans = instance.masks()[:5], instance.masks()[5:]
+    for picks in itertools.product(range(6), repeat=5):
+        s = sum(1 << (5 * b + p - 1) for b, p in enumerate(picks) if p)
+        assert sum(1 for t in trans if t & s) >= sum(1 for b in blocks if b & s)
 
 
 def test_generate_tight_instance_rejects_bad_m():

@@ -62,9 +62,9 @@ def test_columns_are_built_once_per_decision(monkeypatch, extendible):
     # so a refutation runs the closure DP no more often than a witness
     calls = []
 
-    def counting(parts):
+    def counting(parts, keep=-1):
         calls.append(1)
-        return cheapest_unions(parts)
+        return cheapest_unions(parts, keep)
 
     monkeypatch.setattr(setfun, "cheapest_unions", counting)
     values = (1, 1, 2) if extendible else (1, 1, 3)

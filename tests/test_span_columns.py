@@ -13,7 +13,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coverext.approx import alpha_star_program
@@ -52,6 +52,31 @@ def test_span_columns_match_bruteforce_grouping():
         assert all(any(s & t for t in points) for s, _ in columns)
 
 
+def test_keeping_every_point_builds_the_whole_closure():
+    # a keep mask holding every point prunes nothing, at any m
+    rng = random.Random(34)
+    for _ in range(100):
+        m = rng.randint(1, 8)
+        points = [rng.randrange(1, 1 << m) for _ in range(rng.randint(1, 8))]
+        want = oracles.span_columns_naive(m, points)
+        assert span_columns(m, points, (1 << len(points)) - 1) == want
+        assert span_columns(m, points, -1) == want
+
+
+def test_a_pruned_closure_grows_sets_only_by_new_kept_points():
+    # points {1}, {1, 2}, {3}, keeping the first and third: {2} meets no kept point,
+    # so it neither starts a set nor joins one
+    points = [0b001, 0b011, 0b100]
+    assert span_columns(3, points, 0b101) == [(0b001, 0b011), (0b100, 0b100), (0b101, 0b111)]
+    assert (0b010, 0b010) in span_columns(3, points)
+    assert span_columns(3, points, 0) == []
+    # points {1, 2}, {1}, {2}, keeping the first: {2} meets it, but it adds nothing
+    # to {1}, so {1, 2} and its pattern of all three points are left out
+    points = [0b11, 0b01, 0b10]
+    assert span_columns(2, points, 0b001) == [(0b01, 0b011), (0b10, 0b101)]
+    assert span_columns(2, points)[-1] == (0b11, 0b111)
+
+
 # Masks from a 4-bit range, so empty, repeated and overlapping parts are common.
 PARTS = st.lists(
     st.tuples(st.integers(0, 15), st.fractions(min_value=0, max_value=3, max_denominator=4)),
@@ -69,6 +94,23 @@ def test_cheapest_unions_keep_the_least_cost_not_the_first():
     parts = [(0b01, F(5)), (0b11, F(1)), (0b10, F(0)), (0b01, F(0)), (0, F(0))]
     assert cheapest_unions(parts) == {0: 0, 0b01: 0, 0b10: 0, 0b11: 0}
     assert cheapest_unions([]) == {0: 0}
+
+
+@PROPERTY
+@given(PARTS, st.integers(0, 15))
+@example([(0b011, F(1)), (0b101, F(2))], 0b001)  # the second adds no kept bit to the first
+def test_keep_gives_the_least_cost_over_chains_of_new_kept_bits(parts, keep):
+    pruned = cheapest_unions(parts, keep)
+    assert pruned == oracles.cheapest_chains_naive(parts, keep)
+    # keeping every bit prunes nothing
+    assert cheapest_unions(parts, 15) == cheapest_unions(parts)
+
+
+def test_a_part_grows_a_union_only_by_a_new_kept_bit():
+    parts = [(0b01, F(1)), (0b11, F(2)), (0b10, F(4))]
+    # the second part adds only bit 2 to {bit 1}; the third adds no kept bit at all
+    assert cheapest_unions(parts, 0b01) == {0: 0, 0b01: 1, 0b11: 2}
+    assert cheapest_unions(parts, 0) == {0: 0}
 
 
 def test_span_columns_follow_the_patterns_not_the_ground_set():

@@ -27,6 +27,7 @@ from coverext.setfun import (
     _subset_pass,
     hit_patterns,
     is_coverage,
+    positive_points,
     span_columns,
     span_sums,
     span_violation,
@@ -186,6 +187,35 @@ def test_span_violation_is_the_first_positive_span_in_ascending_order(family):
     want = next((s for s in range(1, 1 << m)
                  if oracles.span_sum_naive(sets, weights, s) > 0), None)
     assert span_violation(span_columns(m, sets), weights) == want
+
+
+@st.composite
+def signed_families(draw):
+    """A family with weights of mixed sign, of -1, 0 or 1 only, or with none positive."""
+    m, sets, weights = draw(families())
+    kind = draw(st.sampled_from(["mixed", "unit", "nonpositive"]))
+    if kind == "unit":
+        weights = _same_length(draw, st.sampled_from([F(-1), F(0), F(1)]), sets)
+    elif kind == "nonpositive":
+        weights = [-abs(w) for w in weights]
+    return m, sets, weights
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(signed_families())
+@example((2, [0b01, 0b10, 0b11], [F(1), F(1), F(-3, 2)]))  # each element adds a positive point
+@example((2, [0b01, 0b11], [F(-1), F(1)]))  # {2} meets only the positive point
+@example((3, [0b011, 0b110, 0b101], [F(0), F(0), F(0)]))  # nothing to keep, nothing positive
+@example((3, [0b001, 0b111, 0b100], [F(1), F(-2), F(2)]))  # the answer {1, 3} skips element 2
+def test_pruned_closure_finds_the_smallest_positive_set(family):
+    # span_columns pruned to the positive points misses no smallest positive S
+    m, sets, weights = family
+    want = next((s for s in range(1, 1 << m)
+                 if oracles.span_sum_naive(sets, weights, s) > 0), None)
+    pruned = span_columns(m, sets, positive_points(weights))
+    assert span_violation(pruned, weights) == span_violation(span_columns(m, sets), weights)
+    assert span_violation(pruned, weights) == want
+    assert pruned == sorted(set(pruned))
 
 
 @PROPERTY
