@@ -25,10 +25,7 @@ within the harmonic factor H_d instead.
 generate_tight_instance builds the family showing the lower bound is
 real: sqrt(m) consecutive blocks of weight sqrt(m) against random unit
 transversals, validated (setfun.span_violation) so that every subset
-meets at least as many transversals as blocks. The validation prices
-only nonempty sets holding at most one element per block, of which there
-are (sqrt(m) + 1)^sqrt(m) - 1, not the whole closure: a smallest subset
-with more blocks than transversals is one of them.
+meets at least as many transversals as blocks.
 """
 
 from __future__ import annotations
@@ -118,7 +115,7 @@ def replacement_ratio_exact(pf: PartialFunction, cap: int = DEFAULT_ENUMERATION_
     """kappa by an exact cover DP per point; math.inf when nothing is replaceable.
 
     For each point v, cheapest_unions over the other points' sets
-    projected onto T_v keeps the least weight of every union, so the
+    projected onto T_v holds the least weight of every union, so the
     weight kept at T_v is the cheapest cover. A point missing T_v is an
     empty part and changes nothing.
     """
@@ -183,7 +180,7 @@ def alpha_bounds(
 
     exact mode: [1/kappa, min(d, ceil(m^(2/3))) / kappa]. greedy mode uses
     kappa' and pays the extra harmonic factor on the upper side, which
-    keeps the bracket valid since kappa <= kappa' <= kappa * H_d.
+    leaves the bracket valid since kappa <= kappa' <= kappa * H_d.
 
     The upper bound is clamped to the definitional floor alpha* >= 1:
     whenever the raw ratio bound dips below 1 (kappa exceeds the factor),
@@ -229,13 +226,10 @@ def generate_tight_instance(
     each a point of value sqrt(m); k * sqrt(m) * ceil(log2 m) random
     transversals (one uniform element per block) get value 1. A draw is
     accepted only if every nonempty subset of the ground set meets at
-    least as many transversals as blocks, checked by setfun.span_violation
-    over the draw's span_columns pruned to the blocks: an element joins a
-    set only when it meets a new block, so at most (sqrt(m) + 1)^sqrt(m) - 1
-    sets are priced (624 at m = 16, 7,775 at m = 25); otherwise the
-    transversals are redrawn, up to _MAX_ATTEMPTS times. More than 2^cap
-    draws raise CapExceededError before any is drawn, the budget that cap
-    sets on enumerated objects.
+    least as many transversals as blocks, checked by setfun.span_violation;
+    otherwise the transversals are redrawn, up to _MAX_ATTEMPTS times.
+    More than 2^cap draws raise CapExceededError before any is drawn, the
+    budget that cap sets on enumerated objects.
     """
     if not _is_int(m):
         raise ValueError(f"m must be an int, got {m!r}")
@@ -271,8 +265,7 @@ def generate_tight_instance(
         # Blocks weigh +1 and transversals -1, so no positive span sum
         # means every subset meets at least as many transversals as blocks.
         weights = [1] * len(blocks) + [-1] * len(trans)
-        columns = span_columns(m, blocks + trans, (1 << len(blocks)) - 1)  # keep the blocks
-        if span_violation(columns, weights) is None:
+        if span_violation(m, blocks + trans, weights) is None:
             return PartialFunction(m, tuple(points))
     raise SeedExhaustedError(
         f"no valid transversal draw within {_MAX_ATTEMPTS} attempts (m={m}, k={k}, seed={seed})"

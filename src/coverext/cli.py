@@ -139,6 +139,8 @@ def _norm(args, data):
 
 
 def _wtransform(args, data):
+    if isinstance(data, dict):  # the cap on m, before the parse reads all 2^m entries
+        require_enumerable(serialize._positive_int(data, "m"), args.cap)
     total = serialize.total_function_from_json(data)
     coeffs = w_transform(total, cap=args.cap)
     check = coverage_check(coeffs.support)

@@ -16,12 +16,8 @@ which refutes every candidate coverage extension at once. S enters the
 first line only through the points it meets, so the check prices each
 hit pattern once (setfun.span_violation), not every subset of [m]. A
 decision prices the very columns its program was built over: one pattern
-closure per instance. verify_certificate, which has no program, builds
-only the sets grown one element at a time, each element meeting a point
-of positive multiplier that the set missed; the smallest S with a
-positive span sum is among them, so the verdict is the same. Both
-artifacts are re-verified here before being returned; we never trust the
-solver's algebra blindly.
+closure per instance. Both artifacts are re-verified here before being
+returned; we never trust the solver's algebra blindly.
 """
 
 from __future__ import annotations
@@ -35,9 +31,10 @@ from .setfun import (
     Mask,
     PartialFunction,
     WCoefficients,
+    _first_positive,
+    _scaled,
     coverage_check,
     eval_from_w,
-    positive_points,
     require_enumerable,
     span_columns,
     span_rows,
@@ -79,7 +76,8 @@ def decide_extension(pf: PartialFunction, cap: int = DEFAULT_ENUMERATION_CAP) ->
     if outcome.status != INFEASIBLE:
         raise AssertionError("feasibility program cannot be unbounded")
     certificate = tuple(-r for r in outcome.farkas_ray)
-    if not _certifies(pf, columns, certificate):
+    violation = _first_positive(columns, _scaled(certificate)[0])  # the program's own columns
+    if violation is not None or _objective(pf, certificate) <= 0:
         raise AssertionError("internal error: certificate failed verification")
     return ExtensionVerdict(False, certificate=certificate)
 
@@ -94,22 +92,14 @@ def verify_witness(pf: PartialFunction, w: WCoefficients) -> bool:
 def verify_certificate(
     pf: PartialFunction, certificate: Sequence[Fraction], cap: int = DEFAULT_ENUMERATION_CAP
 ) -> bool:
-    """Check the refutation: every span sum <= 0 and a positive objective.
-
-    The span sums are priced once per hit pattern (setfun.span_violation)
-    over the instance's span_columns pruned to the points of positive
-    multiplier, which answers for every nonempty subset of [m] without
-    listing them.
-    """
+    """Check the refutation: a positive objective and no positive span sum (span_violation)."""
     require_enumerable(pf.m, cap)
     if len(certificate) != pf.n:
         return False
-    columns = span_columns(pf.m, pf.masks(), positive_points(certificate))
-    return _certifies(pf, columns, certificate)
+    inside = span_violation(pf.m, pf.masks(), certificate) is None
+    return inside and _objective(pf, certificate) > 0
 
 
-def _certifies(pf: PartialFunction, columns: Sequence, certificate: Sequence[Fraction]) -> bool:
-    """No column of pf's span_columns has a positive span sum, and the objective is positive."""
-    inside = span_violation(columns, certificate) is None
-    objective = sum((v * l for (_, v), l in zip(pf.points, certificate)), _ZERO)
-    return inside and objective > 0
+def _objective(pf: PartialFunction, certificate: Sequence[Fraction]) -> Fraction:
+    """sum of f_i * l_i over the points, positive for a refutation."""
+    return sum((v * l for (_, v), l in zip(pf.points, certificate)), _ZERO)

@@ -32,7 +32,6 @@ from .setfun import (
     WCoefficients,
     eval_from_w,
     hit_patterns,
-    positive_points,
     require_enumerable,
     span_columns,
     span_rows,
@@ -124,14 +123,8 @@ def norm_opt_exact(pf: PartialFunction, cap: int = DEFAULT_ENUMERATION_CAP) -> F
 def verify_dual_feasible(
     pf: PartialFunction, y: Sequence[Fraction], cap: int = DEFAULT_ENUMERATION_CAP
 ) -> bool:
-    """Box |y_i| <= 1 plus span sums <= 0 over every nonempty subset.
-
-    The span sums are priced once per hit pattern (setfun.span_violation),
-    not once per subset of [m], over the instance's span_columns pruned to
-    the points with y_i > 0, where the smallest positive span sum lies.
-    """
+    """Box |y_i| <= 1 plus span sums <= 0 over every nonempty subset (setfun.span_violation)."""
     require_enumerable(pf.m, cap)
     if len(y) != pf.n:
         return False
-    columns = span_columns(pf.m, pf.masks(), positive_points(y))
-    return span_violation(columns, y) is None and all(-1 <= v <= 1 for v in y)
+    return span_violation(pf.m, pf.masks(), y) is None and all(-1 <= v <= 1 for v in y)

@@ -344,7 +344,7 @@ def hit_patterns(m: int, sets: Sequence[Mask]) -> list[Mask]:
     return hit
 
 
-def span_columns(m: int, points: Sequence[Mask], keep: Mask = -1) -> list[tuple[Mask, Mask]]:
+def span_columns(m: int, points: Sequence[Mask]) -> list[tuple[Mask, Mask]]:
     """One LP column per distinct hit pattern: (smallest set, pattern) pairs, ascending.
 
     Bit i of a pattern is set exactly when its sets meet points[i]. A set
@@ -355,22 +355,23 @@ def span_columns(m: int, points: Sequence[Mask], keep: Mask = -1) -> list[tuple[
     over the parts (hit[j], 2^j) gives each pattern its smallest set in
     O(m * closure) steps, the closure being at most 2^min(m, n) patterns.
     The empty pattern is left out: a set meeting no point is an all-zero
-    column. This is the one builder of the closure: an instance's
-    programs and span_violation read the same list.
-
-    keep, a mask over the points, prunes the closure for a caller that
-    only prices it with span_violation: pass the points of positive
-    weight. An element then joins a set only when it meets a point of
-    keep that the set's earlier elements miss, so the list holds the sets
-    built that way, each pattern once with its smallest such set. The
-    default keeps every point and builds the whole closure, as the
-    programs need.
+    column. This is the whole closure, which an instance's programs and
+    its certificate check read as one list.
 
     Keeping only the smallest copy changes no simplex outcome: copies keep
     equal reduced costs and tableau entries under every pivot, so they tie
     under both Dantzig's and Bland's entering rule, ties go to the smallest
     index, and the smallest copy is the one that enters; a zero column
     never enters.
+    """
+    return _span_closure(m, points, -1)
+
+
+def _span_closure(m: int, points: Sequence[Mask], keep: Mask) -> list[tuple[Mask, Mask]]:
+    """The span_columns of the sets grown one element at a time, each meeting a new point of keep.
+
+    keep, a mask over the points, is every point for span_columns; each
+    pattern is listed once, with its smallest set so grown, ascending.
     """
     parts = ((hit, 1 << j) for j, hit in enumerate(hit_patterns(m, points)))
     smallest = cheapest_unions(parts, keep)
@@ -379,43 +380,49 @@ def span_columns(m: int, points: Sequence[Mask], keep: Mask = -1) -> list[tuple[
     return list(zip(smallest.values(), smallest))[1:]
 
 
-def positive_points(weights: Sequence[ExactLike]) -> Mask:
-    """The mask of the points whose weight is positive: span_columns' keep for span_violation."""
-    return sum(1 << i for i, w in enumerate(weights) if _coerce_value(w, "weight") > 0)
-
-
-def span_violation(columns: Sequence[tuple[Mask, Mask]],
+def span_violation(m: int, points: Sequence[Mask],
                    weights: Sequence[ExactLike]) -> Optional[Mask]:
-    """The set of the first column with a positive span sum, or None when none has one.
+    """The smallest nonempty S with a positive span sum, or None when none has one.
 
-    The one span-sign test on point families: certificates, rounded norm
-    duals and the tight-family validation run it over the span_columns of
-    their points, with weights[i] on point i. A nonempty S has a column's
-    pattern or the empty one (which sums to 0), and the columns ascend by
-    smallest set, so the first positive column names the smallest S with
-    a positive span sum.
+    The one standalone span-sign test on point families: certificates,
+    rounded norm duals and the tight-family validation call it with
+    weights[i] on points[i]. The weights become integers once; the
+    points of positive weight are the keep of a pruned closure, whose
+    columns are then priced.
 
-    The answer is the same over the columns span_columns prunes to the
-    positive points (keep = positive_points(weights)). Call a set
-    irredundant when each of its elements meets a positive point that no
-    other element meets. Dropping an element without such a private point
-    keeps every positive point met and can only unmeet negative ones, so
-    it lowers no span sum and gives a smaller set; hence the smallest S
-    with a positive span sum is irredundant. Taken in ascending order,
-    each of its elements adds its private positive point, so the pruned
-    closure holds S's pattern, at a set no larger than S, with the same
-    sum, and so at S itself. Every pruned column is a real set with its
-    real sum, the pruned list ascends too, and no positive column comes
-    before S; with no positive S, none is positive.
+    The pruning loses no answer. Call a set irredundant when each of its
+    elements meets a positive point that no other element meets.
+    Dropping an element without such a private point keeps every
+    positive point met and can only unmeet negative ones, so it lowers
+    no span sum and gives a smaller set; hence the smallest S with a
+    positive span sum is irredundant. Taken in ascending order, each of
+    its elements adds its private positive point, so the pruned closure
+    holds S's pattern, at a set no larger than S, with the same sum, and
+    so at S itself. Every pruned column is a real set with its real sum,
+    the pruned list ascends too, and no positive column comes before S;
+    with no positive S, none is positive.
+    """
+    if len(points) != len(weights):  # an unpaired weight would go unpriced
+        raise ValueError(f"{len(points)} points but {len(weights)} weights")
+    ints, _ = _scaled([_coerce_value(w, "weight") for w in weights])
+    keep = sum(1 << i for i, w in enumerate(ints) if w > 0)
+    return _first_positive(_span_closure(m, points, keep), ints)
 
-    A pattern's price is the total of its points' weights, scaled to
-    integers and read from one subset-sum table per byte of point
+
+def _first_positive(columns: Sequence[tuple[Mask, Mask]], ints: Sequence[int]) -> Optional[Mask]:
+    """The set of the first column whose points' integer weights sum above 0, or None.
+
+    A nonempty S has a column's pattern or the empty one (which sums to
+    0), and the columns ascend by smallest set, so over span_columns the
+    first positive column names the smallest S with a positive span sum;
+    a decision prices the columns its program was built over this way.
+
+    A pattern's price is read from one subset-sum table per byte of point
     indices: about n/8 lookups, O(closure * n/8) steps and O(closure +
     32n) memory against a closure the instance built once. A closure
     near 2^m costs more than a table scan would, but decide_extension's
     program over the same closure costs far more.
     """
-    ints, _ = _scaled([_coerce_value(w, "weight") for w in weights])
     sums = [0] * len(columns)
     for start in range(0, len(ints), 8):
         table = [0]  # table[x]: the total weight of the points start + i for the bits i of x

@@ -99,6 +99,17 @@ MUTANTS = [
         ("tests/test_cli.py::test_chi_cap_refuses_before_the_gadget_is_built",),
     ),
     Mutant(
+        "wtransform checks its cap after the table is parsed",
+        "cli.py",
+        "    if isinstance(data, dict):  # the cap on m, before the parse reads all 2^m entries\n"
+        '        require_enumerable(serialize._positive_int(data, "m"), args.cap)\n'
+        "    total = serialize.total_function_from_json(data)\n",
+        "    total = serialize.total_function_from_json(data)\n"
+        "    if isinstance(data, dict):\n"
+        '        require_enumerable(serialize._positive_int(data, "m"), args.cap)\n',
+        ("tests/test_cli.py::test_wtransform_checks_its_cap_before_reading_the_table",),
+    ),
+    Mutant(
         "gadget cut2span ignores --allow-wide-weights",
         "cli.py",
         "enforce_box=not args.allow_wide_weights",
@@ -168,14 +179,14 @@ MUTANTS = [
     Mutant(
         "decide_extension skips its certificate check",
         "extension.py",
-        "if not _certifies(pf, columns, certificate):",
+        "if violation is not None or _objective(pf, certificate) <= 0:",
         "if False:",
         ("tests/test_extension.py::test_a_ray_with_a_positive_span_sum_is_refused",),
     ),
     Mutant(
         "a decision rebuilds its closure for the check",
         "extension.py",
-        "if not _certifies(pf, columns, certificate):",
+        "if violation is not None or _objective(pf, certificate) <= 0:",
         "if not verify_certificate(pf, certificate, cap=cap):",
         ("tests/test_extension.py::test_columns_are_built_once_per_decision",),
     ),
@@ -321,20 +332,20 @@ MUTANTS = [
          "tests/test_approx.py::test_tight_validation_prices_at_most_one_element_per_block"),
     ),
     Mutant(
+        "span_violation prices weights that pair with no point",
+        "setfun.py",
+        "    if len(points) != len(weights):  # an unpaired weight would go unpriced\n",
+        "    if False:\n",
+        ("tests/test_span_kernel.py::test_span_violation_pairs_every_point_with_one_weight",),
+    ),
+    Mutant(
         "the span checks keep the negative points",
         "setfun.py",
-        'if _coerce_value(w, "weight") > 0)',
-        'if _coerce_value(w, "weight") < 0)',
+        "keep = sum(1 << i for i, w in enumerate(ints) if w > 0)",
+        "keep = sum(1 << i for i, w in enumerate(ints) if w < 0)",
         ("tests/test_extension.py::test_verify_certificate_examples",
          "tests/test_norm.py::test_dual_feasibility_examples",
          "tests/test_span_kernel.py::test_pruned_closure_finds_the_smallest_positive_set"),
-    ),
-    Mutant(
-        "gen tight prunes its closure to the transversals",
-        "approx.py",
-        "span_columns(m, blocks + trans, (1 << len(blocks)) - 1)",
-        "span_columns(m, blocks + trans, ((1 << len(trans)) - 1) << len(blocks))",
-        ("tests/test_approx.py::test_accepted_draws_pass_a_literal_scan",),
     ),
     Mutant(
         "span_columns feeds the union DP its highest element first",

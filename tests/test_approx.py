@@ -12,7 +12,7 @@ from hypothesis import given, settings
 
 from coverext import approx, setfun
 from coverext.errors import CapExceededError, SeedExhaustedError
-from coverext.setfun import PartialFunction, cheapest_unions, span_columns, span_violation
+from coverext.setfun import PartialFunction, _first_positive, cheapest_unions, span_columns
 from coverext.approx import (
     alpha_bounds,
     alpha_star_exact,
@@ -277,7 +277,7 @@ def test_tight_validation_prices_at_most_one_element_per_block(monkeypatch):
     monkeypatch.undo()
     for instance in families:
         full = span_columns(16, instance.masks())
-        assert len(full) > 624 and span_violation(full, _tight_weights(instance)) is None
+        assert len(full) > 624 and _first_positive(full, _tight_weights(instance)) is None
 
 
 def test_tight_family_at_m_25_is_drawn_quickly_and_dominated():
@@ -309,7 +309,7 @@ def test_generate_tight_instance_rejects_bad_m():
 
 
 def test_generator_gives_up_after_its_attempts(monkeypatch):
-    monkeypatch.setattr(approx, "span_violation", lambda columns, weights: 1)  # refuse every draw
+    monkeypatch.setattr(approx, "span_violation", lambda m, points, weights: 1)  # refuse all draws
     with pytest.raises(SeedExhaustedError) as info:
         generate_tight_instance(4, k=1, seed=3)
     assert str(info.value) == "no valid transversal draw within 64 attempts (m=4, k=1, seed=3)"

@@ -853,20 +853,37 @@ def test_gen_tight_exits_1_on_m_1_and_when_the_draws_run_out(capsys, monkeypatch
     code, out, err = run_cli(["gen", "tight", "--m", "1"], capsys)
     assert (code, out) == (1, "")
     assert err == "error: m = 1 has no transversal to draw; the smallest family is m = 4\n"
-    monkeypatch.setattr(approx, "span_violation", lambda columns, weights: 1)  # refuse every draw
+    monkeypatch.setattr(approx, "span_violation", lambda m, points, weights: 1)  # refuse all draws
     code, out, err = run_cli(["gen", "tight", "--m", "4", "--seed", "5"], capsys)
     assert (code, out) == (1, "")
     assert err == "error: no valid transversal draw within 64 attempts (m=4, k=2, seed=5)\n"
 
 
 def test_wtransform_refuses_a_short_table_at_a_huge_m_at_once(tmp_path, capsys):
-    # 2^m is never built: at m = 10**9 it would be a 125 MB int
+    # 2^m is never built: at m = 10**9 it would be a 125 MB int; the cap lets
+    # that m past the gate, to the table's size check
     path = write(tmp_path, "huge.json", {"m": 10 ** 9, "values": []})
     started = time.monotonic()
-    code, out, err = run_cli(["wtransform", "--input", path], capsys)
+    code, out, err = run_cli(["wtransform", "--input", path, "--cap", str(10 ** 9)], capsys)
     assert time.monotonic() - started < 1
     assert (code, out) == (1, "")
     assert err == "error: total function on m=1000000000 needs all 2^1000000000 subsets, got 0\n"
+
+
+def test_wtransform_checks_its_cap_before_reading_the_table(tmp_path, capsys, monkeypatch):
+    # the cap outranks a short table; over it, not one entry is parsed (at m = 18
+    # the parse took about 1.5 s of a 2.6 s run before the cap refused it)
+    path = write(tmp_path, "short.json", {"m": 30, "values": [{"set": [], "value": "0"}]})
+    code, out, err = run_cli(["wtransform", "--input", path], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: ground set size 30 exceeds enumeration cap 24\n"
+    table = {"m": 3, "values": [{"set": [j + 1 for j in range(3) if mask >> j & 1],
+                                 "value": str(mask.bit_count())} for mask in range(8)]}
+    path = write(tmp_path, "full.json", table)
+    monkeypatch.setattr(serialize, "_read_entries", _refuse)
+    code, out, err = run_cli(["wtransform", "--input", path, "--cap", "2"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: ground set size 3 exceeds enumeration cap 2\n"
 
 
 # Every option of every command with its default: a new or changed knob

@@ -9,6 +9,7 @@ import types
 from pathlib import Path
 
 import coverext
+from coverext import setfun
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -65,14 +66,27 @@ MEMBERS = {
 }
 
 
+# The setfun closure kernel that the other modules import: a pruning or
+# tuning knob added to it shows up here too.
+KERNEL = {
+    "cheapest_unions": "(parts, keep=-1)",
+    "span_columns": "(m, points)",
+    "span_violation": "(m, points, weights)",
+    "span_rows": "(columns, points, relation)",
+    "span_sums": "(m, sets, weights)",
+    "hit_patterns": "(m, sets)",
+}
+
+
+def _bare_signature(function):
+    sig = inspect.signature(function)
+    bare = [p.replace(annotation=p.empty) for p in sig.parameters.values()]
+    return str(sig.replace(parameters=bare, return_annotation=sig.empty))
+
+
 def test_library_signatures_and_members_are_pinned():
-    signatures = {}
-    for name in coverext.__all__:
-        obj = getattr(coverext, name)
-        if inspect.isfunction(obj):
-            sig = inspect.signature(obj)
-            bare = [p.replace(annotation=p.empty) for p in sig.parameters.values()]
-            signatures[name] = str(sig.replace(parameters=bare, return_annotation=sig.empty))
+    signatures = {name: _bare_signature(getattr(coverext, name)) for name in coverext.__all__
+                  if inspect.isfunction(getattr(coverext, name))}
     assert signatures == SIGNATURES
     members = {}
     for name in MEMBERS:
@@ -80,6 +94,10 @@ def test_library_signatures_and_members_are_pinned():
         own = {*vars(cls), *cls._fields}  # the fields live on the named tuple base, not in vars
         members[name] = sorted(n for n in own if not n.startswith("_"))
     assert members == MEMBERS
+
+
+def test_the_closure_kernel_signatures_are_pinned():
+    assert {name: _bare_signature(getattr(setfun, name)) for name in KERNEL} == KERNEL
 
 
 # Each library module and the public names it defines; __all__ lists them in this order.

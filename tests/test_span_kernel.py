@@ -24,10 +24,12 @@ from coverext.norm import verify_dual_feasible
 from coverext.setfun import (
     PartialFunction,
     TotalSetFunction,
+    _first_positive,
+    _scaled,
+    _span_closure,
     _subset_pass,
     hit_patterns,
     is_coverage,
-    positive_points,
     span_columns,
     span_sums,
     span_violation,
@@ -186,16 +188,18 @@ def test_span_violation_is_the_first_positive_span_in_ascending_order(family):
     m, sets, weights = family
     want = next((s for s in range(1, 1 << m)
                  if oracles.span_sum_naive(sets, weights, s) > 0), None)
-    assert span_violation(span_columns(m, sets), weights) == want
+    assert span_violation(m, sets, weights) == want
 
 
 @st.composite
 def signed_families(draw):
-    """A family with weights of mixed sign, of -1, 0 or 1 only, or with none positive."""
+    """A family with weights of mixed sign, of -1, 0 or 1 only, all zero, or none positive."""
     m, sets, weights = draw(families())
-    kind = draw(st.sampled_from(["mixed", "unit", "nonpositive"]))
+    kind = draw(st.sampled_from(["mixed", "unit", "zero", "nonpositive"]))
     if kind == "unit":
         weights = _same_length(draw, st.sampled_from([F(-1), F(0), F(1)]), sets)
+    elif kind == "zero":
+        weights = [F(0)] * len(sets)
     elif kind == "nonpositive":
         weights = [-abs(w) for w in weights]
     return m, sets, weights
@@ -208,15 +212,24 @@ def signed_families(draw):
 @example((3, [0b011, 0b110, 0b101], [F(0), F(0), F(0)]))  # nothing to keep, nothing positive
 @example((3, [0b001, 0b111, 0b100], [F(1), F(-2), F(2)]))  # the answer {1, 3} skips element 2
 def test_pruned_closure_finds_the_smallest_positive_set(family):
-    # span_columns pruned to the positive points misses no smallest positive S
+    # span_violation prices only the sets grown by new positive points, and
+    # finds what the columns pricer finds over the whole closure
     m, sets, weights = family
     want = next((s for s in range(1, 1 << m)
                  if oracles.span_sum_naive(sets, weights, s) > 0), None)
-    pruned = span_columns(m, sets, positive_points(weights))
-    assert span_violation(pruned, weights) == span_violation(span_columns(m, sets), weights)
-    assert span_violation(pruned, weights) == want
-    assert pruned == sorted(set(pruned))
+    assert span_violation(m, sets, weights) == want
+    assert _first_positive(span_columns(m, sets), _scaled(weights)[0]) == want
+    pruned = _span_closure(m, sets, sum(1 << i for i, w in enumerate(weights) if w > 0))
+    assert pruned == sorted(set(pruned))  # ascending, as the first positive column needs
 
+
+
+def test_span_violation_pairs_every_point_with_one_weight():
+    # unchecked, the unpaired 5 went unpriced and the second vector passed
+    for weights in ([F(1)], [F(-1), F(-1), F(5)]):
+        with pytest.raises(ValueError) as info:
+            span_violation(2, [0b01, 0b10], weights)
+        assert str(info.value) == f"2 points but {len(weights)} weights"
 
 @PROPERTY
 @given(st.integers(1, 8), st.lists(st.integers(0, (1 << 10) - 1), max_size=12))
@@ -239,7 +252,7 @@ def test_span_violation_memory_follows_the_patterns():
     weights = [F(rng.randint(-1, 1)) for _ in sets]  # first violation: S = {12}
     tracemalloc.start()
     try:
-        found = span_violation(span_columns(20, sets), weights)
+        found = span_violation(20, sets, weights)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -338,7 +351,7 @@ def test_spans_dominated_matches_hit_counts(case, data):
             want = False
             break
     weights = [1] * blocks + [-1] * (pf.n - blocks)
-    assert (span_violation(span_columns(pf.m, pf.masks()), weights) is None) is want
+    assert (span_violation(pf.m, pf.masks(), weights) is None) is want
 
 
 @PROPERTY
